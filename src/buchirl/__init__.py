@@ -37,6 +37,7 @@ from .mdp import validate as validate_mdp
 from .oracle import (
     BuchiResult,
     EndComponent,
+    PolicyIterationError,
     buchi_value,
     mec_decomposition,
     policy_buchi_probability,

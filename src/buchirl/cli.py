@@ -6,7 +6,9 @@ produce identical bytes unless --timing is set, which fills the otherwise
 null timing field.
 
 Exit codes: 0 ok, 2 usage, 3 unreadable or unparsable input, 4 validation or
-construction failure, 5 solver non-convergence, 6 verification failed.
+construction failure, 5 solver failure (value iteration not converged, a
+singular linear system, or the oracle's policy iteration not stabilized),
+6 verification failed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .automata import (
 )
 from .learn import LearnConfig, train
 from .mdp import MdpFormatError, load_mdp, validate
-from .oracle import buchi_value
+from .oracle import PolicyIterationError, buchi_value
 from .product import ProductError, ProductMdp, build_product
 from .shaping import Mode, PayoffSpec, augment
 from .solvers import ConvergenceError, evaluate_policy, greedy_policy, solve_optimal
@@ -40,7 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INVALID = 4
-EXIT_NOCONV = 5
+EXIT_SOLVER = 5
 EXIT_VERIFY = 6
 
 DEFAULT_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -92,28 +94,23 @@ def _policy_by_name(p: ProductMdp, f) -> dict[str, str]:
 def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
     """Dynamics of the product (or its leaked augmentation) as MDP JSON.
 
-    Rewards are not part of the MDP schema, so this is dynamics only.  Leak
-    edges of one pair merge into a single edge to "t" carrying the symbol of
-    the first accepting branch (the label function is per-triple, so mixed
-    symbols cannot be kept apart).
+    Rewards are not part of the MDP schema, so this is dynamics only.  The
+    leaked probabilities are those of `augment`'s reach view, which keeps one
+    branch per raw branch, in order, and appends the merged leak edge to "t"
+    last.  That edge carries the symbol of the first accepting branch (the
+    label function is per-triple, so mixed symbols cannot be kept apart).
     """
     m = p.mdp
     states = [p.state_name(i) for i in range(p.n_states)]
     actions = sorted({p.pair_name(st, k) for st in range(p.n_states) for k in range(len(p.pairs[st]))})
+    leaked = None if zeta is None else augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).branches
     transitions = []
     leak_any = False
     for st in range(p.n_states):
         for k, pair in enumerate(p.pairs[st]):
             act = p.pair_name(st, k)
-            leak = 0.0
-            leak_sym: int | None = None
-            for b in pair.branches:
-                prob = b.prob
-                if zeta is not None and b.accepting:
-                    prob = b.prob * zeta
-                    leak += b.prob * (1.0 - zeta)
-                    if leak_sym is None:
-                        leak_sym = b.symbol
+            probs = [b.prob for b in (pair.branches if leaked is None else leaked[st][k])]
+            for b, prob in zip(pair.branches, probs):
                 transitions.append(
                     {
                         "from": states[st],
@@ -123,14 +120,15 @@ def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
                         "label": m.symbols[b.symbol],
                     }
                 )
-            if leak > 0.0:
+            if len(probs) > len(pair.branches):
                 leak_any = True
+                leak_sym = next(b.symbol for b in pair.branches if b.accepting)
                 transitions.append(
                     {
                         "from": states[st],
                         "action": act,
                         "to": "t",
-                        "prob": leak,
+                        "prob": probs[-1],
                         "label": m.symbols[leak_sym],
                     }
                 )
@@ -408,9 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ConvergenceError as exc:
+    except (ConvergenceError, PolicyIterationError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it is caught before the validation clause
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+        return EXIT_SOLVER
     except (ProductError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

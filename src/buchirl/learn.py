@@ -6,10 +6,11 @@ Updates are undiscounted; the termination itself supplies the effective
 bias, so the fixpoint of the update is the expected payoff of the view.
 Against the target there is no bootstrap.
 
-Randomness comes from a buffered uniform stream that is bit-transparent to
-the underlying generator, so a fast training loop and the trace-recording
-single-episode entry point consume identical draw sequences and can be
-replayed against each other.
+One episode loop does the learning.  `train` runs it without a trace;
+`run_episode` runs single episodes through it with a trace sink, so the
+trace shows exactly what training does.  Randomness comes from a buffered
+uniform stream that is bit-transparent to the underlying generator, so a
+sequence of `run_episode` calls on one stream replays `train` draw for draw.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class TrainResult:
     table: QTable
     strategy: Strategy
     curve: list[tuple[int, float, float]]  # (episode, total reward, epsilon)
+    truncated: int  # episodes that hit cfg.max_steps without reaching the target
 
 
 def _check_mode(model: AugmentedModel) -> bool:
@@ -107,10 +109,11 @@ def _check_mode(model: AugmentedModel) -> bool:
 
 
 def _sim_tables(model: AugmentedModel):
-    """Per state, per pair: (partial branch prob sums, successors, accepting).
+    """Per state, per pair: (partial branch prob sums, successors, accepting,
+    symbols).
 
     Built from the raw product branches; the diversion coin is separate so
-    traces keep their symbols and both episode loops sample identically.
+    traces keep their symbols.
     """
     sim = []
     for plist in model.product.pairs:
@@ -126,6 +129,7 @@ def _sim_tables(model: AugmentedModel):
                     cums,
                     [b.succ for b in pair.branches],
                     [b.accepting for b in pair.branches],
+                    [b.symbol for b in pair.branches],
                 )
             )
         sim.append(rows)
@@ -141,87 +145,47 @@ def run_episode(
 ) -> RunRecord:
     """One epsilon-greedy episode with in-place Q updates and a full trace.
 
-    Draw accounting (shared with the training loop): states with a single
-    pair and pairs with a single branch spend no randomness; otherwise one
-    uniform decides greedy vs explore (a second picks the explored pair), one
-    picks the branch, and accepting branches spend one on the diversion coin.
+    Runs the training loop's `_episode` with a trace sink, so a sequence of
+    calls on one stream replays `train` draw for draw.
     """
     reach_mode = _check_mode(model)
     stream = rng if isinstance(rng, UniformStream) else UniformStream(rng)
     eps = cfg.epsilon0 if epsilon is None else epsilon
-    p = model.product
-    q = table.q
-    visits = table.visits
-    one_minus_zeta = 1.0 - model.zeta
+    initial = model.product.initial
+    trace = ([initial], [], [], [])
     racc_cont = 0.0 if reach_mode else 1.0
-
-    cur = p.initial
-    states = [cur]
-    actions: list[int] = []
-    labels: list[int] = []
-    accepting: list[bool] = []
-    reached = False
-    for _ in range(cfg.max_steps):
-        row = q[cur]
-        npairs = len(row)
-        if npairs == 1:
-            k = 0
-        elif stream.draw() < eps:
-            k = int(stream.draw() * npairs)
-            if k == npairs:
-                k = npairs - 1
-        else:
-            k = 0
-            for i in range(1, npairs):
-                if row[i] > row[k]:
-                    k = i
-        branches = p.pairs[cur][k].branches
-        b = branches[-1]
-        if len(branches) > 1:
-            u = stream.draw()
-            acc_p = 0.0
-            for cand in branches[:-1]:
-                acc_p += cand.prob
-                if u < acc_p:
-                    b = cand
-                    break
-        diverted = False
-        if b.accepting:
-            diverted = stream.draw() < one_minus_zeta
-        r = 1.0 if diverted else (racc_cont if b.accepting else 0.0)
-        if diverted:
-            target_q = r
-        else:
-            nrow = q[b.succ]
-            m = nrow[0]
-            for i in range(1, len(nrow)):
-                if nrow[i] > m:
-                    m = nrow[i]
-            target_q = r + m
-        nv = visits[cur][k]
-        alpha = cfg.alpha0 / (1.0 + nv / cfg.visit_decay)
-        row[k] += alpha * (target_q - row[k])
-        visits[cur][k] = nv + 1
-        actions.append(k)
-        labels.append(b.symbol)
-        accepting.append(b.accepting)
-        if diverted:
-            states.append(model.target)
-            reached = True
-            break
-        states.append(b.succ)
-        cur = b.succ
+    sim = _sim_tables(model)
+    _, reached = _episode(
+        sim, table.q, table.visits, initial, eps, 1.0 - model.zeta, racc_cont, cfg, stream, trace
+    )
+    if reached:
+        trace[0][-1] = model.target  # the diverted step ends at the target
+    states, actions, labels, accepting = trace
     return RunRecord(tuple(states), tuple(actions), tuple(labels), tuple(accepting), reached)
 
 
-def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream):
-    """Fast no-trace episode; draw-for-draw identical to run_episode."""
+def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream, trace=None):
+    """The Q-learning episode loop; returns (total reward, reached target).
+
+    Draw accounting: states with a single pair and pairs with a single branch
+    spend no randomness; otherwise one uniform decides greedy vs explore (a
+    second picks the explored pair), one picks the branch, and accepting
+    branches spend one on the diversion coin.  Draws come from `stream`'s
+    buffer, which is read here directly and left consistent on return.
+
+    `trace`, if given, is four lists (states, pairs, symbols, accepting) that
+    each step appends to; the state appended is the raw branch successor, also
+    on a final diverted step.
+    """
     rng = stream.rng
     buf = stream.buf
     pos = stream.pos
     chunk = UniformStream.CHUNK
     alpha0 = cfg.alpha0
     decay = cfg.visit_decay
+    tracing = trace is not None
+    if tracing:
+        t_states, t_pairs, t_symbols, t_accepting = trace
     cur = initial
     row = q[cur]
     vrow = visits[cur]
@@ -254,7 +218,7 @@ def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, strea
                     if row[i] > best:
                         best = row[i]
                         k = i
-        cums, succs, accs = pairs[k]
+        cums, succs, accs, syms = pairs[k]
         if cums:
             if pos == chunk:
                 buf = rng.random(chunk).tolist()
@@ -269,6 +233,11 @@ def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, strea
                     break
         else:
             b = 0
+        if tracing:
+            t_states.append(succs[b])
+            t_pairs.append(k)
+            t_symbols.append(syms[b])
+            t_accepting.append(accs[b])
         if accs[b]:
             if pos == chunk:
                 buf = rng.random(chunk).tolist()
@@ -308,7 +277,7 @@ def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, strea
 
 def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
     """Run cfg.episodes epsilon-greedy episodes and return table, greedy
-    strategy and the per-episode learning curve."""
+    strategy, the per-episode learning curve and the truncation count."""
     reach_mode = _check_mode(model)
     init = 0.0
     if cfg.optimistic:
@@ -319,11 +288,14 @@ def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
     one_minus_zeta = 1.0 - model.zeta
     racc_cont = 0.0 if reach_mode else 1.0
     curve: list[tuple[int, float, float]] = []
+    truncated = 0
     initial = model.product.initial
     for ep in range(cfg.episodes):
         eps = epsilon_at(cfg, ep)
-        total, _ = _episode(
+        total, reached = _episode(
             sim, table.q, table.visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream
         )
         curve.append((ep, total, eps))
-    return TrainResult(table, table.greedy(), curve)
+        if not reached:
+            truncated += 1
+    return TrainResult(table, table.greedy(), curve, truncated)

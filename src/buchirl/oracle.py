@@ -21,6 +21,10 @@ from .graphs import strongly_connected_components
 from .product import ProductMdp, Strategy
 
 
+class PolicyIterationError(RuntimeError):
+    """Maximal-reachability policy iteration did not stabilize."""
+
+
 @dataclass(frozen=True)
 class EndComponent:
     """Closed strongly connected sub-MDP: states plus the retained pairs."""
@@ -180,7 +184,7 @@ def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list
         if not improved:
             return v, choice
         v = _chain_reach(p, choice, targets, frozenset())
-    raise RuntimeError("max-reach policy iteration failed to stabilize")
+    raise PolicyIterationError("max-reach policy iteration failed to stabilize")
 
 
 def buchi_value(p: ProductMdp) -> BuchiResult:

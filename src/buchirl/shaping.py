@@ -131,7 +131,9 @@ def simulate_run(
 
     Sampling is two-stage so the trace keeps its symbols: first a raw product
     branch, then on an accepting branch of a leaked view a coin that diverts
-    to the target with probability (1-zeta).
+    to the target with probability (1-zeta).  This is the traced,
+    label-resolved sampler; `simulate_batch` is the fast one for payoffs only,
+    on a different draw stream, and neither can replace the other.
     """
     f.check(model.product)
     p = model.product
@@ -177,8 +179,10 @@ def simulate_batch(
 
     Episodes still alive at max_steps are truncated, which can only lose
     payoff that was still to come.  Sampling uses the aggregated augmented
-    branches (one uniform per step), so traces are not label-resolved and the
-    draw stream differs from simulate_run.
+    branches (one uniform per step, leak included), so traces are not
+    label-resolved and the draw stream differs from simulate_run.  Both
+    samplers stay: this one vectorises payoffs over many episodes at once,
+    while simulate_run records symbols and states one trace at a time.
     """
     f.check(model.product)
     n = model.n_states

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from buchirl import load_mdp, validate_mdp
@@ -342,6 +343,32 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, rep = run(["verify", "--mdp", I2, "--hoa", ACCEPT_G], capsys)
     assert code == 6
     assert rep["result"]["passed"] is False
+
+
+def test_singular_solve_exit_code(monkeypatch, capsys):
+    # a singular system raises LinAlgError, a ValueError subclass; it is a
+    # solver failure, not a validation failure
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert main(["verify", "--mdp", I2, "--hoa", ACCEPT_G]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Singular matrix")
+
+
+def test_oracle_policy_iteration_exit_code(monkeypatch, capsys):
+    # evaluations that always favour the other pair at s0 (product state 0;
+    # a leads to sA = 1 or sR = 2, b to sR) keep policy iteration switching
+    def flipping(p, choice, ones, zeros):
+        v = np.zeros(p.n_states)
+        v[2 if choice[0] == 0 else 1] = 1.0
+        return v
+
+    monkeypatch.setattr("buchirl.oracle._chain_reach", flipping)
+    assert main(["oracle", "--mdp", I2, "--hoa", ACCEPT_G]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: max-reach policy iteration")
 
 
 def test_sweep_cli(tmp_path, capsys):

@@ -81,6 +81,7 @@ def test_never_has_nothing_to_learn(never_product):
     assert all(t == 0.0 for _, t, _ in res.curve)
     assert res.table.q == [[0.0]]
     assert res.table.visits == [[50 * 60]]
+    assert res.truncated == 50  # no episode can reach the target
 
 
 def test_exact_initialization_is_stable(i2_product):
@@ -156,12 +157,30 @@ def test_run_episode_wraps_plain_generators(i2_product):
 
 def test_run_episode_trace_shape(i2_product):
     m = view(i2_product, Mode.TOTAL_REWARD, 0.5)
-    table = QTable.for_model(m)
-    rec = run_episode(m, table, LearnConfig(max_steps=25), np.random.default_rng(4))
-    assert rec.states[0] == m.product.initial
-    assert len(rec.states) == rec.steps + 1
-    assert len(rec.labels) == len(rec.accepting) == rec.steps
-    assert sum(sum(v) for v in table.visits) == rec.steps
+    p = m.product
+    diverted = 0
+    for seed in range(4, 12):
+        table = QTable.for_model(m)
+        rec = run_episode(m, table, LearnConfig(max_steps=25), np.random.default_rng(seed))
+        assert rec.states[0] == p.initial
+        assert len(rec.states) == rec.steps + 1
+        assert len(rec.labels) == len(rec.accepting) == rec.steps
+        assert sum(sum(v) for v in table.visits) == rec.steps
+        # every step is a branch of the recorded pair with the recorded symbol
+        # and mark, leading to the next recorded state; a diverted final step
+        # ends at the target instead
+        for i in range(rec.steps):
+            final_divert = rec.reached_target and i == rec.steps - 1
+            assert any(
+                b.symbol == rec.labels[i]
+                and b.accepting == rec.accepting[i]
+                and (final_divert or b.succ == rec.states[i + 1])
+                for b in p.pairs[rec.states[i]][rec.actions[i]].branches
+            )
+        if rec.reached_target:
+            diverted += 1
+            assert rec.accepting[-1] and rec.states[-1] == m.target
+    assert 0 < diverted < 8
 
 
 def test_reach_estimates_stay_in_unit_interval(i2_product):
@@ -195,9 +214,21 @@ def test_optimistic_initialization(i2_product):
 
 def test_truncation_caps_episode_totals(self_loop_product):
     m = view(self_loop_product, Mode.TOTAL_REWARD, 0.9)
-    res = train(m, LearnConfig(episodes=200, max_steps=3, seed=6))
+    cfg = LearnConfig(episodes=200, max_steps=3, seed=6)
+    res = train(m, cfg)
     assert max(t for _, t, _ in res.curve) <= 3.0
     assert res.table.visits[0][0] <= 600
+    # an episode is truncated when none of its 3 accepting steps diverts;
+    # the replayed traces count those episodes directly
+    table = QTable.for_model(m)
+    stream = UniformStream(np.random.default_rng(cfg.seed))
+    reached = [
+        run_episode(m, table, cfg, stream, epsilon=epsilon_at(cfg, ep)).reached_target
+        for ep in range(cfg.episodes)
+    ]
+    assert res.truncated == reached.count(False)
+    mean = 200 * 0.9**3
+    assert abs(res.truncated - mean) <= 4.0 * math.sqrt(mean * (1 - 0.9**3))
 
 
 def test_learns_i2_policy(i2_product):
