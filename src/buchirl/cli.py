@@ -5,10 +5,10 @@ command prints one JSON report (or writes it with --out); identical inputs
 produce identical bytes unless --timing is set, which fills the otherwise
 null timing field.
 
-Exit codes: 0 ok, 2 usage, 3 unreadable or unparsable input, 4 validation or
-construction failure, 5 solver failure (value iteration not converged, a
-singular linear system, or the oracle's policy iteration not stabilized),
-6 verification failed.
+Exit codes: 0 ok, 2 usage (a count option below its minimum included), 3
+unreadable or unparsable input, 4 validation or construction failure, 5
+solver failure (value iteration not converged, a singular linear system, or
+the oracle's policy iteration not stabilized), 6 verification failed.
 """
 
 from __future__ import annotations
@@ -56,6 +56,21 @@ def _zeta(text: str) -> float:
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError("zeta must lie strictly between 0 and 1")
     return v
+
+
+def _count(low: int):
+    """An argparse type for integers of at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return v
+
+    return parse
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -361,12 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hoa", required=True)
     s.add_argument("--zeta", type=_zeta, required=True)
     s.add_argument("--mode", choices=["total", "reach"], default="total")
-    s.add_argument("--episodes", type=int, default=50_000)
-    s.add_argument("--max-steps", type=int, default=1000)
+    s.add_argument("--episodes", type=_count(1), default=50_000)
+    s.add_argument("--max-steps", type=_count(1), default=1000)
     s.add_argument("--alpha0", type=float, default=1.0)
     s.add_argument("--epsilon0", type=float, default=0.3)
     s.add_argument("--epsilon-final", type=float, default=0.01)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count(0), default=0)
     s.add_argument("--optimistic", action="store_true")
     s.add_argument("--curve", help="write the learning curve CSV here")
     s.set_defaults(func=cmd_learn)
@@ -375,9 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mdp", required=True)
     s.add_argument("--hoa", required=True)
     s.add_argument("--zeta", type=_zeta, action="append", help="repeatable; default 0.5 and 0.9")
-    s.add_argument("--policies", type=int, default=20, help="random strategies per zeta")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tail-episodes", type=int, default=0, help="Monte Carlo tail check sample size")
+    s.add_argument("--policies", type=_count(0), default=20, help="random strategies per zeta")
+    s.add_argument("--seed", type=_count(0), default=0)
+    s.add_argument("--tail-episodes", type=_count(0), default=0, help="Monte Carlo tail check sample size")
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("sweep", parents=[common, auto], help="greedy policy across a zeta grid")

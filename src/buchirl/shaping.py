@@ -17,6 +17,12 @@ which is the same zeta the biased view charges after a reward, so the total
 and biased Bellman backups coincide coefficient for coefficient.  Branch
 records therefore carry both the simulation probability and the backup
 weight on the successor value.
+
+`AugmentedModel.branches` is the readable form of a view.  The numeric
+consumers (the solvers and `simulate_batch`) read `AugmentedModel.flat`, the
+same branches laid out once as arrays (`FlatBranches`).  The table is built
+on first use and then kept with its model: the learner and the product
+export read `branches` only and never pay for it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +51,33 @@ class AugBranch(NamedTuple):
     prob: float    # simulation probability
     weight: float  # coefficient of the successor value in the backup
     reward: float
+
+
+class FlatBranches(NamedTuple):
+    """The branches of every pair as flat arrays, in the order of `branches`.
+
+    Pairs are numbered state by state: the pairs of state s are
+    pair_start[s] .. pair_start[s+1]-1, and the branches of pair k are
+    branch_start[k] .. branch_start[k+1]-1.  Every state has a pair and every
+    pair a branch, so both offset arrays are strictly increasing.
+    """
+
+    pair_start: np.ndarray    # (n_states+1,) int64
+    branch_start: np.ndarray  # (n_pairs+1,) int64
+    succ: np.ndarray          # (n_branches,) int64; leak branches keep the target index
+    prob: np.ndarray
+    weight: np.ndarray
+    reward: np.ndarray
+    base: np.ndarray          # (n_pairs,) expected immediate reward, math.fsum(prob*reward)
+
+    def select(self, choice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pair `choice` picks per state, then the state and the flat index
+        of each branch of those pairs, state by state in branch order."""
+        pid = self.pair_start[:-1] + np.asarray(choice, dtype=np.int64)
+        lo = self.branch_start[pid]
+        row = np.repeat(np.arange(pid.size), self.branch_start[pid + 1] - lo)
+        within = np.arange(row.size) - np.searchsorted(row, row)  # rank in its pair
+        return pid, row, lo[row] + within
 
 
 @dataclass(frozen=True)
@@ -73,6 +108,24 @@ class AugmentedModel:
     @property
     def n_states(self) -> int:
         return self.product.n_states
+
+    @cached_property
+    def flat(self) -> FlatBranches:
+        """`branches` as one `FlatBranches` table, built on first use."""
+        pairs = [branches for per_pair in self.branches for branches in per_pair]
+        rows = [b for branches in pairs for b in branches]
+        succ, prob, weight, reward = (np.array(c) for c in zip(*rows))
+        bounds = list(accumulate(map(len, pairs), initial=0))
+        pr = (prob * reward).tolist()
+        return FlatBranches(
+            np.array(list(accumulate(map(len, self.branches), initial=0))),
+            np.array(bounds),
+            succ,
+            prob,
+            weight,
+            reward,
+            np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
+        )
 
 
 def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
@@ -186,23 +239,21 @@ def simulate_batch(
     """
     f.check(model.product)
     n = model.n_states
-    max_b = max(
-        len(model.branches[st][f.choice[st]]) for st in range(n)
-    )
-    cum = np.full((n, max_b), np.inf)
-    succ = np.zeros((n, max_b), dtype=np.int64)
-    rew = np.zeros((n, max_b))
-    sentinel = n  # target row index; absorbing
-    for st in range(n):
-        branches = model.branches[st][f.choice[st]]
-        probs = np.array([b.prob for b in branches])
-        c = np.cumsum(probs)
-        c[-1] = np.inf  # rounding slack falls into the last branch
-        cum[st, : len(branches)] = c
-        succ[st, : len(branches)] = [
-            sentinel if b.succ == model.target else b.succ for b in branches
-        ]
-        rew[st, : len(branches)] = [b.reward for b in branches]
+    flat = model.flat
+    pid, row, idx = flat.select(f.choice)
+    lo = flat.branch_start[pid]
+    col = idx - lo[row]
+    shape = (n, int(col.max()) + 1)
+    prob = np.zeros(shape)
+    succ = np.zeros(shape, dtype=np.int64)
+    rew = np.zeros(shape)
+    prob[row, col] = flat.prob[idx]
+    succ[row, col] = flat.succ[idx]
+    rew[row, col] = flat.reward[idx]
+    cum = np.cumsum(prob, axis=1)  # adds along each row in branch order
+    last = flat.branch_start[pid + 1] - lo - 1
+    cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last branch
+    sentinel = n  # the target's index in the leaked views; absorbing
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta

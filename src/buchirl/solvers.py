@@ -7,6 +7,9 @@ come from a direct linear solve restricted to states that can reach a reward
 at all (everything else is exactly 0, and restricting also keeps the system
 nonsingular); an iterative fallback covers models too large for a dense
 matrix.
+
+Every solver reads the model's flat branch table (`AugmentedModel.flat`);
+the branch layout lives in `shaping`, built once per model.
 """
 
 from __future__ import annotations
@@ -44,65 +47,45 @@ class ValueVector:
         return float(self.values[0])
 
 
-class _Flat:
-    """Branch tables flattened for vectorized backups.
+# evaluate_policy solves densely up to this many live states and sweeps above it
+DENSE_LIMIT = 10_000
+SWEEP_TOL = 1e-12
+SWEEP_MAX_ITER = 10**6
 
-    Pairs are numbered state by state; `offsets[s]` is the first pair of
-    state s (every state has at least one pair, so offsets are strictly
-    increasing and reduceat segments are never empty).
+
+def _pair_values(model: AugmentedModel):
+    """The map v -> value of every pair under v, one backup step ahead.
+
+    Leak branches (weight 0, successor the target) are masked out; each
+    pair's sum runs in branch order.
     """
-
-    def __init__(self, model: AugmentedModel):
-        n = model.n_states
-        pair_state: list[int] = []
-        base: list[float] = []
-        offsets: list[int] = []
-        br_pair: list[int] = []
-        br_succ: list[int] = []
-        br_w: list[float] = []
-        for st in range(n):
-            offsets.append(len(base))
-            for branches in model.branches[st]:
-                pid = len(base)
-                pair_state.append(st)
-                base.append(math.fsum(b.prob * b.reward for b in branches))
-                for b in branches:
-                    if b.weight != 0.0:
-                        br_pair.append(pid)
-                        br_succ.append(b.succ)
-                        br_w.append(b.weight)
-        self.n = n
-        self.n_pairs = len(base)
-        self.pair_state = np.array(pair_state, dtype=np.int64)
-        self.base = np.array(base)
-        self.offsets = np.array(offsets, dtype=np.int64)
-        self.br_pair = np.array(br_pair, dtype=np.int64)
-        self.br_succ = np.array(br_succ, dtype=np.int64)
-        self.br_w = np.array(br_w)
-
-    def pair_values(self, v: np.ndarray) -> np.ndarray:
-        flow = np.bincount(self.br_pair, weights=self.br_w * v[self.br_succ], minlength=self.n_pairs)
-        return self.base + flow
-
-    def backup(self, v: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(self.pair_values(v), self.offsets)
+    flat = model.flat
+    n_pairs = flat.base.size
+    kept = np.flatnonzero(flat.weight)
+    pair = np.searchsorted(flat.branch_start, kept, side="right") - 1
+    succ = flat.succ[kept]
+    w = flat.weight[kept]
+    return lambda v: flat.base + np.bincount(pair, weights=w * v[succ], minlength=n_pairs)
 
 
 def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
     """One application of the optimal backup; exposed for tests."""
-    return _Flat(model).backup(np.asarray(v, dtype=float))
+    q = _pair_values(model)(np.asarray(v, dtype=float))
+    return np.maximum.reduceat(q, model.flat.pair_start[:-1])
 
 
 def solve_optimal(
     model: AugmentedModel, tol: float = 1e-10, max_iter: int = 10**6
 ) -> ValueVector:
     """Value iteration from zero until the sup-norm step drops to tol."""
-    flat = _Flat(model)
-    v = np.zeros(flat.n)
+    pair_values = _pair_values(model)
+    starts = model.flat.pair_start[:-1]
+    n = model.n_states
+    v = np.zeros(n)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        new = flat.backup(v)
-        residual = float(np.max(np.abs(new - v))) if flat.n else 0.0
+        new = np.maximum.reduceat(pair_values(v), starts)
+        residual = float(np.max(np.abs(new - v))) if n else 0.0
         v = new
         if residual <= tol:
             return ValueVector(v, residual, it)
@@ -111,83 +94,66 @@ def solve_optimal(
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     """Pair with the best one-step backup per state, lowest index on ties."""
-    flat = _Flat(model)
-    q = flat.pair_values(np.asarray(v, dtype=float))
-    choice = []
-    bounds = list(flat.offsets) + [flat.n_pairs]
-    for st in range(flat.n):
-        seg = q[bounds[st] : bounds[st + 1]]
-        choice.append(int(np.argmax(seg)))
-    return Strategy(tuple(choice))
+    q = _pair_values(model)(np.asarray(v, dtype=float))
+    bounds = model.flat.pair_start
+    best = np.repeat(np.maximum.reduceat(q, bounds[:-1]), np.diff(bounds))
+    # first pair per state that attains the state's best value
+    first = np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), bounds[:-1])
+    return Strategy(tuple((first - bounds[:-1]).tolist()))
 
 
-def evaluate_policy(
-    model: AugmentedModel,
-    f: Strategy,
-    dense_limit: int = 10_000,
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
-) -> ValueVector:
+def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
     """Exact expected payoff of `f` per state.
 
     States that cannot reach a rewarding step have value exactly 0 and are
-    fixed to it; the linear system is solved on the rest.  Above dense_limit
-    states the direct solve gives way to iterative sweeps.
+    fixed to it; the linear system is solved on the rest.  Above DENSE_LIMIT
+    live states the direct solve gives way to iterative sweeps.
     """
     f.check(model.product)
     n = model.n_states
-    chosen = [model.branches[st][f.choice[st]] for st in range(n)]
-    b = np.array([math.fsum(br.prob * br.reward for br in pair) for pair in chosen])
+    flat = model.flat
+    pid, row, br = flat.select(f.choice)
+    b = flat.base[pid]
+    # chosen branches that carry successor value; drops the leak branches
+    keep = flat.weight[br] != 0.0
+    row, br = row[keep], br[keep]
+    succ = flat.succ[br]
+    w = flat.weight[br]
 
     # states that can reach a positive immediate reward along chosen branches
     rev: list[list[int]] = [[] for _ in range(n)]
-    for st, pair in enumerate(chosen):
-        for br in pair:
-            if br.weight > 0.0:
-                rev[br.succ].append(st)
+    for r, s in zip(row.tolist(), succ.tolist()):
+        rev[s].append(r)
     live = b > 0.0
-    stack = list(np.flatnonzero(live))
+    stack = np.flatnonzero(live).tolist()
     while stack:
         u = stack.pop()
-        for w in rev[u]:
-            if not live[w]:
-                live[w] = True
-                stack.append(w)
+        for x in rev[u]:
+            if not live[x]:
+                live[x] = True
+                stack.append(x)
     idx = np.flatnonzero(live)
     v = np.zeros(n)
     if idx.size == 0:
         return ValueVector(v, 0.0, 0)
+    on = live[row] & live[succ]
+    row, succ, w = row[on], succ[on], w[on]
 
-    if idx.size <= dense_limit:
+    if idx.size <= DENSE_LIMIT:
         pos = -np.ones(n, dtype=np.int64)
         pos[idx] = np.arange(idx.size)
         a = np.eye(idx.size)
-        for row, st in enumerate(idx):
-            for br in chosen[st]:
-                if br.weight != 0.0 and live[br.succ]:
-                    a[row, pos[br.succ]] -= br.weight
+        np.subtract.at(a, (pos[row], pos[succ]), w)
         v[idx] = np.linalg.solve(a, b[idx])
         return ValueVector(v, 0.0, 0)
 
     # iterative fallback: sweeps of v <- b + A v on the live part
-    br_state: list[int] = []
-    br_succ: list[int] = []
-    br_w: list[float] = []
-    for st in idx:
-        for br in chosen[st]:
-            if br.weight != 0.0 and live[br.succ]:
-                br_state.append(st)
-                br_succ.append(br.succ)
-                br_w.append(br.weight)
-    bs = np.array(br_state, dtype=np.int64)
-    bu = np.array(br_succ, dtype=np.int64)
-    bw = np.array(br_w)
     residual = math.inf
-    for it in range(1, max_iter + 1):
-        new = b + np.bincount(bs, weights=bw * v[bu], minlength=n)
+    for it in range(1, SWEEP_MAX_ITER + 1):
+        new = b + np.bincount(row, weights=w * v[succ], minlength=n)
         new[~live] = 0.0
         residual = float(np.max(np.abs(new - v)))
         v = new
-        if residual <= tol:
+        if residual <= SWEEP_TOL:
             return ValueVector(v, residual, it)
-    raise ConvergenceError("policy evaluation did not converge", residual, max_iter)
+    raise ConvergenceError("policy evaluation did not converge", residual, SWEEP_MAX_ITER)

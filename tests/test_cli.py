@@ -11,7 +11,7 @@ from buchirl import load_mdp, validate_mdp
 from buchirl.cli import main
 from buchirl.verify import VerifyReport
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 I2 = str(CORPUS / "mdp" / "i2.json")
 SELF_LOOP = str(CORPUS / "mdp" / "self_loop.json")
@@ -122,6 +122,18 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["sweep", "--mdp", I2, "--hoa", ACCEPT_G, "--grid", "0.5,oops"]) == 2
     capsys.readouterr()
+    learn = ["learn", "--mdp", I2, "--hoa", ACCEPT_G, "--zeta", "0.9"]
+    verify = ["verify", "--mdp", I2, "--hoa", ACCEPT_G]
+    for argv in (
+        learn + ["--episodes", "0"],
+        learn + ["--max-steps", "0"],
+        learn + ["--episodes", "2.5"],
+        verify + ["--policies", "-3"],
+        verify + ["--tail-episodes", "-1"],
+        verify + ["--seed", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
 def test_solve_total(capsys):
@@ -420,6 +432,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "buchirl", "validate", "--mdp", I2],
         capture_output=True,
         text=True,
+        cwd=ROOT / "src",  # `-m` imports from the working directory first
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

@@ -7,11 +7,14 @@ import pytest
 
 from buchirl import (
     AugBranch,
+    Edge,
+    Mdp,
     Mode,
     PayoffSpec,
     RunRecord,
     Strategy,
     augment,
+    build_product,
     evaluate_policy,
     run_payoff,
     simulate_batch,
@@ -106,6 +109,29 @@ def test_augment_stays_stochastic():
                 for branches in m.branches[st]:
                     total = math.fsum(b.prob for b in branches)
                     assert abs(total - 1.0) <= 1e-12
+
+
+def test_flat_table_matches_branches(i2_product, self_loop_product, never_product):
+    rng = np.random.default_rng(13)
+    products = [i2_product, self_loop_product, never_product]
+    products += [random_instance(rng)[2] for _ in range(10)]
+    for p in products:
+        for mode in Mode:
+            m = augment(p, PayoffSpec(mode, 0.77))
+            flat = m.flat
+            assert m.flat is flat
+            assert flat.pair_start.size == p.n_states + 1
+            assert flat.branch_start.size == p.n_pairs + 1
+            for st in range(p.n_states):
+                assert flat.pair_start[st + 1] - flat.pair_start[st] == len(m.branches[st])
+                for k, branches in enumerate(m.branches[st]):
+                    pid = flat.pair_start[st] + k
+                    lo, hi = flat.branch_start[pid], flat.branch_start[pid + 1]
+                    cols = (flat.succ, flat.prob, flat.weight, flat.reward)
+                    got = list(zip(*(c[lo:hi] for c in cols)))
+                    assert got == [tuple(b) for b in branches]
+                    assert flat.base[pid] == math.fsum(b.prob * b.reward for b in branches)
+            assert flat.branch_start[-1] == flat.succ.size
 
 
 def _record(accepting, reached=False):
@@ -227,6 +253,24 @@ def test_simulate_batch_biased_never_reaches(never_product):
     )
     assert not reached.any()
     assert not pay.any()
+
+
+def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
+    # ten branches of 0.1 sum to 0.9999999999999999, which a draw just below 1
+    # exceeds; the sampler must then take the last branch (the only g one)
+    states = tuple(f"s{i}" for i in range(10))
+    edges = [Edge(0, 0, i, 0.1, 0 if i == 9 else 1) for i in range(10)]
+    edges += [Edge(i, 0, i, 1.0, 1) for i in range(1, 10)]
+    p = build_product(Mdp(states, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
+    m = augment(p, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
+
+    class AlmostOne:
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    f = Strategy((0,) * p.n_states)
+    pay, reached = simulate_batch(m, f, AlmostOne(), 3, 5)
+    assert pay.tolist() == [1.0] * 3 and not reached.any()
 
 
 def test_simulate_batch_against_reach_probability(i2_product):

@@ -4,6 +4,7 @@ pure-python reference."""
 import numpy as np
 import pytest
 
+from buchirl import solvers
 from buchirl import (
     ConvergenceError,
     Edge,
@@ -163,7 +164,7 @@ def test_evaluate_against_bruteforce():
         assert np.max(np.abs(got.values - want)) <= 1e-10
 
 
-def test_iterative_fallback_matches_dense(i2_product):
+def test_iterative_fallback_matches_dense(i2_product, monkeypatch):
     rng = np.random.default_rng(25)
     targets = [view(i2_product, Mode.TOTAL_REWARD, 0.9)]
     for _ in range(8):
@@ -172,21 +173,25 @@ def test_iterative_fallback_matches_dense(i2_product):
     for m in targets:
         f = Strategy(tuple(0 for _ in range(m.n_states)))
         dense = evaluate_policy(m, f)
-        sweep = evaluate_policy(m, f, dense_limit=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "DENSE_LIMIT", 0)
+            sweep = evaluate_policy(m, f)
         assert np.max(np.abs(dense.values - sweep.values)) <= 1e-9
         assert dense.residual == 0.0
         if dense.values.any():
             assert sweep.iterations > 0  # the zero shortcut did not fire
 
 
-def test_convergence_errors(self_loop_product):
+def test_convergence_errors(self_loop_product, monkeypatch):
     m = view(self_loop_product, Mode.TOTAL_REWARD, 0.9)
     with pytest.raises(ConvergenceError) as exc:
         solve_optimal(m, max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0.0
+    monkeypatch.setattr(solvers, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(solvers, "SWEEP_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        evaluate_policy(m, Strategy((0,)), dense_limit=0, max_iter=1)
+        evaluate_policy(m, Strategy((0,)))
 
 
 def test_value_vector_requires_finite():
