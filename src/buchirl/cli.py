@@ -5,7 +5,7 @@ command prints one JSON report (or writes it with --out); identical inputs
 produce identical bytes unless --timing is set, which fills the otherwise
 null timing field.
 
-Exit codes: 0 ok, 2 usage (a count option below its minimum included), 3
+Exit codes: 0 ok, 2 usage (a numeric option out of its range included), 3
 unreadable or unparsable input, 4 validation or construction failure, 5
 solver failure (value iteration not converged, a singular linear system, or
 the oracle's policy iteration not stabilized), 6 verification failed.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -48,13 +49,34 @@ EXIT_VERIFY = 6
 DEFAULT_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
-def _zeta(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
+def _zeta(text: str) -> float:
+    v = _finite(text)
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError("zeta must lie strictly between 0 and 1")
+    return v
+
+
+def _positive(text: str) -> float:
+    v = _finite(text)
+    if v <= 0.0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return v
+
+
+def _probability(text: str) -> float:
+    v = _finite(text)
+    if not 0.0 <= v <= 1.0:
+        raise argparse.ArgumentTypeError("must lie between 0 and 1")
     return v
 
 
@@ -362,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hoa", required=True)
     s.add_argument("--zeta", type=_zeta, required=True)
     s.add_argument("--mode", choices=[m.value for m in Mode], default="total")
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--max-iter", type=int, default=10**6)
+    s.add_argument("--tol", type=_positive, default=1e-10)
+    s.add_argument("--max-iter", type=_count(1), default=10**6)
     s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("oracle", parents=[common, auto], help="independent Buchi value")
@@ -378,9 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["total", "reach"], default="total")
     s.add_argument("--episodes", type=_count(1), default=50_000)
     s.add_argument("--max-steps", type=_count(1), default=1000)
-    s.add_argument("--alpha0", type=float, default=1.0)
-    s.add_argument("--epsilon0", type=float, default=0.3)
-    s.add_argument("--epsilon-final", type=float, default=0.01)
+    s.add_argument("--alpha0", type=_positive, default=1.0)
+    s.add_argument("--epsilon0", type=_probability, default=0.3)
+    s.add_argument("--epsilon-final", type=_probability, default=0.01)
     s.add_argument("--seed", type=_count(0), default=0)
     s.add_argument("--optimistic", action="store_true")
     s.add_argument("--curve", help="write the learning curve CSV here")

@@ -11,10 +11,20 @@ One episode loop does the learning.  `train` runs it without a trace;
 trace shows exactly what training does.  Randomness comes from a buffered
 uniform stream that is bit-transparent to the underlying generator, so a
 sequence of `run_episode` calls on one stream replays `train` draw for draw.
+
+An episode that falls into a trap is not simulated further.  A trap is a
+product state with one pair whose one branch is a non-accepting self-loop,
+such as a rejecting sink.  A step there draws nothing, earns 0 and
+bootstraps on its own entry, so its update adds exactly 0.0 as long as the
+entry and alpha are finite (`LearnConfig` checks alpha).  The loop adds the
+remaining steps to the trap's visit count and ends the episode as truncated;
+tables, curve, truncation count, stream position and traces are those of
+the step-by-step run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +69,12 @@ class LearnConfig:
     anneal_fraction: float = 0.5  # epsilon reaches its floor this far in
     seed: int = 0
     optimistic: bool = False
+
+    def __post_init__(self):
+        for name in ("alpha0", "visit_decay"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 def epsilon_at(cfg: LearnConfig, episode: int) -> float:
@@ -136,6 +152,27 @@ def _sim_tables(model: AugmentedModel):
     return sim
 
 
+def _trap_flags(sim) -> list[bool]:
+    """Per state: one pair, one branch, and that branch a non-accepting
+    self-loop.  `_episode` stops simulating once it is in such a state."""
+    return [
+        len(rows) == 1 and not rows[0][0] and rows[0][1][0] == s and not rows[0][2][0]
+        for s, rows in enumerate(sim)
+    ]
+
+
+def _sit_out(sim, visits, s, steps, trace):
+    """Book `steps` steps in trap `s` without simulating them."""
+    visits[s][0] += steps
+    if trace is not None:
+        symbol = sim[s][0][3][0]
+        t_states, t_pairs, t_symbols, t_accepting = trace
+        t_states.extend([s] * steps)
+        t_pairs.extend([0] * steps)
+        t_symbols.extend([symbol] * steps)
+        t_accepting.extend([False] * steps)
+
+
 def run_episode(
     model: AugmentedModel,
     table: QTable,
@@ -156,7 +193,17 @@ def run_episode(
     racc_cont = 0.0 if reach_mode else 1.0
     sim = _sim_tables(model)
     _, reached = _episode(
-        sim, table.q, table.visits, initial, eps, 1.0 - model.zeta, racc_cont, cfg, stream, trace
+        sim,
+        _trap_flags(sim),
+        table.q,
+        table.visits,
+        initial,
+        eps,
+        1.0 - model.zeta,
+        racc_cont,
+        cfg,
+        stream,
+        trace,
     )
     if reached:
         trace[0][-1] = model.target  # the diverted step ends at the target
@@ -164,7 +211,9 @@ def run_episode(
     return RunRecord(tuple(states), tuple(actions), tuple(labels), tuple(accepting), reached)
 
 
-def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream, trace=None):
+def _episode(
+    sim, trap, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream, trace=None
+):
     """The Q-learning episode loop; returns (total reward, reached target).
 
     Draw accounting: states with a single pair and pairs with a single branch
@@ -173,9 +222,19 @@ def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, strea
     branches spend one on the diversion coin.  Draws come from `stream`'s
     buffer, which is read here directly and left consistent on return.
 
+    Traps (`trap[s]` true, see `_trap_flags`) are skipped: an episode that
+    starts in one, or moves into one, adds its remaining steps to the trap's
+    visit count and returns as truncated.  This is exact.  A trap step draws
+    nothing under the accounting above and earns 0, and its update is
+    `row[0] += alpha * (0 + row[0] - row[0])`, which adds 0.0 for finite
+    alpha and row[0].  Only trap steps update row[0], so it keeps its
+    initial value, finite in every `QTable.for_model` table.  Only the visit
+    count moves, by one per step.  The flag is tested only when the state
+    changes, so other steps cost what they did.
+
     `trace`, if given, is four lists (states, pairs, symbols, accepting) that
     each step appends to; the state appended is the raw branch successor, also
-    on a final diverted step.
+    on a final diverted step.  Skipped trap steps are appended too.
     """
     rng = stream.rng
     buf = stream.buf
@@ -187,12 +246,16 @@ def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, strea
     if tracing:
         t_states, t_pairs, t_symbols, t_accepting = trace
     cur = initial
+    max_steps = cfg.max_steps
+    if trap[cur]:
+        _sit_out(sim, visits, cur, max_steps, trace)
+        return 0.0, False
     row = q[cur]
     vrow = visits[cur]
     pairs = sim[cur]
     npairs = len(row)
     total = 0.0
-    for _ in range(cfg.max_steps):
+    for step in range(max_steps):
         if npairs == 1:
             k = 0
         else:
@@ -267,6 +330,10 @@ def _episode(sim, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, strea
         vrow[k] = nv + 1
         if nxt != cur:
             cur = nxt
+            if trap[cur]:
+                _sit_out(sim, visits, cur, max_steps - 1 - step, trace)
+                stream.pos = pos
+                return total, False
             row = q[cur]
             vrow = visits[cur]
             pairs = sim[cur]
@@ -285,6 +352,7 @@ def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
     table = QTable.for_model(model, init)
     stream = UniformStream(np.random.default_rng(cfg.seed))
     sim = _sim_tables(model)
+    trap = _trap_flags(sim)
     one_minus_zeta = 1.0 - model.zeta
     racc_cont = 0.0 if reach_mode else 1.0
     curve: list[tuple[int, float, float]] = []
@@ -293,7 +361,7 @@ def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
     for ep in range(cfg.episodes):
         eps = epsilon_at(cfg, ep)
         total, reached = _episode(
-            sim, table.q, table.visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream
+            sim, trap, table.q, table.visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream
         )
         curve.append((ep, total, eps))
         if not reached:

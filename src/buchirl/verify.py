@@ -28,8 +28,10 @@ from .automata import Nba
 from .mdp import Mdp
 from .oracle import buchi_value, policy_buchi_probability
 from .product import ProductMdp, Strategy, build_product, random_strategy
-from .shaping import Mode, PayoffSpec, augment, simulate_batch
+from .shaping import AugmentedModel, Mode, PayoffSpec, augment, simulate_batch
 from .solvers import evaluate_policy, greedy_policy, solve_optimal
+
+TAIL_NS = (5, 10, 20)  # accepting-step counts the tail check looks at
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,23 @@ def tail_check(
     zeta: float,
     f: Strategy,
     episodes: int,
-    n_values: tuple[int, ...] = (5, 10, 20),
+    n_values: tuple[int, ...] = TAIL_NS,
     seed: int = 0,
 ) -> TailCheck:
     """Monte Carlo bound check on survived accepting steps under `f`."""
     model = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
+    return _tail_check(model, f, episodes, n_values, seed)
+
+
+def _tail_check(
+    model: AugmentedModel,
+    f: Strategy,
+    episodes: int,
+    n_values: tuple[int, ...] = TAIL_NS,
+    seed: int = 0,
+) -> TailCheck:
+    """`tail_check` on an already built total view."""
+    zeta = model.zeta
     steps = min(1000, max(50, int(np.ceil(np.log(1e-9) / np.log(zeta)))))
     rng = np.random.default_rng(seed)
     pay, reached = simulate_batch(model, f, rng, episodes, steps)
@@ -141,7 +155,7 @@ def verify_instance(
             prob1_bad += int(np.sum(sat != full))
             checked += 1
         if tail_episodes > 0:
-            tails.append(tail_check(p, zeta, f_total, tail_episodes, seed=seed))
+            tails.append(_tail_check(total, f_total, tail_episodes, seed=seed))
     identity_ok = identity_err <= identity_tol
     bounds_ok = bound_excess <= bound_tol
     equality_ok = equality_err <= equality_tol

@@ -124,6 +124,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     learn = ["learn", "--mdp", I2, "--hoa", ACCEPT_G, "--zeta", "0.9"]
     verify = ["verify", "--mdp", I2, "--hoa", ACCEPT_G]
+    solve = ["solve", "--mdp", I2, "--hoa", ACCEPT_G, "--zeta", "0.9"]
     for argv in (
         learn + ["--episodes", "0"],
         learn + ["--max-steps", "0"],
@@ -131,6 +132,19 @@ def test_usage_errors(capsys):
         verify + ["--policies", "-3"],
         verify + ["--tail-episodes", "-1"],
         verify + ["--seed", "-1"],
+        learn + ["--alpha0", "inf"],
+        learn + ["--alpha0", "-1"],
+        learn + ["--alpha0", "0"],
+        learn + ["--alpha0", "nan"],
+        learn + ["--epsilon0", "2"],
+        learn + ["--epsilon0", "-0.1"],
+        learn + ["--epsilon-final", "nan"],
+        learn + ["--epsilon-final", "1.5"],
+        solve + ["--tol", "0"],
+        solve + ["--tol", "inf"],
+        solve + ["--tol", "tiny"],
+        solve + ["--max-iter", "0"],
+        solve + ["--zeta", "nan"],
     ):
         assert main(argv) == 2, argv
         assert f"argument {argv[-2]}:" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Tabular Q-learning: schedules, update targets, replayability, sanity."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+import buchirl.learn
 from buchirl import (
     LearnConfig,
     Mode,
@@ -17,6 +19,8 @@ from buchirl import (
     run_payoff,
     train,
 )
+from generators import random_instance
+from reference_learner import ReferenceLearner, trap_states
 
 
 def view(product, mode, zeta):
@@ -29,6 +33,14 @@ def test_rejects_biased_view(i2_product):
         train(m, LearnConfig(episodes=1))
     with pytest.raises(ValueError):
         run_episode(m, QTable.for_model(m), LearnConfig(), np.random.default_rng(0))
+
+
+def test_config_rejects_unusable_step_sizes():
+    for field in ("alpha0", "visit_decay"):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=field):
+                LearnConfig(**{field: bad})
+    LearnConfig(alpha0=1e-6, visit_decay=1e-3)  # small but usable
 
 
 def test_epsilon_schedule():
@@ -256,3 +268,120 @@ def test_learns_i2_policy(i2_product):
     for ep in (0, 4999, 9999):
         assert res.curve[ep][0] == ep
         assert res.curve[ep][2] == epsilon_at(cfg, ep)
+
+
+def train_with_stream(model, cfg, monkeypatch):
+    """`train`, plus the draw stream it used."""
+    streams = []
+
+    class Recorded(UniformStream):
+        def __init__(self, rng):
+            super().__init__(rng)
+            streams.append(self)
+
+    monkeypatch.setattr(buchirl.learn, "UniformStream", Recorded)
+    res = train(model, cfg)
+    monkeypatch.undo()
+    (stream,) = streams
+    return res, stream
+
+
+def assert_matches_reference(model, cfg, monkeypatch):
+    res, stream = train_with_stream(model, cfg, monkeypatch)
+    ref = ReferenceLearner(model, cfg, np.random.default_rng(cfg.seed))
+    curve, truncated = ref.train()
+    assert res.table.q == ref.q
+    assert res.table.visits == ref.visits
+    assert res.curve == curve
+    assert res.truncated == truncated
+    # the stream stands where the reference's draws end
+    assert stream.pos == ((ref.draws - 1) % UniformStream.CHUNK + 1 if ref.draws else 0)
+    assert stream.draw() == ref.rng.random()
+    return ref
+
+
+@pytest.mark.parametrize("mode", [Mode.TOTAL_REWARD, Mode.REACH_TARGET])
+@pytest.mark.parametrize("optimistic", [False, True])
+def test_train_matches_reference_on_i2(i2_product, mode, optimistic, monkeypatch):
+    m = view(i2_product, mode, 0.9)
+    cfg = LearnConfig(episodes=2000, max_steps=200, seed=2, optimistic=optimistic)
+    ref = assert_matches_reference(m, cfg, monkeypatch)
+    assert ref.visits[2][0] > 0  # episodes did fall into the sink sR|q0
+
+
+@pytest.mark.parametrize("mode", [Mode.TOTAL_REWARD, Mode.REACH_TARGET])
+@pytest.mark.parametrize("optimistic", [False, True])
+def test_train_matches_reference_when_starting_in_a_trap(
+    never_product, mode, optimistic, monkeypatch
+):
+    m = view(never_product, mode, 0.9)
+    cfg = LearnConfig(episodes=7, max_steps=13, seed=4, optimistic=optimistic)
+    ref = assert_matches_reference(m, cfg, monkeypatch)
+    assert ref.draws == 0
+
+
+def test_train_and_traces_match_reference_on_random_traps(monkeypatch):
+    rng = np.random.default_rng(20240502)
+    products = []
+    while len(products) < 20:
+        _, _, p = random_instance(rng)
+        if trap_states(p):
+            products.append(p)
+    entered = 0
+    for i, p in enumerate(products):
+        max_steps = 1 + 3 * i  # 1 to 58
+        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
+            m = view(p, mode, 0.8)
+            for optimistic in (False, True):
+                cfg = LearnConfig(
+                    episodes=40, max_steps=max_steps, seed=i, optimistic=optimistic
+                )
+                ref = assert_matches_reference(m, cfg, monkeypatch)
+                entered += any(ref.visits[s][0] for s in trap_states(p))
+            # run_episode records every step, the skipped trap steps included
+            cfg = LearnConfig(max_steps=max_steps)
+            table = QTable.for_model(m)
+            stream = UniformStream(np.random.default_rng(i))
+            ref = ReferenceLearner(m, cfg, np.random.default_rng(i))
+            for ep in range(10):
+                rec = run_episode(m, table, cfg, stream, epsilon=0.4)
+                _, reached, (states, pairs, symbols, accepting) = ref.episode(0.4)
+                if reached:
+                    states[-1] = m.target
+                assert rec.states == tuple(states)
+                assert rec.actions == tuple(pairs)
+                assert rec.labels == tuple(symbols)
+                assert rec.accepting == tuple(accepting)
+                assert rec.reached_target == reached
+            assert table.q == ref.q and table.visits == ref.visits
+    print(f"{entered} of 80 training runs entered a trap")
+    assert entered >= 40
+
+
+def test_trap_steps_are_booked_not_simulated(never_product):
+    m = view(never_product, Mode.TOTAL_REWARD, 0.9)
+    start = time.perf_counter()
+    res = train(m, LearnConfig(episodes=20, max_steps=10**9, seed=0))
+    assert time.perf_counter() - start < 1.0
+    assert res.table.visits == [[20 * 10**9]]
+    assert res.table.q == [[0.0]]
+    assert res.truncated == 20
+    assert all(t == 0.0 for _, t, _ in res.curve)
+
+
+def test_truncated_trace_ends_in_the_sink(i2_product):
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    p = m.product
+    sink = p.state_name(2)
+    assert sink == "sR|q0"
+    cfg = LearnConfig(max_steps=40)
+    for seed in range(20):
+        rec = run_episode(m, QTable.for_model(m), cfg, np.random.default_rng(seed))
+        if not rec.reached_target and rec.states[1] == 2:
+            break
+    else:
+        raise AssertionError("no seed sent the episode straight into the sink")
+    assert rec.steps == cfg.max_steps
+    assert len(rec.actions) == len(rec.labels) == len(rec.accepting) == cfg.max_steps
+    assert all(p.state_name(st) == sink for st in rec.states[1:])
+    assert set(rec.actions[1:]) == {0} and not any(rec.accepting)

@@ -2,10 +2,17 @@
 
 import numpy as np
 
+import buchirl.verify
 from buchirl import (
+    Mode,
+    PayoffSpec,
     Strategy,
+    augment,
+    build_product,
+    greedy_policy,
     load_mdp,
     parse_hoa,
+    solve_optimal,
     tail_check,
     threshold_sweep,
     verify_instance,
@@ -50,6 +57,24 @@ def test_verify_with_tails(i2, accept_g):
     assert t.ok and rep.passed
     for e, b, s in zip(t.empirical, t.bound, t.stderr):
         assert e <= b + 3.0 * s
+
+
+def test_verify_tail_reuses_the_total_view(i2, accept_g, monkeypatch):
+    calls = []
+
+    def counted(p, spec):
+        calls.append(spec.mode)
+        return augment(p, spec)
+
+    monkeypatch.setattr(buchirl.verify, "augment", counted)
+    rep = verify_instance(i2, accept_g, zetas=(0.9,), n_random=3, tail_episodes=2000, seed=5)
+    monkeypatch.undo()
+    assert sorted(m.value for m in calls) == sorted(m.value for m in Mode)  # one per view
+    # the same check through the public entry point, which builds its own view
+    p = build_product(i2, accept_g)
+    total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+    f = greedy_policy(total, solve_optimal(total).values)
+    assert rep.tails == (tail_check(p, 0.9, f, 2000, seed=5),)
 
 
 def test_verify_nondet_keeps_caveat(i2, corpus):
