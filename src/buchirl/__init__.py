@@ -31,7 +31,6 @@ from .mdp import (
     load_mdp,
     mdp_from_json,
     mdp_to_json,
-    sample_step,
 )
 from .mdp import validate as validate_mdp
 from .oracle import (
@@ -58,14 +57,12 @@ from .product import (
     recompose_strategy,
 )
 from .shaping import (
-    AugBranch,
     AugmentedModel,
     Mode,
     PayoffSpec,
     augment,
     run_payoff,
     simulate_batch,
-    simulate_run,
 )
 from .solvers import (
     ConvergenceError,

@@ -96,7 +96,10 @@ def _count(low: int):
 
 
 def _grid(text: str) -> tuple[float, ...]:
-    return tuple(_zeta(part) for part in text.split(","))
+    grid = tuple(_zeta(part) for part in text.split(","))
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError("grid must be strictly increasing")
+    return grid
 
 
 def _read_automaton(args):
@@ -132,21 +135,26 @@ def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
     """Dynamics of the product (or its leaked augmentation) as MDP JSON.
 
     Rewards are not part of the MDP schema, so this is dynamics only.  The
-    leaked probabilities are those of `augment`'s reach view, which keeps one
-    branch per raw branch, in order, and appends the merged leak edge to "t"
-    last.  That edge carries the symbol of the first accepting branch (the
-    label function is per-triple, so mixed symbols cannot be kept apart).
+    leaked probabilities are those of `augment`'s reach view, whose table
+    keeps one branch per raw branch, in order, and appends the merged leak
+    edge to "t" last.  That edge carries the symbol of the first accepting
+    branch (the label function is per-triple, so mixed symbols cannot be kept
+    apart).
     """
     m = p.mdp
     states = [p.state_name(i) for i in range(p.n_states)]
     actions = sorted({p.pair_name(st, k) for st in range(p.n_states) for k in range(len(p.pairs[st]))})
-    leaked = None if zeta is None else augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).branches
+    flat = None if zeta is None else augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
     transitions = []
     leak_any = False
     for st in range(p.n_states):
         for k, pair in enumerate(p.pairs[st]):
             act = p.pair_name(st, k)
-            probs = [b.prob for b in (pair.branches if leaked is None else leaked[st][k])]
+            if flat is None:
+                probs = [b.prob for b in pair.branches]
+            else:
+                pid = flat.pair_start[st] + k
+                probs = flat.prob[flat.branch_start[pid] : flat.branch_start[pid + 1]].tolist()
             for b, prob in zip(pair.branches, probs):
                 transitions.append(
                     {
@@ -431,6 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "product" and args.zeta is not None and args.export is None:
+            parser.error("argument --zeta: needs --export")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -20,8 +20,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 
 class MdpFormatError(ValueError):
     """MDP JSON does not match the expected shape."""
@@ -256,24 +254,6 @@ def load_mdp(path: str | Path) -> Mdp:
 
 def dump_mdp(m: Mdp, path: str | Path) -> None:
     Path(path).write_text(json.dumps(mdp_to_json(m), indent=2) + "\n")
-
-
-def sample_step(m: Mdp, state: int, action: int, rng: np.random.Generator) -> Edge:
-    """Sample one branch of (state, action); returns the realized edge.
-
-    The final branch absorbs any rounding slack so a uniform draw can never
-    fall off the end.
-    """
-    branches = m.branches(state, action)
-    if not branches:
-        raise ValueError(f"state {m.states[state]} has no action {m.actions[action]}")
-    u = rng.random()
-    acc = 0.0
-    for e in branches[:-1]:
-        acc += e.prob
-        if u < acc:
-            return e
-    return branches[-1]
 
 
 @dataclass(frozen=True)

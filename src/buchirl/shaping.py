@@ -14,15 +14,16 @@ Three views share one construction.  Fix a bias 0 < zeta < 1:
 
 Surviving an accepting step in the leaked dynamics has probability zeta,
 which is the same zeta the biased view charges after a reward, so the total
-and biased Bellman backups coincide coefficient for coefficient.  Branch
-records therefore carry both the simulation probability and the backup
-weight on the successor value.
+and biased Bellman backups coincide coefficient for coefficient.  Branches
+therefore carry both the simulation probability and the backup weight on the
+successor value.
 
-`AugmentedModel.branches` is the readable form of a view.  The numeric
-consumers (the solvers and `simulate_batch`) read `AugmentedModel.flat`, the
-same branches laid out once as arrays (`FlatBranches`).  The table is built
-on first use and then kept with its model: the learner and the product
-export read `branches` only and never pay for it.
+A view is one `FlatBranches` table, `AugmentedModel.flat`: the product's
+branches pair by pair, each reweighted for the view, and in the leaked views
+one merged leak branch into t after the last branch of every pair that has
+accepting mass.  `augment` builds it with array operations over the branch
+columns it gathers from the product in one pass.  The solvers,
+`simulate_batch` and the product export all read this table.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -46,27 +46,21 @@ class Mode(enum.Enum):
     BIASED_DISCOUNT = "biased"
 
 
-class AugBranch(NamedTuple):
-    succ: int      # product state index, or the target index on leak branches
-    prob: float    # simulation probability
-    weight: float  # coefficient of the successor value in the backup
-    reward: float
-
-
 class FlatBranches(NamedTuple):
-    """The branches of every pair as flat arrays, in the order of `branches`.
+    """The branches of every pair as flat arrays, in the product's order.
 
     Pairs are numbered state by state: the pairs of state s are
     pair_start[s] .. pair_start[s+1]-1, and the branches of pair k are
-    branch_start[k] .. branch_start[k+1]-1.  Every state has a pair and every
-    pair a branch, so both offset arrays are strictly increasing.
+    branch_start[k] .. branch_start[k+1]-1, with the leak branch, if any,
+    last.  Every state has a pair and every pair a branch, so both offset
+    arrays are strictly increasing.
     """
 
     pair_start: np.ndarray    # (n_states+1,) int64
     branch_start: np.ndarray  # (n_pairs+1,) int64
     succ: np.ndarray          # (n_branches,) int64; leak branches keep the target index
-    prob: np.ndarray
-    weight: np.ndarray
+    prob: np.ndarray          # simulation probability
+    weight: np.ndarray        # coefficient of the successor value in the backup
     reward: np.ndarray
     base: np.ndarray          # (n_pairs,) expected immediate reward, math.fsum(prob*reward)
 
@@ -95,7 +89,7 @@ class AugmentedModel:
     product: ProductMdp
     spec: PayoffSpec
     target: int | None  # = n_states for the leaked views, None for biased
-    branches: tuple[tuple[tuple[AugBranch, ...], ...], ...]  # [state][pair]
+    flat: FlatBranches
 
     @property
     def mode(self) -> Mode:
@@ -109,53 +103,59 @@ class AugmentedModel:
     def n_states(self) -> int:
         return self.product.n_states
 
-    @cached_property
-    def flat(self) -> FlatBranches:
-        """`branches` as one `FlatBranches` table, built on first use."""
-        pairs = [branches for per_pair in self.branches for branches in per_pair]
-        rows = [b for branches in pairs for b in branches]
-        succ, prob, weight, reward = (np.array(c) for c in zip(*rows))
-        bounds = list(accumulate(map(len, pairs), initial=0))
-        pr = (prob * reward).tolist()
-        return FlatBranches(
-            np.array(list(accumulate(map(len, self.branches), initial=0))),
-            np.array(bounds),
-            succ,
-            prob,
-            weight,
-            reward,
-            np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
-        )
-
 
 def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
-    """Build the branch tables of one payoff view; see the module docstring."""
+    """Build the branch table of one payoff view; see the module docstring."""
     zeta = spec.zeta
-    leaked = spec.mode is not Mode.BIASED_DISCOUNT
-    # in the reach view only the arrival at t pays; surviving accepting steps do not
-    r_cont = 0.0 if spec.mode is Mode.REACH_TARGET else 1.0
-    target = p.n_states if leaked else None
-    out: list[tuple[tuple[AugBranch, ...], ...]] = []
-    for st in range(p.n_states):
-        per_pair: list[tuple[AugBranch, ...]] = []
-        for pair in p.pairs[st]:
-            branches: list[AugBranch] = []
-            leak_mass = 0.0
-            for b in pair.branches:
-                if not b.accepting:
-                    branches.append(AugBranch(b.succ, b.prob, b.prob, 0.0))
-                elif leaked:
-                    branches.append(AugBranch(b.succ, b.prob * zeta, b.prob * zeta, r_cont))
-                    leak_mass += b.prob * (1.0 - zeta)
-                else:
-                    branches.append(AugBranch(b.succ, b.prob, b.prob * zeta, 1.0))
-            if leak_mass > 0.0:
-                branches.append(AugBranch(target, leak_mass, 0.0, 1.0))
-            raw = math.fsum(b.prob for b in pair.branches)
-            assert abs(math.fsum(b.prob for b in branches) - raw) <= 1e-12
-            per_pair.append(tuple(branches))
-        out.append(tuple(per_pair))
-    return AugmentedModel(p, spec, target, tuple(out))
+    raw = [pair.branches for plist in p.pairs for pair in plist]
+    counts = list(map(len, raw))
+    raw_start = np.array(list(accumulate(counts, initial=0)))
+    succ, raw_prob, _, acc = zip(*chain.from_iterable(raw))
+    succ = np.array(succ, dtype=np.int64)
+    raw_prob = np.array(raw_prob, dtype=np.float64)
+    acc = np.array(acc, dtype=bool)
+    scaled = np.where(acc, raw_prob * zeta, raw_prob)
+    if spec.mode is Mode.BIASED_DISCOUNT:
+        target = None
+        branch_start = raw_start
+        prob, weight, reward = raw_prob, scaled, acc.astype(np.float64)
+    else:
+        target = p.n_states
+        # each pair's leak is a running sum over its accepting branches, in branch order
+        pair_of = np.repeat(np.arange(len(raw)), counts)
+        leak = np.zeros(len(raw))
+        np.add.at(leak, pair_of[acc], raw_prob[acc] * (1.0 - zeta))
+        has_leak = leak > 0.0
+        branch_start = raw_start.copy()
+        branch_start[1:] += np.cumsum(has_leak)
+        is_leak = np.zeros(branch_start[-1], dtype=bool)
+        is_leak[branch_start[1:][has_leak] - 1] = True  # the last branch of its pair
+        # in the reach view only the arrival at t pays; surviving accepting steps do not
+        r_cont = 0.0 if spec.mode is Mode.REACH_TARGET else 1.0
+        columns = []  # one scatter per column; np.insert costs several times more
+        for col, leak_value in (
+            (succ, target),
+            (scaled, leak[has_leak]),
+            (scaled, 0.0),
+            (np.where(acc, r_cont, 0.0), 1.0),
+        ):
+            out = np.empty(is_leak.size, col.dtype)
+            out[~is_leak] = col
+            out[is_leak] = leak_value
+            columns.append(out)
+        succ, prob, weight, reward = columns
+        mass = np.add.reduceat(prob, branch_start[:-1]) - np.add.reduceat(raw_prob, raw_start[:-1])
+        assert np.abs(mass).max() <= 1e-12
+    lo = branch_start[:-1]
+    pr = prob * reward
+    base = np.add.reduceat(pr, lo)
+    # a sum of at most two nonzero terms is rounded once, just as math.fsum rounds it
+    multi = np.flatnonzero(np.add.reduceat(pr != 0.0, lo, dtype=np.int64) > 2).tolist()
+    terms, bounds = pr.tolist(), branch_start.tolist()
+    base[multi] = [math.fsum(terms[bounds[k] : bounds[k + 1]]) for k in multi]
+    pair_start = np.array(list(accumulate(map(len, p.pairs), initial=0)))
+    flat = FlatBranches(pair_start, branch_start, succ, prob, weight, reward, base)
+    return AugmentedModel(p, spec, target, flat)
 
 
 def run_payoff(spec: PayoffSpec, record: RunRecord) -> float:
@@ -173,53 +173,6 @@ def run_payoff(spec: PayoffSpec, record: RunRecord) -> float:
     return pay
 
 
-def simulate_run(
-    model: AugmentedModel,
-    f: Strategy,
-    rng: np.random.Generator,
-    max_steps: int = 1000,
-    start: int | None = None,
-) -> RunRecord:
-    """Sample one trace under `f`, stopping at the target or after max_steps.
-
-    Sampling is two-stage so the trace keeps its symbols: first a raw product
-    branch, then on an accepting branch of a leaked view a coin that diverts
-    to the target with probability (1-zeta).  This is the traced,
-    label-resolved sampler; `simulate_batch` is the fast one for payoffs only,
-    on a different draw stream, and neither can replace the other.
-    """
-    f.check(model.product)
-    p = model.product
-    leaked = model.mode is not Mode.BIASED_DISCOUNT
-    cur = p.initial if start is None else start
-    states = [cur]
-    actions: list[int] = []
-    labels: list[int] = []
-    accepting: list[bool] = []
-    reached = False
-    for _ in range(max_steps):
-        k = f.choice[cur]
-        branches = p.pairs[cur][k].branches
-        u = rng.random()
-        acc_p = 0.0
-        b = branches[-1]
-        for cand in branches[:-1]:
-            acc_p += cand.prob
-            if u < acc_p:
-                b = cand
-                break
-        actions.append(k)
-        labels.append(b.symbol)
-        accepting.append(b.accepting)
-        if leaked and b.accepting and rng.random() < 1.0 - model.zeta:
-            states.append(model.target)
-            reached = True
-            break
-        states.append(b.succ)
-        cur = b.succ
-    return RunRecord(tuple(states), tuple(actions), tuple(labels), tuple(accepting), reached)
-
-
 def simulate_batch(
     model: AugmentedModel,
     f: Strategy,
@@ -233,9 +186,7 @@ def simulate_batch(
     Episodes still alive at max_steps are truncated, which can only lose
     payoff that was still to come.  Sampling uses the aggregated augmented
     branches (one uniform per step, leak included), so traces are not
-    label-resolved and the draw stream differs from simulate_run.  Both
-    samplers stay: this one vectorises payoffs over many episodes at once,
-    while simulate_run records symbols and states one trace at a time.
+    label-resolved.
     """
     f.check(model.product)
     n = model.n_states

@@ -9,7 +9,7 @@ nonsingular); an iterative fallback covers models too large for a dense
 matrix.
 
 Every solver reads the model's flat branch table (`AugmentedModel.flat`);
-the branch layout lives in `shaping`, built once per model.
+the branch layout lives in `shaping`.
 """
 
 from __future__ import annotations

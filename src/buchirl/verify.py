@@ -204,8 +204,11 @@ def threshold_sweep(
 
     empirical_zeta0 is the smallest grid point from which the greedy policy
     stays Buchi-optimal (at the initial state) through the end of the grid;
-    None when it is not optimal at the last point.
+    None when it is not optimal at the last point.  The grid must be strictly
+    increasing.
     """
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
     p = build_product(m, a)
     opt = buchi_value(p).at_initial()
     rows: list[SweepRow] = []

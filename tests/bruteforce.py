@@ -3,14 +3,60 @@
 Nothing in here calls the package's solvers, oracle internals, or graph
 helpers: satisfaction probabilities come from networkx component analysis
 plus small dense solves assembled on the spot, optima from exhaustive
-enumeration of positional strategies, and lasso acceptance from a flagged
-transitive closure.  Size caps keep everything desk-scale.
+enumeration of positional strategies, lasso acceptance from a flagged
+transitive closure, and payoff-view tables from a branch-by-branch loop.
+Size caps keep everything desk-scale.
 """
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
+
+from buchirl.shaping import FlatBranches, Mode
+
+
+def augment_reference(p, spec):
+    """The branch table of one payoff view, built one branch at a time.
+
+    Each pair keeps its raw branches in order, reweighted for the view, and in
+    the leaked views gains one merged leak branch into the target, last,
+    whose mass is summed with `+=` over the accepting branches.  Rows are
+    (succ, prob, weight, reward), laid out as a `FlatBranches` table.
+    """
+    zeta = spec.zeta
+    leaked = spec.mode is not Mode.BIASED_DISCOUNT
+    r_cont = 0.0 if spec.mode is Mode.REACH_TARGET else 1.0
+    target = p.n_states
+    pairs = []
+    for st in range(p.n_states):
+        for pair in p.pairs[st]:
+            rows = []
+            leak_mass = 0.0
+            for b in pair.branches:
+                if not b.accepting:
+                    rows.append((b.succ, b.prob, b.prob, 0.0))
+                elif leaked:
+                    rows.append((b.succ, b.prob * zeta, b.prob * zeta, r_cont))
+                    leak_mass += b.prob * (1.0 - zeta)
+                else:
+                    rows.append((b.succ, b.prob, b.prob * zeta, 1.0))
+            if leak_mass > 0.0:
+                rows.append((target, leak_mass, 0.0, 1.0))
+            pairs.append(rows)
+    succ, prob, weight, reward = (np.array(c) for c in zip(*(r for rows in pairs for r in rows)))
+    bounds = list(itertools.accumulate(map(len, pairs), initial=0))
+    pr = (prob * reward).tolist()
+    return FlatBranches(
+        np.array(list(itertools.accumulate(map(len, p.pairs), initial=0))),
+        np.array(bounds),
+        succ,
+        prob,
+        weight,
+        reward,
+        np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
+    )
 
 
 def policy_sat_bruteforce(p, choice):
@@ -105,21 +151,29 @@ def all_end_components(p):
 def policy_value_bruteforce(model, choice, tol=1e-14, sweeps=200_000):
     """Expected payoff of a positional strategy by plain fixed-point sweeps.
 
-    Pure-python Bellman sweeps on the chosen augmented branches; no linear
-    algebra shared with evaluate_policy.  Converges geometrically since every
-    reward cycle carries weight at most zeta < 1.
+    Pure-python Bellman sweeps on the chosen augmented branches, read as
+    per-pair slices of the flat table; no linear algebra shared with
+    evaluate_policy.  Converges geometrically since every reward cycle
+    carries weight at most zeta < 1.
     """
     n = model.n_states
+    flat = model.flat
+    cols = (flat.succ, flat.prob, flat.weight, flat.reward)
+    chosen = []
+    for st in range(n):
+        pid = flat.pair_start[st] + choice[st]
+        cut = slice(flat.branch_start[pid], flat.branch_start[pid + 1])
+        chosen.append(list(zip(*(c[cut].tolist() for c in cols))))
     v = [0.0] * n
     for _ in range(sweeps):
         worst = 0.0
         new = []
         for st in range(n):
             tot = 0.0
-            for br in model.branches[st][choice[st]]:
-                tot += br.prob * br.reward
-                if br.weight != 0.0 and br.succ != model.target:
-                    tot += br.weight * v[br.succ]
+            for succ, prob, weight, reward in chosen[st]:
+                tot += prob * reward
+                if weight != 0.0 and succ != model.target:
+                    tot += weight * v[succ]
             new.append(tot)
             worst = max(worst, abs(tot - v[st]))
         v = new

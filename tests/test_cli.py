@@ -122,6 +122,8 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["sweep", "--mdp", I2, "--hoa", ACCEPT_G, "--grid", "0.5,oops"]) == 2
     capsys.readouterr()
+    product = ["product", "--mdp", I2, "--hoa", ACCEPT_G]
+    sweep = ["sweep", "--mdp", I2, "--hoa", ACCEPT_G]
     learn = ["learn", "--mdp", I2, "--hoa", ACCEPT_G, "--zeta", "0.9"]
     verify = ["verify", "--mdp", I2, "--hoa", ACCEPT_G]
     solve = ["solve", "--mdp", I2, "--hoa", ACCEPT_G, "--zeta", "0.9"]
@@ -145,6 +147,10 @@ def test_usage_errors(capsys):
         solve + ["--tol", "tiny"],
         solve + ["--max-iter", "0"],
         solve + ["--zeta", "nan"],
+        sweep + ["--grid", "0.6,0.5"],
+        sweep + ["--grid", "0.6,0.6,0.5,0.9"],
+        sweep + ["--grid", "0.5,0.5"],
+        product + ["--zeta", "0.9"],  # ζ only shapes the export
     ):
         assert main(argv) == 2, argv
         assert f"argument {argv[-2]}:" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Labelled MDP model, JSON interchange, validation and sampling."""
+"""Labelled MDP model, JSON interchange and validation."""
 
 import json
 
@@ -14,7 +14,6 @@ from buchirl import (
     load_mdp,
     mdp_from_json,
     mdp_to_json,
-    sample_step,
     validate_mdp,
 )
 
@@ -205,34 +204,6 @@ def test_mdp_constructor_errors():
     with pytest.raises(ValueError):
         Mdp(("s",), ("a",), ("g",), 0, (Edge(0, 0, 0, 1.0, 2),))
     Mdp(("s",), ("a",), ("g",), 0, (e,))  # and the well-formed one is fine
-
-
-def test_sample_step_support(i2):
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        e = sample_step(i2, 0, 0, rng)
-        assert e.state == 0 and e.action == 0
-        assert e.succ in (1, 2)
-        assert e.prob > 0.0
-
-
-def test_sample_step_frequency(i2):
-    # binomial check: 10k draws of the 0.5/0.5 branch at s0 under action a
-    rng = np.random.default_rng(42)
-    hits = sum(sample_step(i2, 0, 0, rng).succ == 1 for _ in range(10_000))
-    sigma = np.sqrt(0.25 / 10_000)
-    assert abs(hits / 10_000 - 0.5) <= 3 * sigma
-
-
-def test_sample_step_single_branch(i2):
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        assert sample_step(i2, 1, 0, rng).succ == 1
-
-
-def test_sample_step_missing_action(i2):
-    with pytest.raises(ValueError):
-        sample_step(i2, 1, 1, np.random.default_rng(0))
 
 
 def test_run_record():

@@ -1,4 +1,4 @@
-"""Augmentation tables, realized payoffs and the two simulators."""
+"""Augmentation tables, realized payoffs and the payoff sampler."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from buchirl import (
-    AugBranch,
     Edge,
     Mdp,
     Mode,
@@ -18,10 +17,27 @@ from buchirl import (
     evaluate_policy,
     run_payoff,
     simulate_batch,
-    simulate_run,
 )
 
+from bruteforce import augment_reference
 from generators import random_instance
+
+
+def pair_rows(m, st, k):
+    """Pair k of state st as (succ, prob, weight, reward) rows of the flat table."""
+    flat = m.flat
+    pid = flat.pair_start[st] + k
+    cut = slice(flat.branch_start[pid], flat.branch_start[pid + 1])
+    return list(zip(*(c[cut].tolist() for c in (flat.succ, flat.prob, flat.weight, flat.reward))))
+
+
+def table(m):
+    """The whole flat table as rows per pair per state."""
+    flat = m.flat
+    return [
+        [pair_rows(m, st, k) for k in range(flat.pair_start[st + 1] - flat.pair_start[st])]
+        for st in range(m.n_states)
+    ]
 
 
 def test_payoff_spec_rejects_bad_zeta():
@@ -35,56 +51,59 @@ class TestAugmentTables:
     """Exact branch tables for the three views at zeta = 0.5.
 
     All the constants below are exact in binary floating point, so the
-    comparisons are equalities, not tolerances.
+    comparisons are equalities, not tolerances.  Rows are
+    (succ, prob, weight, reward).
     """
 
     def test_total(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
         assert m.target == 3
-        assert m.branches == (
-            (
-                (AugBranch(1, 0.5, 0.5, 0.0), AugBranch(2, 0.5, 0.5, 0.0)),
-                (AugBranch(2, 0.5, 0.5, 1.0), AugBranch(3, 0.5, 0.0, 1.0)),
-            ),
-            ((AugBranch(1, 0.5, 0.5, 1.0), AugBranch(3, 0.5, 0.0, 1.0)),),
-            ((AugBranch(2, 1.0, 1.0, 0.0),),),
-        )
+        assert table(m) == [
+            [
+                [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
+                [(2, 0.5, 0.5, 1.0), (3, 0.5, 0.0, 1.0)],
+            ],
+            [[(1, 0.5, 0.5, 1.0), (3, 0.5, 0.0, 1.0)]],
+            [[(2, 1.0, 1.0, 0.0)]],
+        ]
+        assert m.flat.base.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_reach(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.REACH_TARGET, 0.5))
         assert m.target == 3
         # same dynamics as total, but only the leak into t pays
-        assert m.branches == (
-            (
-                (AugBranch(1, 0.5, 0.5, 0.0), AugBranch(2, 0.5, 0.5, 0.0)),
-                (AugBranch(2, 0.5, 0.5, 0.0), AugBranch(3, 0.5, 0.0, 1.0)),
-            ),
-            ((AugBranch(1, 0.5, 0.5, 0.0), AugBranch(3, 0.5, 0.0, 1.0)),),
-            ((AugBranch(2, 1.0, 1.0, 0.0),),),
-        )
+        assert table(m) == [
+            [
+                [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
+                [(2, 0.5, 0.5, 0.0), (3, 0.5, 0.0, 1.0)],
+            ],
+            [[(1, 0.5, 0.5, 0.0), (3, 0.5, 0.0, 1.0)]],
+            [[(2, 1.0, 1.0, 0.0)]],
+        ]
+        assert m.flat.base.tolist() == [0.0, 0.5, 0.5, 0.0]
 
     def test_biased(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
         assert m.target is None
         # raw dynamics; accepting branches keep prob 1x but back up at zeta
-        assert m.branches == (
-            (
-                (AugBranch(1, 0.5, 0.5, 0.0), AugBranch(2, 0.5, 0.5, 0.0)),
-                (AugBranch(2, 1.0, 0.5, 1.0),),
-            ),
-            ((AugBranch(1, 1.0, 0.5, 1.0),),),
-            ((AugBranch(2, 1.0, 1.0, 0.0),),),
-        )
+        assert table(m) == [
+            [
+                [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
+                [(2, 1.0, 0.5, 1.0)],
+            ],
+            [[(1, 1.0, 0.5, 1.0)]],
+            [[(2, 1.0, 1.0, 0.0)]],
+        ]
+        assert m.flat.base.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_self_loop_leak(self, self_loop_product):
         m = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-        (pair,) = m.branches[0]
-        stay, leak = pair
-        assert stay.succ == 0 and stay.reward == 1.0
-        assert stay.prob == pytest.approx(0.9) and stay.weight == stay.prob
-        assert leak.succ == m.target == 1
-        assert leak.prob == pytest.approx(0.1)
-        assert leak.weight == 0.0 and leak.reward == 1.0
+        stay, leak = pair_rows(m, 0, 0)
+        assert stay[0] == 0 and stay[3] == 1.0
+        assert stay[1] == pytest.approx(0.9) and stay[2] == stay[1]
+        assert leak[0] == m.target == 1
+        assert leak[1] == pytest.approx(0.1)
+        assert leak[2] == 0.0 and leak[3] == 1.0
 
 
 def test_augment_preserves_pair_structure():
@@ -93,10 +112,12 @@ def test_augment_preserves_pair_structure():
     for _ in range(15):
         _, _, p = random_instance(rng)
         for mode in Mode:
-            m = augment(p, PayoffSpec(mode, 0.7))
-            assert len(m.branches) == p.n_states
+            flat = augment(p, PayoffSpec(mode, 0.7)).flat
+            assert flat.pair_start.size == p.n_states + 1
+            assert flat.branch_start.size == p.n_pairs + 1
+            assert flat.branch_start[-1] == flat.succ.size
             for st in range(p.n_states):
-                assert len(m.branches[st]) == len(p.pairs[st])
+                assert flat.pair_start[st + 1] - flat.pair_start[st] == len(p.pairs[st])
 
 
 def test_augment_stays_stochastic():
@@ -106,32 +127,23 @@ def test_augment_stays_stochastic():
         for mode in Mode:
             m = augment(p, PayoffSpec(mode, 0.3))
             for st in range(p.n_states):
-                for branches in m.branches[st]:
-                    total = math.fsum(b.prob for b in branches)
+                for k in range(len(p.pairs[st])):
+                    total = math.fsum(row[1] for row in pair_rows(m, st, k))
                     assert abs(total - 1.0) <= 1e-12
 
 
-def test_flat_table_matches_branches(i2_product, self_loop_product, never_product):
+def test_flat_table_matches_reference(i2_product, self_loop_product, never_product):
+    # every column bit for bit, dtype included, against the branch-by-branch loop
     rng = np.random.default_rng(13)
     products = [i2_product, self_loop_product, never_product]
-    products += [random_instance(rng)[2] for _ in range(10)]
+    products += [random_instance(rng)[2] for _ in range(20)]
     for p in products:
         for mode in Mode:
-            m = augment(p, PayoffSpec(mode, 0.77))
-            flat = m.flat
-            assert m.flat is flat
-            assert flat.pair_start.size == p.n_states + 1
-            assert flat.branch_start.size == p.n_pairs + 1
-            for st in range(p.n_states):
-                assert flat.pair_start[st + 1] - flat.pair_start[st] == len(m.branches[st])
-                for k, branches in enumerate(m.branches[st]):
-                    pid = flat.pair_start[st] + k
-                    lo, hi = flat.branch_start[pid], flat.branch_start[pid + 1]
-                    cols = (flat.succ, flat.prob, flat.weight, flat.reward)
-                    got = list(zip(*(c[lo:hi] for c in cols)))
-                    assert got == [tuple(b) for b in branches]
-                    assert flat.base[pid] == math.fsum(b.prob * b.reward for b in branches)
-            assert flat.branch_start[-1] == flat.succ.size
+            for zeta in (0.3, 0.77, 0.99):
+                spec = PayoffSpec(mode, zeta)
+                got, want = augment(p, spec).flat, augment_reference(p, spec)
+                for name, g, w in zip(want._fields, got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (mode, zeta, name)
 
 
 def _record(accepting, reached=False):
@@ -166,61 +178,6 @@ def test_run_payoff_biased_geometric():
             want = (1.0 - zeta**n) / (1.0 - zeta)
             got = run_payoff(PayoffSpec(Mode.BIASED_DISCOUNT, zeta), rec)
             assert abs(got - want) <= 1e-12
-
-
-def test_simulate_run_self_loop_reaches_target(self_loop_product):
-    m = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-    rec = simulate_run(m, Strategy((0,)), np.random.default_rng(0))
-    assert rec.reached_target
-    assert rec.states[-1] == m.target
-    assert all(rec.accepting)
-    assert run_payoff(m.spec, rec) == float(rec.steps)
-
-
-def test_simulate_run_never_truncates(never_product):
-    m = augment(never_product, PayoffSpec(Mode.REACH_TARGET, 0.9))
-    rec = simulate_run(m, Strategy((0,)), np.random.default_rng(1), max_steps=40)
-    assert not rec.reached_target
-    assert rec.steps == 40
-    assert rec.accepting_count == 0
-    assert run_payoff(m.spec, rec) == 0.0
-
-
-def test_simulate_run_biased_has_no_target(self_loop_product):
-    m = augment(self_loop_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
-    rec = simulate_run(m, Strategy((0,)), np.random.default_rng(2), max_steps=60)
-    assert rec.steps == 60 and not rec.reached_target
-    want = (1.0 - 0.5**60) / 0.5
-    assert abs(run_payoff(m.spec, rec) - want) <= 1e-12
-
-
-def test_simulate_run_trace_support(i2_product):
-    m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        rec = simulate_run(m, Strategy((0, 0, 0)), rng, max_steps=30)
-        # a at s0 moves to sA or sR and sticks; t only after an accepting step
-        assert rec.states[0] == 0
-        assert set(rec.states[1:-1]) <= {1, 2}
-        if rec.reached_target:
-            assert rec.states[-1] == 3
-            assert rec.accepting[-1]
-        for sym, acc in zip(rec.labels, rec.accepting):
-            assert acc == (i2_product.mdp.symbols[sym] == "g")
-
-
-def test_simulate_run_reproducible(i2_product):
-    m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-    a = simulate_run(m, Strategy((0, 0, 0)), np.random.default_rng(7))
-    b = simulate_run(m, Strategy((0, 0, 0)), np.random.default_rng(7))
-    assert a == b
-
-
-def test_simulate_run_start_override(i2_product):
-    m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
-    rec = simulate_run(m, Strategy((0, 0, 0)), np.random.default_rng(4), start=2)
-    assert rec.states[0] == 2
-    assert set(rec.states) == {2}  # sR self-loops forever
 
 
 def test_simulate_batch_matches_exact_values(i2_product):

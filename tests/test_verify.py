@@ -1,6 +1,7 @@
 """Cross-view verification reports and the bias threshold sweep."""
 
 import numpy as np
+import pytest
 
 import buchirl.verify
 from buchirl import (
@@ -116,6 +117,14 @@ def test_threshold_sweep_i2(i2, accept_g):
             assert row.policy == "a@q0;a@q0;a@q0"
             assert abs(row.psat_policy - 0.5) <= 1e-12
             assert row.is_optimal
+
+
+def test_threshold_sweep_rejects_unordered_grid(i2, accept_g):
+    # empirical_zeta0 reads the rows from the end, so it needs an ascending grid
+    for grid in ((0.6, 0.5), (0.6, 0.6, 0.5, 0.9), (0.5, 0.5)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            threshold_sweep(i2, accept_g, grid)
+    assert threshold_sweep(i2, accept_g, (0.5, 0.6)).empirical_zeta0 == 0.6
 
 
 def test_threshold_sweep_trivial_instances(corpus, accept_g):
