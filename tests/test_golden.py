@@ -1,9 +1,11 @@
-"""Golden reports: `product` and `solve` on every corpus pair, byte for byte.
+"""Golden reports: `product`, `solve` and `learn` on every corpus pair, byte for byte.
 
 Each file under `tests/golden/` holds, for one MDP/automaton pair, the
 default reports of `product --export` (raw and with `--zeta 0.9`, followed by
-the exported MDP JSON) and of `solve` in every mode at ζ 0.9 and 0.99.  These
-paths make no LAPACK call, so their bytes are the same on any machine.
+the exported MDP JSON), of `solve` in every mode at ζ 0.9 and 0.99, and of
+`learn` (seed 0) in both leaked views at ζ 0.9.  These paths make no LAPACK
+call, and learned returns are whole numbers, so their bytes are the same on
+any machine.
 
 Regenerate after an intended change of output with
 
@@ -39,6 +41,9 @@ COMMANDS = [
     ["solve", "--mode", mode, "--zeta", zeta]
     for mode in ("reach", "total", "biased")
     for zeta in ("0.9", "0.99")
+] + [
+    ["learn", "--mode", mode, "--zeta", "0.9", "--episodes", "3000"]
+    for mode in ("reach", "total")
 ]
 
 
