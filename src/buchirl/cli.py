@@ -143,41 +143,29 @@ def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
     """
     m = p.mdp
     states = [p.state_name(i) for i in range(p.n_states)]
-    actions = sorted({p.pair_name(st, k) for st in range(p.n_states) for k in range(len(p.pairs[st]))})
-    flat = None if zeta is None else augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
-    transitions = []
-    leak_any = False
-    for st in range(p.n_states):
-        for k, pair in enumerate(p.pairs[st]):
-            act = p.pair_name(st, k)
-            if flat is None:
-                probs = [b.prob for b in pair.branches]
-            else:
-                pid = flat.pair_start[st] + k
-                probs = flat.prob[flat.branch_start[pid] : flat.branch_start[pid + 1]].tolist()
-            for b, prob in zip(pair.branches, probs):
-                transitions.append(
-                    {
-                        "from": states[st],
-                        "action": act,
-                        "to": states[b.succ],
-                        "prob": prob,
-                        "label": m.symbols[b.symbol],
-                    }
-                )
-            if len(probs) > len(pair.branches):
-                leak_any = True
-                leak_sym = next(b.symbol for b in pair.branches if b.accepting)
-                transitions.append(
-                    {
-                        "from": states[st],
-                        "action": act,
-                        "to": "t",
-                        "prob": probs[-1],
-                        "label": m.symbols[leak_sym],
-                    }
-                )
-    if leak_any:
+    starts = p.pair_start.tolist()
+    owner = np.repeat(np.arange(p.n_states), np.diff(p.pair_start)).tolist()  # state of each pair
+    names = [p.pair_name(st, pid - starts[st]) for pid, st in enumerate(owner)]
+    actions = sorted(set(names))
+    bounds = p.branch_start.tolist()
+    succ, symbol, accepting = p.succ.tolist(), p.symbol.tolist(), p.accepting.tolist()
+    if zeta is None:
+        probs, prob_bounds = p.prob.tolist(), bounds
+    else:
+        flat = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
+        probs, prob_bounds = flat.prob.tolist(), flat.branch_start.tolist()
+    edges = []  # (pair, to, prob, symbol)
+    for pid, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        at, end = prob_bounds[pid], prob_bounds[pid + 1]
+        edges += [(pid, states[succ[b]], probs[at + b - lo], symbol[b]) for b in range(lo, hi)]
+        if end - at > hi - lo:
+            leak_sym = next(symbol[b] for b in range(lo, hi) if accepting[b])
+            edges.append((pid, "t", probs[end - 1], leak_sym))
+    transitions = [
+        {"from": states[owner[pid]], "action": names[pid], "to": to, "prob": pr, "label": m.symbols[sym]}
+        for pid, to, pr, sym in edges
+    ]
+    if prob_bounds[-1] > bounds[-1]:  # some pair leaks into t
         states.append("t")
         actions = sorted(set(actions) | {"stop"})
         transitions.append(
@@ -304,13 +292,9 @@ def cmd_learn(args) -> tuple[dict, int]:
         "episodes": args.episodes,
         "seed": args.seed,
         "policy": _policy_by_name(p, out.strategy),
-        "q_at_initial": {
-            p.pair_name(init, k): out.table.q[init][k]
-            for k in range(len(p.pairs[init]))
-        },
+        "q_at_initial": {p.pair_name(init, k): q for k, q in enumerate(out.table.q[init])},
         "visits_at_initial": {
-            p.pair_name(init, k): out.table.visits[init][k]
-            for k in range(len(p.pairs[init]))
+            p.pair_name(init, k): n for k, n in enumerate(out.table.visits[init])
         },
         "mean_return_last_1000": float(np.mean([c[1] for c in tail])),
         "final_epsilon": out.curve[-1][2],

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,9 +93,8 @@ class QTable:
 
     @classmethod
     def for_model(cls, model: AugmentedModel, init: float = 0.0) -> "QTable":
-        q = [[init] * len(plist) for plist in model.product.pairs]
-        visits = [[0] * len(plist) for plist in model.product.pairs]
-        return cls(q, visits)
+        counts = np.diff(model.product.pair_start).tolist()
+        return cls([[init] * n for n in counts], [[0] * n for n in counts])
 
     def greedy(self) -> Strategy:
         out = []
@@ -128,28 +128,19 @@ def _sim_tables(model: AugmentedModel):
     """Per state, per pair: (partial branch prob sums, successors, accepting,
     symbols).
 
-    Built from the raw product branches; the diversion coin is separate so
+    Sliced from the product's branch columns; the partial sums run left to
+    right as the sampler scans them.  The diversion coin is separate so
     traces keep their symbols.
     """
-    sim = []
-    for plist in model.product.pairs:
-        rows = []
-        for pair in plist:
-            cums = []
-            acc = 0.0
-            for b in pair.branches[:-1]:
-                acc += b.prob
-                cums.append(acc)
-            rows.append(
-                (
-                    cums,
-                    [b.succ for b in pair.branches],
-                    [b.accepting for b in pair.branches],
-                    [b.symbol for b in pair.branches],
-                )
-            )
-        sim.append(rows)
-    return sim
+    p = model.product
+    succ, prob, acc, sym = (c.tolist() for c in (p.succ, p.prob, p.accepting, p.symbol))
+    bounds = p.branch_start.tolist()
+    rows = [
+        (list(accumulate(prob[lo : hi - 1])), succ[lo:hi], acc[lo:hi], sym[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    starts = p.pair_start.tolist()
+    return [rows[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def _trap_flags(sim) -> list[bool]:

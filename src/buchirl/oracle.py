@@ -218,9 +218,10 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     is then visited again and again, and each visit crosses the accepting
     branch with fixed positive probability.
     """
+    retained = dict(zip(ec.states, ec.retained))  # ec.retained_at scans the members per call
     anchor = None
     for u in ec.states:
-        for k in ec.retained_at(u):
+        for k in retained[u]:
             if any(br.accepting for br in p.pairs[u][k].branches):
                 anchor = (u, k)
                 break
@@ -233,7 +234,7 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     frontier = [u_star]
     rev: dict[int, list[int]] = {u: [] for u in ec.states}
     for u in ec.states:
-        for k in ec.retained_at(u):
+        for k in retained[u]:
             for br in p.pairs[u][k].branches:
                 rev[br.succ].append(u)
     while frontier:
@@ -249,7 +250,7 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     for u in ec.states:
         if u == u_star:
             continue
-        for k in ec.retained_at(u):
+        for k in retained[u]:
             if any(dist[br.succ] == dist[u] - 1 for br in p.pairs[u][k].branches):
                 choice[u] = k
                 break

@@ -11,6 +11,13 @@ automaton transition it takes is accepting.
 Construction explores only states reachable from (initial, initial).  A
 reachable state where every pair was dropped is a modelling dead end and
 raises, rather than silently producing a sub-stochastic model.
+
+`ProductMdp` holds read-only columns with the offsets of `FlatBranches`: the
+pairs of state s are pair_start[s] .. pair_start[s+1]-1, the branches of pair
+k are branch_start[k] .. branch_start[k+1]-1.  The reward side reads them
+directly; `ProductMdp.pairs` derives `Pair`/`Branch` tuples from them on first
+use for the oracle, which walks tuples with numerics of its own, and for
+tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .automata import Nba, is_complete, is_deterministic
 from .mdp import Mdp
@@ -52,12 +61,19 @@ class Pair(NamedTuple):
     branches: tuple[Branch, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array columns have no value equality
 class ProductMdp:
     mdp: Mdp
     nba: Nba
-    states: tuple[tuple[int, int], ...]      # (mdp state, automaton state)
-    pairs: tuple[tuple[Pair, ...], ...]      # available pairs per product state
+    states: tuple[tuple[int, int], ...]  # (mdp state, automaton state)
+    pair_start: np.ndarray               # (n_states+1,) int64
+    branch_start: np.ndarray             # (n_pairs+1,) int64
+    action: np.ndarray                   # (n_pairs,) int64, MDP action index
+    memory: np.ndarray                   # (n_pairs,) int64, automaton successor state
+    succ: np.ndarray                     # (n_branches,) int64, product state index
+    prob: np.ndarray                     # float64
+    symbol: np.ndarray                   # int64, MDP symbol index
+    accepting: np.ndarray                # bool, the automaton transition taken is accepting
     gfm_caveat: bool
 
     initial = 0  # construction starts there by definition
@@ -66,27 +82,39 @@ class ProductMdp:
     def index(self) -> dict[tuple[int, int], int]:
         return {sq: i for i, sq in enumerate(self.states)}
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[Pair, ...], ...]:
+        """Available pairs per product state, as tuples built from the columns."""
+        columns = (self.succ, self.prob, self.symbol, self.accepting)
+        branches = list(map(Branch, *(c.tolist() for c in columns)))
+        bounds, starts = self.branch_start.tolist(), self.pair_start.tolist()
+        pairs = [
+            Pair(act, mem, tuple(branches[lo:hi]))
+            for act, mem, lo, hi in zip(self.action.tolist(), self.memory.tolist(), bounds, bounds[1:])
+        ]
+        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(p) for p in self.pairs)
+        return self.action.size
 
     @property
     def accepting_branch_count(self) -> int:
-        return sum(
-            b.accepting for plist in self.pairs for p in plist for b in p.branches
-        )
+        return int(np.count_nonzero(self.accepting))
 
     def state_name(self, i: int) -> str:
         s, q = self.states[i]
         return f"{self.mdp.states[s]}|q{q}"
 
     def pair_name(self, state: int, k: int) -> str:
-        p = self.pairs[state][k]
-        return f"{self.mdp.actions[p.action]}@q{p.memory}"
+        lo, hi = self.pair_start[state], self.pair_start[state + 1]
+        if not 0 <= k < hi - lo:
+            raise IndexError(f"state {state} has no pair {k}")
+        return f"{self.mdp.actions[self.action[lo + k]]}@q{self.memory[lo + k]}"
 
 
 def build_product(m: Mdp, a: Nba) -> ProductMdp:
@@ -113,7 +141,8 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
 
     states: list[tuple[int, int]] = [(m.initial, a.initial)]
     index: dict[tuple[int, int], int] = {states[0]: 0}
-    pairs_out: list[tuple[Pair, ...]] = []
+    pair_start, branch_start = [0], [0]
+    action, memory, succ, prob, symbol, accepting = [], [], [], [], [], []  # see ProductMdp
 
     def state_id(sq: tuple[int, int]) -> int:
         i = index.get(sq)
@@ -126,7 +155,6 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
     head = 0
     while head < len(states):
         s, q = states[head]
-        plist: list[Pair] = []
         for act in m.available(s):
             edges = m.branches(s, act)
             if any(e.symbol is None for e in edges):
@@ -135,7 +163,8 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
                     "validate the MDP first"
                 )
             for q2 in range(a.n_states):
-                branches: list[Branch] = []
+                ids: list[int] = []
+                marks: list[bool] = []
                 for e in edges:
                     acc = None
                     for r, f in a.moves(q, sym_map[e.symbol]):
@@ -143,23 +172,33 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
                             acc = f
                             break
                     if acc is None:
-                        branches = []
+                        ids = []
                         break
-                    branches.append(
-                        Branch(state_id((e.succ, q2)), e.prob, e.symbol, acc)
-                    )
-                if branches:
-                    plist.append(Pair(act, q2, tuple(branches)))
-        if not plist:
+                    ids.append(state_id((e.succ, q2)))
+                    marks.append(acc)
+                if ids:
+                    action.append(act)
+                    memory.append(q2)
+                    succ += ids
+                    prob.extend(e.prob for e in edges)
+                    symbol.extend(e.symbol for e in edges)
+                    accepting += marks
+                    branch_start.append(len(succ))
+        if len(action) == pair_start[-1]:
             raise DeadEndError(
                 f"product state ({m.states[s]},q{q}) has no available pair; "
                 "every automaton choice drops probability mass"
             )
-        pairs_out.append(tuple(plist))
+        pair_start.append(len(action))
         head += 1
 
     caveat = not (a.gfm is True or is_deterministic(a))
-    return ProductMdp(m, a, tuple(states), tuple(pairs_out), caveat)
+    columns = [np.array(c, dtype=np.int64) for c in (pair_start, branch_start, action, memory, succ)]
+    columns.append(np.array(prob, dtype=np.float64))
+    columns += [np.array(symbol, dtype=np.int64), np.array(accepting, dtype=bool)]
+    for col in columns:
+        col.flags.writeable = False  # payoff views share some of them
+    return ProductMdp(m, a, tuple(states), *columns, caveat)
 
 
 @dataclass(frozen=True)
@@ -171,13 +210,15 @@ class Strategy:
     def check(self, p: ProductMdp) -> None:
         if len(self.choice) != p.n_states:
             raise ValueError("strategy length does not match the product")
+        starts = p.pair_start.tolist()
         for st, k in enumerate(self.choice):
-            if not 0 <= k < len(p.pairs[st]):
+            if not 0 <= k < starts[st + 1] - starts[st]:
                 raise ValueError(f"strategy picks unavailable pair {k} at state {st}")
 
 
 def random_strategy(p: ProductMdp, rng) -> Strategy:
-    return Strategy(tuple(int(rng.integers(len(p.pairs[st]))) for st in range(p.n_states)))
+    starts = p.pair_start.tolist()
+    return Strategy(tuple(int(rng.integers(hi - lo)) for lo, hi in zip(starts, starts[1:])))
 
 
 @dataclass(frozen=True)
@@ -198,26 +239,24 @@ class MemoryStrategy:
 def project_strategy(p: ProductMdp, f: Strategy) -> MemoryStrategy:
     """Turn a positional product strategy into an MDP strategy with memory."""
     f.check(p)
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    for st, (s, q) in enumerate(p.states):
-        pair = p.pairs[st][f.choice[st]]
-        table[(s, q)] = (pair.action, pair.memory)
-    return MemoryStrategy(table, p.states[0][1])
+    pid = p.pair_start[:-1] + np.array(f.choice, dtype=np.int64)
+    moves = zip(p.action[pid].tolist(), p.memory[pid].tolist())
+    return MemoryStrategy(dict(zip(p.states, moves)), p.states[0][1])
 
 
 def recompose_strategy(p: ProductMdp, ms: MemoryStrategy) -> Strategy:
     """Inverse of project_strategy on the reachable product."""
+    moves = list(zip(p.action.tolist(), p.memory.tolist()))
+    starts = p.pair_start.tolist()
     choice: list[int] = []
     for st, (s, q) in enumerate(p.states):
         want = ms.table.get((s, q))
         if want is None:
             raise ValueError(f"memory strategy undefined at ({p.mdp.states[s]},q{q})")
-        for k, pair in enumerate(p.pairs[st]):
-            if (pair.action, pair.memory) == want:
-                choice.append(k)
-                break
-        else:
+        here = moves[starts[st] : starts[st + 1]]
+        if want not in here:
             raise ValueError(
                 f"memory strategy picks unavailable pair at ({p.mdp.states[s]},q{q})"
             )
+        choice.append(here.index(want))
     return Strategy(tuple(choice))

@@ -21,9 +21,11 @@ successor value.
 A view is one `FlatBranches` table, `AugmentedModel.flat`: the product's
 branches pair by pair, each reweighted for the view, and in the leaked views
 one merged leak branch into t after the last branch of every pair that has
-accepting mass.  `augment` builds it with array operations over the branch
-columns it gathers from the product in one pass.  The solvers,
-`simulate_batch` and the product export all read this table.
+accepting mass.  `augment` builds it with array operations over the
+product's branch columns (`succ`, `prob`, `accepting`, `branch_start`); the
+biased view keeps the product's offsets, successors and probabilities as
+they are.  The solvers, `simulate_batch` and the product export all read
+this table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -107,13 +108,7 @@ class AugmentedModel:
 def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     """Build the branch table of one payoff view; see the module docstring."""
     zeta = spec.zeta
-    raw = [pair.branches for plist in p.pairs for pair in plist]
-    counts = list(map(len, raw))
-    raw_start = np.array(list(accumulate(counts, initial=0)))
-    succ, raw_prob, _, acc = zip(*chain.from_iterable(raw))
-    succ = np.array(succ, dtype=np.int64)
-    raw_prob = np.array(raw_prob, dtype=np.float64)
-    acc = np.array(acc, dtype=bool)
+    raw_start, succ, raw_prob, acc = p.branch_start, p.succ, p.prob, p.accepting
     scaled = np.where(acc, raw_prob * zeta, raw_prob)
     if spec.mode is Mode.BIASED_DISCOUNT:
         target = None
@@ -122,8 +117,8 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     else:
         target = p.n_states
         # each pair's leak is a running sum over its accepting branches, in branch order
-        pair_of = np.repeat(np.arange(len(raw)), counts)
-        leak = np.zeros(len(raw))
+        pair_of = np.repeat(np.arange(p.n_pairs), np.diff(raw_start))
+        leak = np.zeros(p.n_pairs)
         np.add.at(leak, pair_of[acc], raw_prob[acc] * (1.0 - zeta))
         has_leak = leak > 0.0
         branch_start = raw_start.copy()
@@ -153,8 +148,7 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     multi = np.flatnonzero(np.add.reduceat(pr != 0.0, lo, dtype=np.int64) > 2).tolist()
     terms, bounds = pr.tolist(), branch_start.tolist()
     base[multi] = [math.fsum(terms[bounds[k] : bounds[k + 1]]) for k in multi]
-    pair_start = np.array(list(accumulate(map(len, p.pairs), initial=0)))
-    flat = FlatBranches(pair_start, branch_start, succ, prob, weight, reward, base)
+    flat = FlatBranches(p.pair_start, branch_start, succ, prob, weight, reward, base)
     return AugmentedModel(p, spec, target, flat)
 
 

@@ -27,11 +27,16 @@ import numpy as np
 from .automata import Nba
 from .mdp import Mdp
 from .oracle import buchi_value, policy_buchi_probability
-from .product import ProductMdp, Strategy, build_product, random_strategy
+from .product import Strategy, build_product, random_strategy
 from .shaping import AugmentedModel, Mode, PayoffSpec, augment, simulate_batch
 from .solvers import evaluate_policy, greedy_policy, solve_optimal
 
 TAIL_NS = (5, 10, 20)  # accepting-step counts the tail check looks at
+IDENTITY_TOL = 1e-8  # max |PReach - (1-zeta) ETotal|
+BOUND_TOL = 1e-9  # max excess of ETotal over [0, 1/(1-zeta)]
+EQUALITY_TOL = 1e-12  # max |ETotal - EDisct|
+PROB1_TOL = 1e-6  # distance from 1, and from 1/(1-zeta), that counts as equal
+OPTIMAL_TOL = 1e-9  # a sweep policy within this of the Buchi optimum is optimal
 
 
 @dataclass(frozen=True)
@@ -64,26 +69,16 @@ class VerifyReport:
 
 
 def tail_check(
-    p: ProductMdp,
-    zeta: float,
-    f: Strategy,
-    episodes: int,
-    n_values: tuple[int, ...] = TAIL_NS,
-    seed: int = 0,
-) -> TailCheck:
-    """Monte Carlo bound check on survived accepting steps under `f`."""
-    model = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
-    return _tail_check(model, f, episodes, n_values, seed)
-
-
-def _tail_check(
     model: AugmentedModel,
     f: Strategy,
     episodes: int,
     n_values: tuple[int, ...] = TAIL_NS,
     seed: int = 0,
 ) -> TailCheck:
-    """`tail_check` on an already built total view."""
+    """Monte Carlo bound check on survived accepting steps under `f`, in the
+    total view `model`."""
+    if model.mode is not Mode.TOTAL_REWARD:
+        raise ValueError("the tail check runs on the total view")
     zeta = model.zeta
     steps = min(1000, max(50, int(np.ceil(np.log(1e-9) / np.log(zeta)))))
     rng = np.random.default_rng(seed)
@@ -110,10 +105,6 @@ def verify_instance(
     zetas: tuple[float, ...] = (0.5, 0.9),
     n_random: int = 20,
     seed: int = 0,
-    identity_tol: float = 1e-8,
-    bound_tol: float = 1e-9,
-    equality_tol: float = 1e-12,
-    prob1_tol: float = 1e-6,
     tail_episodes: int = 0,
 ) -> VerifyReport:
     p = build_product(m, a)
@@ -150,15 +141,15 @@ def verify_instance(
                 float(np.max(-et, initial=0.0)),
             )
             equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
-            sat = np.abs(psat - 1.0) <= prob1_tol
-            full = np.abs(et - cap) <= prob1_tol
+            sat = np.abs(psat - 1.0) <= PROB1_TOL
+            full = np.abs(et - cap) <= PROB1_TOL
             prob1_bad += int(np.sum(sat != full))
             checked += 1
         if tail_episodes > 0:
-            tails.append(_tail_check(total, f_total, tail_episodes, seed=seed))
-    identity_ok = identity_err <= identity_tol
-    bounds_ok = bound_excess <= bound_tol
-    equality_ok = equality_err <= equality_tol
+            tails.append(tail_check(total, f_total, tail_episodes, seed=seed))
+    identity_ok = identity_err <= IDENTITY_TOL
+    bounds_ok = bound_excess <= BOUND_TOL
+    equality_ok = equality_err <= EQUALITY_TOL
     prob1_ok = prob1_bad == 0
     passed = identity_ok and bounds_ok and equality_ok and prob1_ok and all(
         t.ok for t in tails
@@ -197,9 +188,7 @@ class ThresholdReport:
     empirical_zeta0: float | None
 
 
-def threshold_sweep(
-    m: Mdp, a: Nba, grid: tuple[float, ...], tol: float = 1e-9
-) -> ThresholdReport:
+def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
     """Greedy total-reward policy per grid zeta versus the Buchi optimum.
 
     empirical_zeta0 is the smallest grid point from which the greedy policy
@@ -218,7 +207,7 @@ def threshold_sweep(
         f = greedy_policy(total, v.values)
         psat = float(policy_buchi_probability(p, f)[p.initial])
         desc = ";".join(p.pair_name(st, f.choice[st]) for st in range(p.n_states))
-        rows.append(SweepRow(zeta, desc, psat, opt, psat >= opt - tol))
+        rows.append(SweepRow(zeta, desc, psat, opt, psat >= opt - OPTIMAL_TOL))
     zeta0 = None
     for row in reversed(rows):
         if not row.is_optimal:

@@ -4,8 +4,8 @@ Nothing in here calls the package's solvers, oracle internals, or graph
 helpers: satisfaction probabilities come from networkx component analysis
 plus small dense solves assembled on the spot, optima from exhaustive
 enumeration of positional strategies, lasso acceptance from a flagged
-transitive closure, and payoff-view tables from a branch-by-branch loop.
-Size caps keep everything desk-scale.
+transitive closure, and the product and payoff-view tables from loops over
+tuples, one branch at a time.  Size caps keep everything desk-scale.
 """
 
 import itertools
@@ -14,6 +14,15 @@ import math
 import networkx as nx
 import numpy as np
 
+from buchirl.automata import is_complete, is_deterministic
+from buchirl.product import (
+    AlphabetMismatchError,
+    Branch,
+    DeadEndError,
+    IncompleteAutomatonError,
+    Pair,
+    ProductError,
+)
 from buchirl.shaping import FlatBranches, Mode
 
 
@@ -57,6 +66,78 @@ def augment_reference(p, spec):
         reward,
         np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
     )
+
+
+def product_reference(m, a):
+    """The reachable product as (states, pairs, gfm_caveat), built with tuples.
+
+    The construction loop as it was before the product became columns: each
+    pair's branches are collected as `Branch` tuples and kept when every MDP
+    branch has a move to the pair's automaton successor.  Raises as
+    `build_product` does.
+    """
+    if set(m.symbols) != set(a.symbols):
+        only_m = sorted(set(m.symbols) - set(a.symbols))
+        only_a = sorted(set(a.symbols) - set(m.symbols))
+        raise AlphabetMismatchError(
+            f"alphabets differ (MDP only: {only_m}, automaton only: {only_a})"
+        )
+    if not is_complete(a):
+        raise IncompleteAutomatonError(
+            "automaton is missing moves; complete it first "
+            "(complete_with_trap adds a rejecting trap)"
+        )
+    sym_map = tuple(a.symbols.index(name) for name in m.symbols)
+
+    states: list[tuple[int, int]] = [(m.initial, a.initial)]
+    index: dict[tuple[int, int], int] = {states[0]: 0}
+    pairs_out: list[tuple[Pair, ...]] = []
+
+    def state_id(sq: tuple[int, int]) -> int:
+        i = index.get(sq)
+        if i is None:
+            i = len(states)
+            index[sq] = i
+            states.append(sq)
+        return i
+
+    head = 0
+    while head < len(states):
+        s, q = states[head]
+        plist: list[Pair] = []
+        for act in m.available(s):
+            edges = m.branches(s, act)
+            if any(e.symbol is None for e in edges):
+                raise ProductError(
+                    f"unlabelled edge at ({m.states[s]},{m.actions[act]}); "
+                    "validate the MDP first"
+                )
+            for q2 in range(a.n_states):
+                branches: list[Branch] = []
+                for e in edges:
+                    acc = None
+                    for r, f in a.moves(q, sym_map[e.symbol]):
+                        if r == q2:
+                            acc = f
+                            break
+                    if acc is None:
+                        branches = []
+                        break
+                    branches.append(
+                        Branch(state_id((e.succ, q2)), e.prob, e.symbol, acc)
+                    )
+                if branches:
+                    plist.append(Pair(act, q2, tuple(branches)))
+        if not plist:
+            raise DeadEndError(
+                f"product state ({m.states[s]},q{q}) has no available pair; "
+                "every automaton choice drops probability mass"
+            )
+        pairs_out.append(tuple(plist))
+        head += 1
+
+    caveat = not (a.gfm is True or is_deterministic(a))
+    return tuple(states), tuple(pairs_out), caveat
 
 
 def policy_sat_bruteforce(p, choice):

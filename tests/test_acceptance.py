@@ -181,9 +181,8 @@ def test_criterion_7_learning_on_i2(i2_product):
 
 def test_criterion_8_survival_tail_bound(self_loop_product):
     episodes = 10_000
-    t = tail_check(
-        self_loop_product, 0.9, Strategy((0,)), episodes, n_values=(10, 30, 50)
-    )
+    total = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+    t = tail_check(total, Strategy((0,)), episodes, n_values=(10, 30, 50))
     margins = []
     ok = True
     for n, e in zip(t.n_values, t.empirical):

@@ -1,5 +1,7 @@
 """Product construction, accepting branches and strategy translation."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from buchirl import (
     build_product,
     complete_with_trap,
     is_deterministic,
+    load_mdp,
     parse_hoa,
     project_strategy,
     random_strategy,
@@ -26,7 +29,8 @@ from buchirl import (
     solve_optimal,
 )
 
-from generators import random_instance, random_nondet_automaton
+from bruteforce import product_reference
+from generators import random_det_automaton, random_instance, random_mdp, random_nondet_automaton
 
 GN = ("g", "n")
 
@@ -251,5 +255,58 @@ def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):
 
 def test_pair_and_state_names(i2_product):
     assert i2_product.pair_name(0, 1) == "b@q0"
+    with pytest.raises(IndexError):
+        i2_product.pair_name(0, 2)  # s0 has two pairs; pair 2 would be sA's first
     assert i2_product.state_name(2) == "sR|q0"
     assert i2_product.index[(2, 0)] == 2
+
+
+def reference_columns(pairs):
+    """The column layout of `ProductMdp`, read off the reference's tuples."""
+    flat = [pair for plist in pairs for pair in plist]
+    branches = [b for pair in flat for b in pair.branches]
+    return {
+        "pair_start": np.array(list(accumulate(map(len, pairs), initial=0)), dtype=np.int64),
+        "branch_start": np.array(
+            list(accumulate((len(pair.branches) for pair in flat), initial=0)), dtype=np.int64
+        ),
+        "action": np.array([pair.action for pair in flat], dtype=np.int64),
+        "memory": np.array([pair.memory for pair in flat], dtype=np.int64),
+        "succ": np.array([b.succ for b in branches], dtype=np.int64),
+        "prob": np.array([b.prob for b in branches], dtype=np.float64),
+        "symbol": np.array([b.symbol for b in branches], dtype=np.int64),
+        "accepting": np.array([b.accepting for b in branches], dtype=bool),
+    }
+
+
+def test_product_columns_match_reference(corpus):
+    cases = []
+    for mdp in sorted((corpus / "mdp").glob("*.json")):
+        for hoa in sorted((corpus / "hoa").glob("*.hoa")):
+            a = parse_hoa(hoa.read_text())
+            cases.append((load_mdp(mdp), complete_with_trap(a) if hoa.stem == "incomplete_g" else a))
+    rng = np.random.default_rng(14)
+    for make_automaton in (random_det_automaton, random_nondet_automaton):
+        built = 0
+        while built < 20:
+            m, a = random_mdp(rng), make_automaton(rng)
+            try:
+                product_reference(m, a)
+            except DeadEndError as exc:
+                with pytest.raises(DeadEndError) as got:
+                    build_product(m, a)
+                assert str(got.value) == str(exc)
+                continue
+            cases.append((m, a))
+            built += 1
+    assert len(cases) == 12 + 40
+    for m, a in cases:
+        states, pairs, caveat = product_reference(m, a)
+        p = build_product(m, a)
+        assert p.states == states and p.gfm_caveat == caveat
+        # repr also tells Python ints and bools from numpy scalars
+        assert p.pairs == pairs and repr(p.pairs) == repr(pairs)
+        for name, want in reference_columns(pairs).items():
+            got = getattr(p, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name

@@ -71,11 +71,11 @@ def test_verify_tail_reuses_the_total_view(i2, accept_g, monkeypatch):
     rep = verify_instance(i2, accept_g, zetas=(0.9,), n_random=3, tail_episodes=2000, seed=5)
     monkeypatch.undo()
     assert sorted(m.value for m in calls) == sorted(m.value for m in Mode)  # one per view
-    # the same check through the public entry point, which builds its own view
+    # the same check on a total view built here
     p = build_product(i2, accept_g)
     total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
     f = greedy_policy(total, solve_optimal(total).values)
-    assert rep.tails == (tail_check(p, 0.9, f, 2000, seed=5),)
+    assert rep.tails == (tail_check(total, f, 2000, seed=5),)
 
 
 def test_verify_nondet_keeps_caveat(i2, corpus):
@@ -88,16 +88,21 @@ def test_verify_nondet_keeps_caveat(i2, corpus):
 
 
 def test_tail_check_direct(self_loop_product):
-    t = tail_check(self_loop_product, 0.9, Strategy((0,)), 3000, n_values=(1, 3))
+    total = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+    t = tail_check(total, Strategy((0,)), 3000, n_values=(1, 3))
     assert t.ok
     # surviving one accepting step has probability exactly zeta; the bound
     # is tight there, so the empirical rate sits within noise of 0.9
     assert abs(t.empirical[0] - 0.9) <= 3.0 * t.stderr[0] + 1e-12
     assert t.bound == (0.9, 0.9**3)
+    for mode in (Mode.REACH_TARGET, Mode.BIASED_DISCOUNT):
+        with pytest.raises(ValueError, match="total view"):
+            tail_check(augment(self_loop_product, PayoffSpec(mode, 0.9)), Strategy((0,)), 10)
 
 
 def test_tail_check_never(never_product):
-    t = tail_check(never_product, 0.5, Strategy((0,)), 500, n_values=(1, 2))
+    total = augment(never_product, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
+    t = tail_check(total, Strategy((0,)), 500, n_values=(1, 2))
     assert t.empirical == (0.0, 0.0)
     assert t.ok
 
