@@ -7,8 +7,9 @@ null timing field.
 
 Exit codes: 0 ok, 2 usage (a numeric option out of its range included), 3
 unreadable or unparsable input, 4 validation or construction failure, 5
-solver failure (value iteration not converged, a singular linear system, or
-the oracle's policy iteration not stabilized), 6 verification failed.
+solver failure (value iteration not converged, a singular linear system, a
+sparse policy evaluation that misses its residual target, or the oracle's
+policy iteration not stabilized), 6 verification failed.
 """
 
 from __future__ import annotations

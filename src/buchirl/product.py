@@ -163,7 +163,6 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
                     "validate the MDP first"
                 )
             for q2 in range(a.n_states):
-                ids: list[int] = []
                 marks: list[bool] = []
                 for e in edges:
                     acc = None
@@ -172,14 +171,15 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
                             acc = f
                             break
                     if acc is None:
-                        ids = []
+                        marks = []
                         break
-                    ids.append(state_id((e.succ, q2)))
                     marks.append(acc)
-                if ids:
+                if marks:
+                    # successors are numbered only once the pair is known to survive
                     action.append(act)
                     memory.append(q2)
-                    succ += ids
+                    for e in edges:
+                        succ.append(state_id((e.succ, q2)))
                     prob.extend(e.prob for e in edges)
                     symbol.extend(e.symbol for e in edges)
                     accepting += marks

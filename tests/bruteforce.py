@@ -71,10 +71,10 @@ def augment_reference(p, spec):
 def product_reference(m, a):
     """The reachable product as (states, pairs, gfm_caveat), built with tuples.
 
-    The construction loop as it was before the product became columns: each
-    pair's branches are collected as `Branch` tuples and kept when every MDP
-    branch has a move to the pair's automaton successor.  Raises as
-    `build_product` does.
+    The tuple construction loop that the columns replaced: each pair's
+    branches are collected as `Branch` tuples and kept when every MDP
+    branch has a move to the pair's automaton successor; a successor state is
+    numbered only when its pair is kept.  Raises as `build_product` does.
     """
     if set(m.symbols) != set(a.symbols):
         only_m = sorted(set(m.symbols) - set(a.symbols))
@@ -113,7 +113,7 @@ def product_reference(m, a):
                     "validate the MDP first"
                 )
             for q2 in range(a.n_states):
-                branches: list[Branch] = []
+                marks: list[bool] = []
                 for e in edges:
                     acc = None
                     for r, f in a.moves(q, sym_map[e.symbol]):
@@ -121,13 +121,16 @@ def product_reference(m, a):
                             acc = f
                             break
                     if acc is None:
-                        branches = []
+                        marks = []
                         break
-                    branches.append(
+                    marks.append(acc)
+                if marks:
+                    # successors are numbered only once the pair survives
+                    branches = tuple(
                         Branch(state_id((e.succ, q2)), e.prob, e.symbol, acc)
+                        for e, acc in zip(edges, marks)
                     )
-                if branches:
-                    plist.append(Pair(act, q2, tuple(branches)))
+                    plist.append(Pair(act, q2, branches))
         if not plist:
             raise DeadEndError(
                 f"product state ({m.states[s]},q{q}) has no available pair; "

@@ -1,4 +1,5 @@
-"""Random desk-scale instances for the property tests.
+"""Random instances for the property tests: desk-scale ones, and one size
+of a few hundred product states for the sparse policy solver.
 
 Branch probabilities are integer weights over a common denominator with the
 last branch taking the exact remainder, so every distribution sums to 1.0 in
@@ -104,3 +105,34 @@ def small_instance(rng, max_product_states=5):
         m, a, p = random_instance(rng, max_states=3, max_actions=2, max_aut=2)
         if p.n_states <= max_product_states:
             return m, a, p
+
+
+def large_instance(rng, n_states=300):
+    """(mdp, automaton, product) with about 2 * n_states product states.
+
+    Every (state, action) emits one letter, so the deterministic automaton
+    for GF g (q1 after a g, q0 after an n, every g move accepting) never
+    drops a pair.  States s0 .. s(n-1) have two actions with 2-3 random
+    successors each.  Action 0 always includes the next state, so all are
+    reachable; at about 30% of the states action 1 risks the rejecting sink,
+    so values vary between states.
+    """
+    names = tuple(f"s{i}" for i in range(n_states)) + ("sink",)
+    sink = n_states
+    edges = [Edge(sink, 0, sink, 1.0, 1)]
+    for s in range(n_states):
+        for act in (0, 1):
+            k = int(rng.integers(2, 4))
+            succs = [int(t) for t in rng.choice(n_states, size=k, replace=False)]
+            if act == 0 and (s + 1) % n_states not in succs:
+                succs[0] = (s + 1) % n_states
+            if act == 1 and rng.random() < 0.3:
+                succs[0] = sink
+            weights = [int(w) for w in rng.integers(1, 5, size=k)]
+            probs = [w / sum(weights) for w in weights]
+            probs[-1] = 1.0 - math.fsum(probs[:-1])
+            sym = int(rng.integers(len(SYMBOLS)))
+            edges += [Edge(s, act, t, pr, sym) for t, pr in zip(succs, probs)]
+    m = Mdp(names, ("a0", "a1"), SYMBOLS, 0, tuple(edges))
+    a = Nba(SYMBOLS, 2, 0, ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)), frozenset({0, 2}))
+    return m, a, build_product(m, a)

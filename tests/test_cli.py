@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from buchirl import load_mdp, validate_mdp
+from buchirl import dump_mdp, load_mdp, serialize_hoa, validate_mdp
 from buchirl.cli import main
 from buchirl.verify import VerifyReport
 
 from conftest import CORPUS, ROOT
+from generators import large_instance
 
 I2 = str(CORPUS / "mdp" / "i2.json")
 SELF_LOOP = str(CORPUS / "mdp" / "self_loop.json")
@@ -387,6 +388,21 @@ def test_singular_solve_exit_code(monkeypatch, capsys):
     assert main(["verify", "--mdp", I2, "--hoa", ACCEPT_G]) == 5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: Singular matrix")
+
+
+def test_sparse_solve_exit_code(tmp_path, monkeypatch, capsys):
+    # above DENSE_LIMIT live states policy evaluation is iterative; passes that
+    # never reach the residual target are a solver failure too
+    import scipy.sparse.linalg
+
+    m, a, _ = large_instance(np.random.default_rng(40))
+    mdp, hoa = tmp_path / "large.json", tmp_path / "gf_g.hoa"
+    dump_mdp(m, mdp)
+    hoa.write_text(serialize_hoa(a))
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 0))
+    assert main(["verify", "--mdp", str(mdp), "--hoa", str(hoa), "--policies", "0"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: policy evaluation missed its residual target")
 
 
 def test_oracle_policy_iteration_exit_code(monkeypatch, capsys):

@@ -166,6 +166,33 @@ def test_action_dropped_but_state_survives():
     assert [pair.action for pair in p.pairs[st]] == [1]
 
 
+def test_dropped_pair_numbers_no_state():
+    # (a, q0) at s0 covers the g branch to s1 but not the n branch, so it is
+    # dropped, and s1|q0 must not enter the product through it; with s1
+    # itself splitting g and n, numbering it first used to end in a
+    # DeadEndError for a state no run can reach
+    m, a = dead_end_instance()
+    loops = m.edges + (Edge(0, 1, 0, 1.0, 0),)
+    split = loops[:2] + (Edge(1, 0, 1, 0.5, 0), Edge(1, 0, 2, 0.5, 1)) + loops[3:]
+    for edges in (loops, split):
+        p = build_product(Mdp(m.states, ("a", "b"), GN, 0, edges), a)
+        assert [p.state_name(i) for i in range(p.n_states)] == ["s0|q0"]
+        assert p.succ.tolist() == [0]
+
+
+def test_every_state_is_a_successor():
+    rng = np.random.default_rng(15)
+    built = 0
+    while built < 150:
+        make_automaton = random_det_automaton if built % 2 else random_nondet_automaton
+        try:
+            p = build_product(random_mdp(rng), make_automaton(rng))
+        except DeadEndError:
+            continue
+        assert set(p.succ.tolist()) | {p.initial} == set(range(p.n_states))
+        built += 1
+
+
 def test_deterministic_at_most_one_pair_per_action():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -1,6 +1,11 @@
 """Value iteration and exact policy evaluation against hand values and a
 pure-python reference."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,11 +23,13 @@ from buchirl import (
     build_product,
     evaluate_policy,
     greedy_policy,
+    random_strategy,
     solve_optimal,
 )
+from buchirl.verify import EQUALITY_TOL, IDENTITY_TOL
 
 from bruteforce import optimal_value_bruteforce, policy_value_bruteforce
-from generators import random_instance, small_instance
+from generators import large_instance, random_instance, small_instance
 
 GN = ("g", "n")
 
@@ -188,10 +195,68 @@ def test_convergence_errors(self_loop_product, monkeypatch):
         solve_optimal(m, max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0.0
-    monkeypatch.setattr(solvers, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(solvers, "SWEEP_MAX_ITER", 1)
-    with pytest.raises(ConvergenceError):
-        evaluate_policy(m, Strategy((0,)))
+    # a sparse solve whose passes never move x misses its residual target
+    # and raises rather than return the start vector
+    import scipy.sparse.linalg
+
+    _, _, p = large_instance(np.random.default_rng(40))
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 0))
+    with pytest.raises(ConvergenceError) as exc:
+        evaluate_policy(view(p, Mode.TOTAL_REWARD, 0.9), Strategy((0,) * p.n_states))
+    assert exc.value.iterations == solvers.REFINE_PASSES
+    assert exc.value.residual >= 1.0
+
+
+def test_sparse_solve_matches_dense(monkeypatch):
+    # a product whose live set is above DENSE_LIMIT, so evaluate_policy takes
+    # the sparse path; the refined values must agree with the dense solve to
+    # round-off and keep verify's view checks, at every bias
+    rng = np.random.default_rng(40)
+    _, _, p = large_instance(rng)
+    for zeta in (0.5, 0.9, 0.99, 0.999):
+        views = {mode: view(p, mode, zeta) for mode in Mode}
+        total = views[Mode.TOTAL_REWARD]
+        pool = [greedy_policy(total, solve_optimal(total).values)]
+        pool += [random_strategy(p, rng) for _ in range(2)]
+        for f in pool:
+            got = {}
+            for mode, m in views.items():
+                v = evaluate_policy(m, f)
+                assert np.count_nonzero(v.values) > solvers.DENSE_LIMIT and v.iterations > 0
+                scale = np.maximum(1.0, np.abs(v.values))
+                assert v.residual <= solvers.RESIDUAL_TOL * scale.max()
+                with monkeypatch.context() as mp:
+                    mp.setattr(solvers, "DENSE_LIMIT", p.n_states)
+                    dense = evaluate_policy(m, f).values
+                assert np.all(np.abs(v.values - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+                got[mode] = v.values
+            et, pr = got[Mode.TOTAL_REWARD], got[Mode.REACH_TARGET]
+            assert np.max(np.abs(et - got[Mode.BIASED_DISCOUNT])) <= EQUALITY_TOL
+            assert np.max(np.abs(pr - (1.0 - zeta) * et)) <= IDENTITY_TOL
+
+
+def test_small_products_never_import_scipy():
+    # scipy is imported on the sparse path only, so commands on small
+    # products do not pay for it
+    code = """
+import sys
+import numpy as np
+from buchirl import verify_instance
+from buchirl.cli import main
+from generators import random_instance
+assert main(["verify", "--mdp", sys.argv[1], "--hoa", sys.argv[2]]) == 0
+m, a, _ = random_instance(np.random.default_rng(0))
+assert verify_instance(m, a, zetas=(0.5, 0.9, 0.99)).passed
+assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith("scipy"))
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    corpus = root / "corpus"
+    args = [str(corpus / "mdp" / "i2.json"), str(corpus / "hoa" / "accept_g.hoa")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_value_vector_requires_finite():
