@@ -320,29 +320,22 @@ def parse_hoa(text: str) -> Nba:
         if stripped.startswith("["):
             if cur is None:
                 raise HoaSyntaxError("edge before any State block", lineno)
-            m = _EDGE_RE.fullmatch(stripped)
-            if m is None:
-                expr_only = re.match(r"\[([^\]]*)\]", stripped)
-                if expr_only and re.search(r"[!&]|\bt\b|\bf\b", expr_only.group(1)):
-                    raise HoaSemanticError(
-                        "label expressions are limited to one proposition or a "
-                        "disjunction of propositions; expand the edge into one "
-                        "per symbol",
-                        lineno,
-                    )
-                raise HoaSyntaxError(
-                    "malformed edge, expected '[label] destination' with an "
-                    "optional {0}",
-                    lineno,
-                )
-            expr, dst_s, marks = m.group(1).strip(), m.group(2), m.group(3)
-            if re.search(r"[!&]|\bt\b|\bf\b", expr):
+            label = re.match(r"\[([^\]]*)\]", stripped)
+            if label and re.search(r"[!&]|\bt\b|\bf\b", label.group(1)):
                 raise HoaSemanticError(
                     "label expressions are limited to one proposition or a "
                     "disjunction of propositions; expand the edge into one "
                     "per symbol",
                     lineno,
                 )
+            m = _EDGE_RE.fullmatch(stripped)
+            if m is None:
+                raise HoaSyntaxError(
+                    "malformed edge, expected '[label] destination' with an "
+                    "optional {0}",
+                    lineno,
+                )
+            expr, dst_s, marks = m.group(1).strip(), m.group(2), m.group(3)
             parts = [p.strip() for p in expr.split("|")]
             if not expr or any(not re.fullmatch(r"\d+", p) for p in parts):
                 raise HoaSyntaxError(

@@ -55,63 +55,52 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     Iteratively drops pairs whose branches leave the current strongly
     connected component and states left without pairs, until stable.
     """
-    n = p.n_states
-    alive = [True] * n
-    retained = [list(range(len(p.pairs[st]))) for st in range(n)]
-
-    def succ(u: int):
-        if not alive[u]:
-            return []
-        out = []
-        for k in retained[u]:
-            for br in p.pairs[u][k].branches:
-                if alive[br.succ]:
-                    out.append(br.succ)
-        return out
-
+    n, starts, bounds = p.n_states, p.pair_start, p.branch_start
+    pair_state = np.repeat(np.arange(n), np.diff(starts))
+    source = np.repeat(pair_state, np.diff(bounds))
+    branch_pair = np.repeat(np.arange(p.n_pairs), np.diff(bounds))
+    kept = np.ones(p.n_pairs, dtype=bool)
     while True:
-        comps = strongly_connected_components(n, succ)
-        comp_of = [0] * n
-        for ci, comp in enumerate(comps):
-            for u in comp:
-                comp_of[u] = ci
-        changed = False
-        for u in range(n):
-            if not alive[u]:
-                continue
-            keep = [
-                k
-                for k in retained[u]
-                if all(
-                    alive[br.succ] and comp_of[br.succ] == comp_of[u]
-                    for br in p.pairs[u][k].branches
-                )
-            ]
-            if len(keep) != len(retained[u]):
-                retained[u] = keep
-                changed = True
-            if not keep:
-                alive[u] = False
-                changed = True
-        if not changed:
+        # a state without kept pairs has no edges, so it is a component of
+        # its own, and every branch into it leaves its source's component
+        edge = kept[branch_pair]
+        comp_of = _component_index(n, source[edge], p.succ[edge])
+        leaves = comp_of[p.succ] != comp_of[source]
+        keep = kept & ~np.logical_or.reduceat(leaves, bounds[:-1])
+        if np.array_equal(keep, kept):
             break
+        kept = keep
 
     groups: dict[int, list[int]] = {}
-    for u in range(n):
-        if alive[u]:
-            groups.setdefault(comp_of[u], []).append(u)
+    comp_list = comp_of.tolist()
+    for u in np.flatnonzero(np.logical_or.reduceat(kept, starts[:-1])).tolist():
+        groups.setdefault(comp_list[u], []).append(u)
+    starts, kept = starts.tolist(), kept.tolist()
+    pair_acc = np.logical_or.reduceat(p.accepting, bounds[:-1]).tolist()
     mecs = []
-    for members in sorted(groups.values(), key=min):
-        members.sort()
-        kept = tuple(tuple(retained[u]) for u in members)
-        acc = any(
-            br.accepting
-            for u in members
-            for k in retained[u]
-            for br in p.pairs[u][k].branches
-        )
-        mecs.append(EndComponent(tuple(members), kept, acc))
+    for members in groups.values():  # first seen = smallest member first
+        pairs = [[k for k in range(starts[u], starts[u + 1]) if kept[k]] for u in members]
+        retained = tuple(tuple(k - starts[u] for k in ks) for u, ks in zip(members, pairs))
+        acc = any(pair_acc[k] for ks in pairs for k in ks)
+        mecs.append(EndComponent(tuple(members), retained, acc))
     return tuple(mecs)
+
+
+def _component_index(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Strongly connected component of each node; edges src -> dst, src ascending."""
+    off = np.searchsorted(src, np.arange(n + 1)).tolist()
+    out = dst.tolist()
+    comp_of = [0] * n
+    for ci, comp in enumerate(strongly_connected_components(n, lambda u: out[off[u] : off[u + 1]])):
+        for u in comp:
+            comp_of[u] = ci
+    return np.array(comp_of)
+
+
+def _chosen_branches(p: ProductMdp, choice) -> list[range]:
+    """Indices of the branches of the pair `choice` picks, per state."""
+    starts, bounds = p.pair_start.tolist(), p.branch_start.tolist()
+    return [range(bounds[starts[st] + k], bounds[starts[st] + k + 1]) for st, k in enumerate(choice)]
 
 
 def _chain_reach(
@@ -123,15 +112,17 @@ def _chain_reach(
     `ones` are exactly 0 and fixing them keeps the system nonsingular.
     """
     n = p.n_states
+    chosen = _chosen_branches(p, choice)
+    succ, prob = p.succ.tolist(), p.prob.tolist()
     free = [st for st in range(n) if st not in ones and st not in zeros]
     b = np.zeros(n)
     rev: list[list[int]] = [[] for _ in range(n)]
     for st in free:
-        for br in p.pairs[st][choice[st]].branches:
-            if br.succ in ones:
-                b[st] += br.prob
-            elif br.succ not in zeros:
-                rev[br.succ].append(st)
+        for e in chosen[st]:
+            if succ[e] in ones:
+                b[st] += prob[e]
+            elif succ[e] not in zeros:
+                rev[succ[e]].append(st)
     live = {st for st in free if b[st] > 0.0}
     stack = list(live)
     while stack:
@@ -148,10 +139,10 @@ def _chain_reach(
         pos = {st: i for i, st in enumerate(order)}
         a = np.eye(len(order))
         for i, st in enumerate(order):
-            for br in p.pairs[st][choice[st]].branches:
-                j = pos.get(br.succ)
+            for e in chosen[st]:
+                j = pos.get(succ[e])
                 if j is not None:
-                    a[i, j] -= br.prob
+                    a[i, j] -= prob[e]
         v[np.array(order)] = np.linalg.solve(a, b[np.array(order)])
     return v
 
@@ -161,28 +152,27 @@ def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list
 
     Evaluation always takes the least solution (zeros fixed off the live
     set), and switches need a strict margin, so the iteration cannot cycle
-    through equal-valued policies.
+    through equal-valued policies.  Among the best pairs of a state the
+    lowest index wins.
     """
-    n = p.n_states
+    n, starts = p.n_states, p.pair_start[:-1]
+    pair_state = np.repeat(np.arange(n), np.diff(p.pair_start))
+    branch_pair = np.repeat(np.arange(p.n_pairs), np.diff(p.branch_start))
+    pair_ids = np.arange(p.n_pairs)
+    free = np.ones(n, dtype=bool)
+    free[list(targets)] = False
     choice = [0] * n
     v = _chain_reach(p, choice, targets, frozenset())
     for _ in range(10_000):
-        improved = False
-        for st in range(n):
-            if st in targets:
-                continue
-            best_k = -1
-            best_q = v[st] + 1e-12
-            for k, pair in enumerate(p.pairs[st]):
-                q = sum(br.prob * v[br.succ] for br in pair.branches)
-                if q > best_q:
-                    best_q = q
-                    best_k = k
-            if best_k >= 0 and best_k != choice[st]:
-                choice[st] = best_k
-                improved = True
-        if not improved:
+        q = np.bincount(branch_pair, weights=p.prob * v[p.succ], minlength=p.n_pairs)
+        best = np.maximum.reduceat(q, starts)
+        first = np.minimum.reduceat(np.where(q == best[pair_state], pair_ids, p.n_pairs), starts)
+        first -= starts
+        switch = free & (best > v + 1e-12) & (first != choice)
+        if not switch.any():
             return v, choice
+        for st in np.flatnonzero(switch).tolist():
+            choice[st] = int(first[st])
         v = _chain_reach(p, choice, targets, frozenset())
     raise PolicyIterationError("max-reach policy iteration failed to stabilize")
 
@@ -204,8 +194,7 @@ def buchi_value(p: ProductMdp) -> BuchiResult:
         return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
     values, choice = _max_reach(p, u_states)
     for i in acc_ids:
-        ec = mecs[i]
-        _anchor_component(p, ec, choice)
+        _anchor_component(p, mecs[i], choice)
     return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
 
 
@@ -218,25 +207,22 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     is then visited again and again, and each visit crosses the accepting
     branch with fixed positive probability.
     """
-    retained = dict(zip(ec.states, ec.retained))  # ec.retained_at scans the members per call
-    anchor = None
-    for u in ec.states:
-        for k in retained[u]:
-            if any(br.accepting for br in p.pairs[u][k].branches):
-                anchor = (u, k)
-                break
-        if anchor:
-            break
+    starts, bounds = p.pair_start, p.branch_start
+    branches = {}  # (member, retained pair) -> (successors, accepting flags)
+    for u, kept in zip(ec.states, ec.retained):
+        for k in kept:
+            lo, hi = bounds[starts[u] + k], bounds[starts[u] + k + 1]
+            branches[u, k] = p.succ[lo:hi].tolist(), p.accepting[lo:hi].tolist()
+    anchor = next((uk for uk, (_, acc) in branches.items() if any(acc)), None)
     assert anchor is not None, "accepting component without accepting branch"
     u_star, k_star = anchor
     members = set(ec.states)
     dist = {u_star: 0}
     frontier = [u_star]
     rev: dict[int, list[int]] = {u: [] for u in ec.states}
-    for u in ec.states:
-        for k in retained[u]:
-            for br in p.pairs[u][k].branches:
-                rev[br.succ].append(u)
+    for (u, _), (succ, _) in branches.items():
+        for t in succ:
+            rev[t].append(u)
     while frontier:
         nxt = []
         for v in frontier:
@@ -247,11 +233,11 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
         frontier = nxt
     assert set(dist) == members, "end component not strongly connected"
     choice[u_star] = k_star
-    for u in ec.states:
+    for u, kept in zip(ec.states, ec.retained):
         if u == u_star:
             continue
-        for k in retained[u]:
-            if any(dist[br.succ] == dist[u] - 1 for br in p.pairs[u][k].branches):
+        for k in kept:
+            if any(dist[t] == dist[u] - 1 for t in branches[u, k][0]):
                 choice[u] = k
                 break
 
@@ -264,23 +250,14 @@ def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:
     or not, then solves exact absorption into the accepting ones.
     """
     f.check(p)
-    n = p.n_states
-
-    def succ(u: int):
-        return [br.succ for br in p.pairs[u][f.choice[u]].branches]
-
-    comps = strongly_connected_components(n, succ)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
+    chosen = _chosen_branches(p, f.choice)
+    succ, accepting = p.succ.tolist(), p.accepting.tolist()
+    out = [succ[r.start : r.stop] for r in chosen]
     win: set[int] = set()
     lose: set[int] = set()
-    for comp in comps:
+    for comp in strongly_connected_components(p.n_states, out.__getitem__):
         members = set(comp)
-        bottom = all(br.succ in members for u in comp for br in p.pairs[u][f.choice[u]].branches)
-        if not bottom:
-            continue
-        acc = any(br.accepting for u in comp for br in p.pairs[u][f.choice[u]].branches)
-        (win if acc else lose).update(comp)
+        if all(t in members for u in comp for t in out[u]):  # bottom
+            acc = any(accepting[e] for u in comp for e in chosen[u])
+            (win if acc else lose).update(comp)
     return _chain_reach(p, list(f.choice), frozenset(win), frozenset(lose))

@@ -14,10 +14,10 @@ raises, rather than silently producing a sub-stochastic model.
 
 `ProductMdp` holds read-only columns with the offsets of `FlatBranches`: the
 pairs of state s are pair_start[s] .. pair_start[s+1]-1, the branches of pair
-k are branch_start[k] .. branch_start[k+1]-1.  The reward side reads them
-directly; `ProductMdp.pairs` derives `Pair`/`Branch` tuples from them on first
-use for the oracle, which walks tuples with numerics of its own, and for
-tests and the benchmark.
+k are branch_start[k] .. branch_start[k+1]-1.  Every layer of the library,
+the oracle included, reads them directly.  `ProductMdp.pairs` derives
+`Pair`/`Branch` tuples from them on first use; the view exists only for
+`tests/` and `perfbench/`.
 """
 
 from __future__ import annotations

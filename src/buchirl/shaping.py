@@ -173,7 +173,6 @@ def simulate_batch(
     rng: np.random.Generator,
     episodes: int,
     max_steps: int,
-    start: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized payoff sampling; returns (payoffs, reached_target).
 
@@ -202,8 +201,7 @@ def simulate_batch(
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta
-    start_idx = model.product.initial if start is None else start
-    cur = np.full(episodes, start_idx, dtype=np.int64)
+    cur = np.full(episodes, model.product.initial, dtype=np.int64)
     pay = np.zeros(episodes)
     disc = np.ones(episodes)
     reached = np.zeros(episodes, dtype=bool)

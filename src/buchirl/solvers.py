@@ -109,7 +109,7 @@ def solve_optimal(
 
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
-    """Pair with the best one-step backup per state, lowest index on ties."""
+    """The pair with the best one-step backup per state, lowest index on ties."""
     q = _pair_values(model)(np.asarray(v, dtype=float))
     bounds = model.flat.pair_start
     best = np.repeat(np.maximum.reduceat(q, bounds[:-1]), np.diff(bounds))

@@ -196,9 +196,9 @@ def test_body_errors():
 
 def test_label_expression_subset():
     # anything beyond a proposition or a disjunction points at the subset rule
-    for label in ("!0", "0&1", "t", "f"):
+    for edge in ("[!0] 0", "[0&1] 0", "[t] 0", "[f] 0", "[!0]"):
         with pytest.raises(HoaSemanticError) as exc:
-            parse_hoa(hoa(f"State: 0\n[{label}] 0\n"))
+            parse_hoa(hoa(f"State: 0\n{edge}\n"))
         assert "expand the edge" in str(exc.value)
     with pytest.raises(HoaSyntaxError):
         parse_hoa(hoa("State: 0\n[] 0\n"))

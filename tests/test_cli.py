@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from buchirl import dump_mdp, load_mdp, serialize_hoa, validate_mdp
+from buchirl import ProductMdp, dump_mdp, load_mdp, serialize_hoa, validate_mdp
 from buchirl.cli import main
 from buchirl.verify import VerifyReport
 
@@ -417,6 +417,23 @@ def test_oracle_policy_iteration_exit_code(monkeypatch, capsys):
     assert main(["oracle", "--mdp", I2, "--hoa", ACCEPT_G]) == 5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: max-reach policy iteration")
+
+
+def test_commands_never_read_the_tuple_view(monkeypatch, tmp_path, capsys):
+    # every layer reads the product's columns; `pairs` is for tests only
+    m, a, _ = large_instance(np.random.default_rng(1))
+    mdp, hoa = tmp_path / "large.json", tmp_path / "gf_g.hoa"
+    dump_mdp(m, mdp)
+    hoa.write_text(serialize_hoa(a))
+
+    def no_tuples(self):
+        raise AssertionError("ProductMdp.pairs was read")
+
+    monkeypatch.setattr(ProductMdp, "pairs", property(no_tuples))
+    for files in (["--mdp", I2, "--hoa", ACCEPT_G], ["--mdp", str(mdp), "--hoa", str(hoa)]):
+        for command in ("verify", "sweep", "oracle"):
+            assert main([command, *files]) == 0, command
+    capsys.readouterr()
 
 
 def test_sweep_cli(tmp_path, capsys):

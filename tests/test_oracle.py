@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from buchirl import (
+    DeadEndError,
     Edge,
     Mdp,
+    Mode,
     Nba,
+    PayoffSpec,
     Strategy,
+    augment,
     build_product,
     buchi_value,
+    complete_with_trap,
+    greedy_policy,
+    load_mdp,
     mec_decomposition,
     parse_hoa,
     policy_buchi_probability,
+    random_strategy,
+    solve_optimal,
 )
 
 from bruteforce import (
@@ -20,9 +29,17 @@ from bruteforce import (
     all_strategies,
     buchi_value_bruteforce,
     is_end_component,
+    oracle_reference,
     policy_sat_bruteforce,
 )
-from generators import random_instance, small_instance
+from generators import (
+    large_instance,
+    random_det_automaton,
+    random_instance,
+    random_mdp,
+    random_nondet_automaton,
+    small_instance,
+)
 
 GN = ("g", "n")
 
@@ -156,6 +173,21 @@ def test_value_invariant_under_state_renaming(accept_g):
     assert len(res.accepting_mecs) == 1
 
 
+def test_strategy_switches_on_margin_to_lowest_index(accept_g):
+    # s0 plays a, b or c; sA is the accepting loop, sR the rejecting sink
+    loops = (Edge(1, 0, 1, 1.0, 0), Edge(2, 0, 2, 1.0, 1))
+    names, acts = ("s0", "sA", "sR"), ("a", "b", "c")
+    # a reaches sA surely, but its evaluation rounds to just below 1, where
+    # b is worth exactly 1: a gap below the margin keeps a
+    slow = (Edge(0, 0, 1, 0.05, 1), Edge(0, 0, 0, 0.95, 1), Edge(0, 1, 1, 1.0, 1))
+    # a loses; b and c both reach sA surely, so b, the lower index, wins
+    tie = (Edge(0, 0, 2, 1.0, 1), Edge(0, 1, 1, 1.0, 1), Edge(0, 2, 1, 1.0, 1))
+    for edges, acts, want in ((slow, acts[:2], 0), (tie, acts, 1)):
+        res = buchi_value(build_product(Mdp(names, acts, GN, 0, edges + loops), accept_g))
+        assert res.strategy.choice[0] == want
+        assert abs(res.at_initial() - 1.0) <= 1e-12
+
+
 def test_unreachable_automaton_state_is_dropped(i2):
     # q1 is disconnected; the product equals the one-state automaton's
     a = Nba(
@@ -186,3 +218,40 @@ def test_values_are_probabilities():
         assert np.all(res.values >= 0.0)
         assert np.all(res.values <= 1.0 + 1e-12)
         res.strategy.check(p)
+
+
+def test_oracle_matches_reference(corpus):
+    # the column oracle against its former tuple walk, bit for bit: values,
+    # strategy, components with their retained pairs, policy satisfaction
+    products = []
+    for mdp in sorted((corpus / "mdp").glob("*.json")):
+        for hoa in sorted((corpus / "hoa").glob("*.hoa")):
+            a = parse_hoa(hoa.read_text())
+            a = complete_with_trap(a) if hoa.stem == "incomplete_g" else a
+            products.append(build_product(load_mdp(mdp), a))
+    rng = np.random.default_rng(16)
+    for make_automaton in (random_det_automaton, random_nondet_automaton):
+        built = 0
+        while built < 20:
+            try:
+                products.append(build_product(random_mdp(rng), make_automaton(rng)))
+            except DeadEndError:
+                continue
+            built += 1
+    products.append(large_instance(np.random.default_rng(1))[2])
+    assert len(products) == 12 + 40 + 1
+    for p in products:
+        total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+        pool = [greedy_policy(total, solve_optimal(total).values)]
+        pool += [random_strategy(p, rng) for _ in range(5)]
+        want, want_sat = oracle_reference(p, pool)
+        got = buchi_value(p)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.strategy == want.strategy
+        # repr also tells Python ints and bools from numpy scalars
+        assert repr(got.mecs) == repr(want.mecs)
+        assert repr(mec_decomposition(p)) == repr(want.mecs)
+        assert got.accepting_mecs == want.accepting_mecs
+        assert got.lower_bound_only == want.lower_bound_only
+        for f, sat in zip(pool, want_sat):
+            assert policy_buchi_probability(p, f).tobytes() == sat.tobytes()
