@@ -37,7 +37,7 @@ from .mdp import MdpFormatError, load_mdp, validate
 from .oracle import PolicyIterationError, buchi_value
 from .product import ProductError, ProductMdp, build_product
 from .shaping import Mode, PayoffSpec, augment
-from .solvers import ConvergenceError, evaluate_policy, greedy_policy, solve_optimal
+from .solvers import ConvergenceError, greedy_policy, solve_optimal
 from .verify import threshold_sweep, verify_instance
 
 EXIT_OK = 0

@@ -138,6 +138,8 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
             "(complete_with_trap adds a rejecting trap)"
         )
     sym_map = tuple(a.symbols.index(name) for name in m.symbols)
+    # delta[q][x] = {q': accepting} for reading MDP symbol x in automaton state q
+    delta = [[dict(a.moves(q, x)) for x in sym_map] for q in range(a.n_states)]
 
     states: list[tuple[int, int]] = [(m.initial, a.initial)]
     index: dict[tuple[int, int], int] = {states[0]: 0}
@@ -162,28 +164,18 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
                     f"unlabelled edge at ({m.states[s]},{m.actions[act]}); "
                     "validate the MDP first"
                 )
-            for q2 in range(a.n_states):
-                marks: list[bool] = []
+            moves = [delta[q][e.symbol] for e in edges]
+            # a pair survives when every branch has a move to its q2; the
+            # successors are numbered only once the pair is known to survive
+            for q2 in sorted(set(moves[0]).intersection(*moves[1:])):
+                action.append(act)
+                memory.append(q2)
                 for e in edges:
-                    acc = None
-                    for r, f in a.moves(q, sym_map[e.symbol]):
-                        if r == q2:
-                            acc = f
-                            break
-                    if acc is None:
-                        marks = []
-                        break
-                    marks.append(acc)
-                if marks:
-                    # successors are numbered only once the pair is known to survive
-                    action.append(act)
-                    memory.append(q2)
-                    for e in edges:
-                        succ.append(state_id((e.succ, q2)))
-                    prob.extend(e.prob for e in edges)
-                    symbol.extend(e.symbol for e in edges)
-                    accepting += marks
-                    branch_start.append(len(succ))
+                    succ.append(state_id((e.succ, q2)))
+                prob.extend(e.prob for e in edges)
+                symbol.extend(e.symbol for e in edges)
+                accepting.extend(move[q2] for move in moves)
+                branch_start.append(len(succ))
         if len(action) == pair_start[-1]:
             raise DeadEndError(
                 f"product state ({m.states[s]},q{q}) has no available pair; "

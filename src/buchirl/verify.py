@@ -79,6 +79,8 @@ def tail_check(
     total view `model`."""
     if model.mode is not Mode.TOTAL_REWARD:
         raise ValueError("the tail check runs on the total view")
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     zeta = model.zeta
     steps = min(1000, max(50, int(np.ceil(np.log(1e-9) / np.log(zeta)))))
     rng = np.random.default_rng(seed)

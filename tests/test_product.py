@@ -1,5 +1,6 @@
 """Product construction, accepting branches and strategy translation."""
 
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -313,7 +314,10 @@ def test_product_columns_match_reference(corpus):
             a = parse_hoa(hoa.read_text())
             cases.append((load_mdp(mdp), complete_with_trap(a) if hoa.stem == "incomplete_g" else a))
     rng = np.random.default_rng(14)
-    for make_automaton in (random_det_automaton, random_nondet_automaton):
+    # 16-state automata make successor sets whose iteration order is not
+    # ascending, so these cases pin that pairs come in ascending q'
+    wide_automaton = partial(random_nondet_automaton, max_states=16)
+    for make_automaton in (random_det_automaton, random_nondet_automaton, wide_automaton):
         built = 0
         while built < 20:
             m, a = random_mdp(rng), make_automaton(rng)
@@ -326,7 +330,7 @@ def test_product_columns_match_reference(corpus):
                 continue
             cases.append((m, a))
             built += 1
-    assert len(cases) == 12 + 40
+    assert len(cases) == 12 + 60
     for m, a in cases:
         states, pairs, caveat = product_reference(m, a)
         p = build_product(m, a)

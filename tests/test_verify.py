@@ -98,6 +98,8 @@ def test_tail_check_direct(self_loop_product):
     for mode in (Mode.REACH_TARGET, Mode.BIASED_DISCOUNT):
         with pytest.raises(ValueError, match="total view"):
             tail_check(augment(self_loop_product, PayoffSpec(mode, 0.9)), Strategy((0,)), 10)
+    with pytest.raises(ValueError, match="episodes"):
+        tail_check(total, Strategy((0,)), 0)
 
 
 def test_tail_check_never(never_product):
