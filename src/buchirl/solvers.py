@@ -1,8 +1,15 @@
 """Exact solvers on augmented models.
 
 Optimal values come from value iteration started at the all-zero vector,
-which converges to the least fixpoint of the Bellman backup from below; the
-iterates are monotone because rewards are nonnegative.
+which converges to the least fixpoint of the Bellman backup from below.  One
+sweep lays every pair's backup out on a rank-major (K, n) grid, K the most
+pairs any state has: the k-th pair of state s is cell (k, s), and the cells
+of states with fewer than K pairs hold -inf.  One bincount sums the branches
+into their cells in branch order, a state's value is its column's max, and
+the greedy policy takes the first row that attains it.  The iterates never
+decrease, exactly and not just up to rounding: rewards and weights are
+nonnegative and rounded sums and products are monotone, so from zero every
+entry of new - v is >= 0, and its max is the sup-norm step.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
 states that can reach a reward at all (everything else is exactly 0, and
@@ -69,39 +76,44 @@ REFINE_PASSES = 4  # BiCGSTAB passes on the true residual before giving up
 RESIDUAL_TOL = 4 * 2.0**-52
 
 
-def _pair_values(model: AugmentedModel):
-    """The map v -> value of every pair under v, one backup step ahead.
+def _pair_grid(model: AugmentedModel):
+    """The map v -> every pair's value one backup step ahead, as a (K, n) grid.
 
-    Leak branches (weight 0, successor the target) are masked out; each
-    pair's sum runs in branch order.
+    K is the most pairs any state has; the k-th pair of state s sits in row k,
+    column s, and the cells of states with fewer than K pairs hold -inf.  Leak
+    branches (weight 0, successor the target) are masked out; each cell's sum
+    runs in branch order.
     """
     flat = model.flat
-    n_pairs = flat.base.size
+    n = model.n_states
+    counts = np.diff(flat.pair_start)
+    state = np.repeat(np.arange(n), counts)
+    cell = (np.arange(state.size) - flat.pair_start[state]) * n + state
+    k = int(counts.max())
+    base = np.full(k * n, -np.inf)
+    base[cell] = flat.base
     kept = np.flatnonzero(flat.weight)
-    pair = np.searchsorted(flat.branch_start, kept, side="right") - 1
+    slot = cell[np.searchsorted(flat.branch_start, kept, side="right") - 1]
     succ = flat.succ[kept]
     w = flat.weight[kept]
-    return lambda v: flat.base + np.bincount(pair, weights=w * v[succ], minlength=n_pairs)
+    return lambda v: (base + np.bincount(slot, weights=w * v[succ], minlength=k * n)).reshape(k, n)
 
 
 def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
     """One application of the optimal backup; exposed for tests."""
-    q = _pair_values(model)(np.asarray(v, dtype=float))
-    return np.maximum.reduceat(q, model.flat.pair_start[:-1])
+    return _pair_grid(model)(np.asarray(v, dtype=float)).max(axis=0)
 
 
 def solve_optimal(
     model: AugmentedModel, tol: float = 1e-10, max_iter: int = 10**6
 ) -> ValueVector:
     """Value iteration from zero until the sup-norm step drops to tol."""
-    pair_values = _pair_values(model)
-    starts = model.flat.pair_start[:-1]
-    n = model.n_states
-    v = np.zeros(n)
+    pair_grid = _pair_grid(model)
+    v = np.zeros(model.n_states)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        new = np.maximum.reduceat(pair_values(v), starts)
-        residual = float(np.max(np.abs(new - v))) if n else 0.0
+        new = pair_grid(v).max(axis=0)
+        residual = float((new - v).max())  # new >= v, see the module docstring
         v = new
         if residual <= tol:
             return ValueVector(v, residual, it)
@@ -110,12 +122,8 @@ def solve_optimal(
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     """The pair with the best one-step backup per state, lowest index on ties."""
-    q = _pair_values(model)(np.asarray(v, dtype=float))
-    bounds = model.flat.pair_start
-    best = np.repeat(np.maximum.reduceat(q, bounds[:-1]), np.diff(bounds))
-    # first pair per state that attains the state's best value
-    first = np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), bounds[:-1])
-    return Strategy(tuple((first - bounds[:-1]).tolist()))
+    q = _pair_grid(model)(np.asarray(v, dtype=float))
+    return Strategy(tuple(np.argmax(q == q.max(axis=0), axis=0).tolist()))
 
 
 def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:

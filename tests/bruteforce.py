@@ -7,7 +7,10 @@ positional strategies, lasso acceptance from a flagged transitive closure,
 and the product and payoff-view tables from loops over tuples, one branch at
 a time.  Size caps keep everything desk-scale.  The one user of the
 package's graph helper is `oracle_reference`, the oracle's former tuple walk,
-which the column oracle must match bit for bit.
+which the column oracle must match bit for bit.  Likewise `solve_optimal`,
+`bellman_backup` and `greedy_policy` here are the former flat per-pair value
+iteration, which the solvers' pair grid must match bit for bit; they share
+only the result types with the package.
 """
 
 import itertools
@@ -29,7 +32,8 @@ from buchirl.product import (
     ProductMdp,
     Strategy,
 )
-from buchirl.shaping import FlatBranches, Mode
+from buchirl.shaping import AugmentedModel, FlatBranches, Mode
+from buchirl.solvers import ConvergenceError, ValueVector
 
 
 def augment_reference(p, spec):
@@ -525,6 +529,60 @@ def optimal_value_bruteforce(model):
     for choice in all_strategies(model.product):
         best = np.maximum(best, policy_value_bruteforce(model, choice))
     return best
+
+
+# The value iteration that the pair grid replaced, kept verbatim: one flat
+# value per pair, and each state's best by np.maximum.reduceat.  The grid
+# must match it bit for bit (values, residual, sweep count, greedy choice).
+
+
+def _pair_values(model: AugmentedModel):
+    """The map v -> value of every pair under v, one backup step ahead.
+
+    Leak branches (weight 0, successor the target) are masked out; each
+    pair's sum runs in branch order.
+    """
+    flat = model.flat
+    n_pairs = flat.base.size
+    kept = np.flatnonzero(flat.weight)
+    pair = np.searchsorted(flat.branch_start, kept, side="right") - 1
+    succ = flat.succ[kept]
+    w = flat.weight[kept]
+    return lambda v: flat.base + np.bincount(pair, weights=w * v[succ], minlength=n_pairs)
+
+
+def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
+    """One application of the optimal backup; exposed for tests."""
+    q = _pair_values(model)(np.asarray(v, dtype=float))
+    return np.maximum.reduceat(q, model.flat.pair_start[:-1])
+
+
+def solve_optimal(
+    model: AugmentedModel, tol: float = 1e-10, max_iter: int = 10**6
+) -> ValueVector:
+    """Value iteration from zero until the sup-norm step drops to tol."""
+    pair_values = _pair_values(model)
+    starts = model.flat.pair_start[:-1]
+    n = model.n_states
+    v = np.zeros(n)
+    residual = math.inf
+    for it in range(1, max_iter + 1):
+        new = np.maximum.reduceat(pair_values(v), starts)
+        residual = float(np.max(np.abs(new - v))) if n else 0.0
+        v = new
+        if residual <= tol:
+            return ValueVector(v, residual, it)
+    raise ConvergenceError("value iteration did not converge", residual, max_iter)
+
+
+def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
+    """The pair with the best one-step backup per state, lowest index on ties."""
+    q = _pair_values(model)(np.asarray(v, dtype=float))
+    bounds = model.flat.pair_start
+    best = np.repeat(np.maximum.reduceat(q, bounds[:-1]), np.diff(bounds))
+    # first pair per state that attains the state's best value
+    first = np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), bounds[:-1])
+    return Strategy(tuple((first - bounds[:-1]).tolist()))
 
 
 def lasso_accept_bruteforce(a, word):

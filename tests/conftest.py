@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from buchirl import build_product, load_mdp, parse_hoa
+from buchirl import build_product, complete_with_trap, load_mdp, parse_hoa
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -41,3 +41,16 @@ def self_loop_product(accept_g):
 def never_product(accept_g):
     m = load_mdp(CORPUS / "mdp" / "never.json")
     return build_product(m, accept_g)
+
+
+@pytest.fixture(scope="session")
+def corpus_products():
+    """The products of all 12 corpus MDP/automaton pairs, in file order;
+    incomplete_g builds only once a rejecting trap completes it."""
+    out = []
+    for mdp in sorted((CORPUS / "mdp").glob("*.json")):
+        for hoa in sorted((CORPUS / "hoa").glob("*.hoa")):
+            a = parse_hoa(hoa.read_text())
+            a = complete_with_trap(a) if hoa.stem == "incomplete_g" else a
+            out.append(build_product(load_mdp(mdp), a))
+    return tuple(out)

@@ -14,9 +14,7 @@ from buchirl import (
     augment,
     build_product,
     buchi_value,
-    complete_with_trap,
     greedy_policy,
-    load_mdp,
     mec_decomposition,
     parse_hoa,
     policy_buchi_probability,
@@ -220,15 +218,10 @@ def test_values_are_probabilities():
         res.strategy.check(p)
 
 
-def test_oracle_matches_reference(corpus):
+def test_oracle_matches_reference(corpus_products):
     # the column oracle against its former tuple walk, bit for bit: values,
     # strategy, components with their retained pairs, policy satisfaction
-    products = []
-    for mdp in sorted((corpus / "mdp").glob("*.json")):
-        for hoa in sorted((corpus / "hoa").glob("*.hoa")):
-            a = parse_hoa(hoa.read_text())
-            a = complete_with_trap(a) if hoa.stem == "incomplete_g" else a
-            products.append(build_product(load_mdp(mdp), a))
+    products = list(corpus_products)
     rng = np.random.default_rng(16)
     for make_automaton in (random_det_automaton, random_nondet_automaton):
         built = 0

@@ -1,6 +1,7 @@
 """Value iteration and exact policy evaluation against hand values and a
 pure-python reference."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from buchirl import solvers
 from buchirl import (
     ConvergenceError,
+    DeadEndError,
     Edge,
     Mdp,
     Mode,
@@ -28,14 +30,33 @@ from buchirl import (
 )
 from buchirl.verify import EQUALITY_TOL, IDENTITY_TOL
 
+import bruteforce
 from bruteforce import optimal_value_bruteforce, policy_value_bruteforce
-from generators import large_instance, random_instance, small_instance
+from generators import (
+    large_instance,
+    random_instance,
+    random_mdp,
+    random_nondet_automaton,
+    small_instance,
+)
 
 GN = ("g", "n")
 
 
 def view(product, mode, zeta):
     return augment(product, PayoffSpec(mode, zeta))
+
+
+def nondet_products(rng, count):
+    """Products of random MDPs with nondeterministic automata of up to 16
+    states, where some states have several times the pairs of others."""
+    out = []
+    while len(out) < count:
+        try:
+            out.append(build_product(random_mdp(rng), random_nondet_automaton(rng, max_states=16)))
+        except DeadEndError:
+            continue
+    return out
 
 
 class TestCorpusValues:
@@ -88,6 +109,67 @@ def test_greedy_breaks_exact_ties_low(accept_g):
     v = solve_optimal(model)
     assert greedy_policy(model, v.values).choice == (0,)
 
+    # s0: a leaves for the g-free part, b and c tie at rank 1 and 2; s1 and s2
+    # have fewer pairs than s0, every one worth exactly 0
+    m = Mdp(
+        ("s0", "s1", "s2"),
+        ("a", "b", "c"),
+        GN,
+        0,
+        (
+            Edge(0, 0, 1, 1.0, 1),
+            Edge(0, 1, 0, 1.0, 0),
+            Edge(0, 2, 0, 1.0, 0),
+            Edge(1, 0, 2, 1.0, 1),
+            Edge(1, 1, 1, 1.0, 1),
+            Edge(2, 0, 2, 1.0, 1),
+        ),
+    )
+    p = build_product(m, accept_g)
+    assert np.diff(p.pair_start).tolist() == [3, 2, 1]
+    for mode in Mode:
+        model = view(p, mode, 0.9)
+        v = solve_optimal(model)
+        assert v.values[0] > 0.0 and v.values[1] == v.values[2] == 0.0
+        f = greedy_policy(model, v.values)
+        f.check(p)
+        assert f.choice == (1, 0, 0)
+        assert f == bruteforce.greedy_policy(model, v.values)
+
+
+def test_value_iteration_matches_reference(corpus_products):
+    # the pair grid against the flat per-pair sweep it replaced, bit for bit:
+    # values, residual, sweep count, greedy choice and one backup, and the
+    # residual of a run cut short before it converges
+    products = list(corpus_products)
+    rng = np.random.default_rng(27)
+    products += [random_instance(rng)[2] for _ in range(30)]
+    products += nondet_products(rng, 20)
+    products.append(large_instance(np.random.default_rng(28))[2])
+    assert len(products) == 12 + 30 + 20 + 1
+    assert max(np.diff(p.pair_start).max() for p in products) >= 6
+    for p in products:
+        for zeta in (0.5, 0.9, 0.99):
+            for mode in Mode:
+                m = view(p, mode, zeta)
+                got, want = solve_optimal(m), bruteforce.solve_optimal(m)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert (got.residual, got.iterations) == (want.residual, want.iterations)
+                f = greedy_policy(m, got.values)
+                f.check(p)
+                assert f == bruteforce.greedy_policy(m, want.values)
+                half = got.values / 2
+                assert bellman_backup(m, half).tobytes() == bruteforce.bellman_backup(m, half).tobytes()
+                if got.iterations == 1:
+                    continue  # all zero, converged at its first sweep
+                cut = min(got.iterations - 1, 64)
+                with pytest.raises(ConvergenceError) as exc:
+                    solve_optimal(m, max_iter=cut)
+                with pytest.raises(ConvergenceError) as ref:
+                    bruteforce.solve_optimal(m, max_iter=cut)
+                assert exc.value.residual == ref.value.residual > 0.0
+                assert exc.value.iterations == ref.value.iterations == cut
+
 
 class TestEvaluatePolicy:
     def test_i2_policy_b_total(self, i2_product):
@@ -118,18 +200,19 @@ class TestEvaluatePolicy:
 
 
 def test_vi_iterates_are_monotone(i2_product):
+    # exactly, with no rounding slack: solve_optimal's step max(new - v) is
+    # the sup-norm step only because no entry ever decreases
     rng = np.random.default_rng(21)
-    models = [view(i2_product, Mode.TOTAL_REWARD, 0.8)]
-    for _ in range(5):
-        _, _, p = random_instance(rng)
-        models.append(view(p, Mode.TOTAL_REWARD, 0.7))
-        models.append(view(p, Mode.REACH_TARGET, 0.7))
-    for m in models:
-        v = np.zeros(m.n_states)
-        for _ in range(60):
-            new = bellman_backup(m, v)
-            assert np.all(new >= v - 1e-12)
-            v = new
+    products = [i2_product] + [random_instance(rng)[2] for _ in range(5)]
+    products += nondet_products(rng, 5)
+    for p in products:
+        for mode, zeta in itertools.product(Mode, (0.7, 0.8)):
+            m = view(p, mode, zeta)
+            v = np.zeros(m.n_states)
+            for _ in range(60):
+                new = bellman_backup(m, v)
+                assert np.all(new >= v)
+                v = new
 
 
 def test_total_and_biased_backups_coincide(i2_product):
