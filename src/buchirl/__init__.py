@@ -71,6 +71,7 @@ from .solvers import (
     evaluate_policy,
     greedy_policy,
     solve_optimal,
+    solve_optimal_many,
 )
 from .verify import (
     SweepRow,

@@ -11,6 +11,18 @@ decrease, exactly and not just up to rounding: rewards and weights are
 nonnegative and rounded sums and products are monotone, so from zero every
 entry of new - v is >= 0, and its max is the sup-norm step.
 
+`solve_optimal_many` holds the one value-iteration loop; `solve_optimal` is
+its one-model case.  Several models sweep together on one (K, N) grid: their
+state columns sit side by side (N the summed state count, K the largest of
+their pair counts), each model's slots and successors offset by the columns
+of the models before it.  Every cell still sums the same branches in the
+same order, and a maximum is exact in any order, so each model's iterate is
+bit for bit its iterate alone; one reduceat over the columns gives each
+model's step.  A model leaves at its own first step <= tol with that sweep's
+values, and the rest are restacked, so no sweep works on a finished model.
+Stacking pays on small models, whose sweeps cost mostly per-call overhead;
+on large ones a sweep is bound by its data, and the stack only keeps pace.
+
 Per-strategy values solve one linear system (I - W) x = b restricted to the
 states that can reach a reward at all (everything else is exactly 0, and
 restricting also keeps the system nonsingular).  Up to DENSE_LIMIT such
@@ -28,7 +40,9 @@ the branch layout lives in `shaping`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,13 +90,37 @@ REFINE_PASSES = 4  # BiCGSTAB passes on the true residual before giving up
 RESIDUAL_TOL = 4 * 2.0**-52
 
 
-def _pair_grid(model: AugmentedModel):
-    """The map v -> every pair's value one backup step ahead, as a (K, n) grid.
+class _Grid(NamedTuple):
+    """Pair values laid out on a rank-major (K, N) grid of N columns; stacked
+    models start at the columns in `starts`.
 
-    K is the most pairs any state has; the k-th pair of state s sits in row k,
-    column s, and the cells of states with fewer than K pairs hold -inf.  Leak
-    branches (weight 0, successor the target) are masked out; each cell's sum
-    runs in branch order.
+    Each kept branch adds its weight times its successor's value to its
+    pair's cell `slot`, in branch order, and cells without a pair hold -inf.
+    """
+
+    shape: tuple[int, int]
+    starts: np.ndarray
+    base: np.ndarray
+    slot: np.ndarray
+    succ: np.ndarray
+    weight: np.ndarray
+
+
+def _backup(grid: _Grid):
+    """The map v -> every pair's value one backup step ahead, on `grid`."""
+    shape, _, base, slot, succ, weight = grid
+
+    def backup(v: np.ndarray) -> np.ndarray:
+        sums = np.bincount(slot, weights=weight * v[succ], minlength=base.size)
+        return (base + sums).reshape(shape)
+
+    return backup
+
+
+def _pair_grid(model: AugmentedModel) -> _Grid:
+    """One model's grid: column s is state s, and K is the most pairs any
+    state has.  Leak branches (weight 0, successor the target) are masked
+    out.
     """
     flat = model.flat
     n = model.n_states
@@ -94,35 +132,96 @@ def _pair_grid(model: AugmentedModel):
     base[cell] = flat.base
     kept = np.flatnonzero(flat.weight)
     slot = cell[np.searchsorted(flat.branch_start, kept, side="right") - 1]
-    succ = flat.succ[kept]
-    w = flat.weight[kept]
-    return lambda v: (base + np.bincount(slot, weights=w * v[succ], minlength=k * n)).reshape(k, n)
+    starts = np.zeros(1, dtype=np.int64)
+    return _Grid((k, n), starts, base, slot, flat.succ[kept], flat.weight[kept])
+
+
+def _stack(grids: list[_Grid]) -> _Grid:
+    """One-model grids side by side: each takes the columns after those of
+    the grids before it and the top rows of the common K, and its slots and
+    successors move with its columns.
+    """
+    if len(grids) == 1:
+        return grids[0]
+    rows = max(g.shape[0] for g in grids)
+    starts = np.cumsum([0] + [g.shape[1] for g in grids])
+    cols = int(starts[-1])
+    base = np.full((rows, cols), -np.inf)
+    slot = []
+    succ = []
+    for g, off in zip(grids, starts.tolist()):
+        k, n = g.shape
+        base[:k, off : off + n] = g.base.reshape(k, n)
+        slot.append(g.slot + g.slot // n * (cols - n) + off)  # (rank, s) -> (rank, off + s)
+        succ.append(g.succ + off)
+    return _Grid(
+        (rows, cols),
+        starts[:-1],
+        base.ravel(),
+        np.concatenate(slot),
+        np.concatenate(succ),
+        np.concatenate([g.weight for g in grids]),
+    )
 
 
 def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
     """One application of the optimal backup; exposed for tests."""
-    return _pair_grid(model)(np.asarray(v, dtype=float)).max(axis=0)
+    return _backup(_pair_grid(model))(np.asarray(v, dtype=float)).max(axis=0)
 
 
 def solve_optimal(
     model: AugmentedModel, tol: float = 1e-10, max_iter: int = 10**6
 ) -> ValueVector:
     """Value iteration from zero until the sup-norm step drops to tol."""
-    pair_grid = _pair_grid(model)
-    v = np.zeros(model.n_states)
-    residual = math.inf
+    return solve_optimal_many([model], tol, max_iter)[0]
+
+
+def solve_optimal_many(
+    models: Sequence[AugmentedModel], tol: float = 1e-10, max_iter: int = 10**6
+) -> tuple[ValueVector, ...]:
+    """`solve_optimal` on every model, in one value-iteration loop.
+
+    Each result is bit for bit the one its model gets alone.  If some models
+    do not converge within max_iter sweeps, ConvergenceError is raised for
+    the first of them, as calls on one model after another would raise it.
+    """
+    grids = [_pair_grid(m) for m in models]
+    if not grids:
+        return ()
+    out: list[ValueVector | None] = [None] * len(grids)
+    active = list(range(len(grids)))  # the unconverged models, in input order
+    steps = [math.inf] * len(grids)
+    grid = _stack(grids)
+    backup = _backup(grid)
+    v = np.zeros(grid.shape[1])
     for it in range(1, max_iter + 1):
-        new = pair_grid(v).max(axis=0)
-        residual = float((new - v).max())  # new >= v, see the module docstring
+        new = backup(v).max(axis=0)
+        # each model's max of new - v is its sup-norm step, see the module docstring
+        steps = np.maximum.reduceat(new - v, grid.starts).tolist()
         v = new
-        if residual <= tol:
-            return ValueVector(v, residual, it)
-    raise ConvergenceError("value iteration did not converge", residual, max_iter)
+        if min(steps) > tol:
+            continue
+        # the converged models leave with this sweep's values, the rest restack
+        bounds = grid.starts.tolist() + [v.size]
+        left = []
+        for k, i in enumerate(active):
+            if steps[k] <= tol:
+                out[i] = ValueVector(v[bounds[k] : bounds[k + 1]].copy(), steps[k], it)
+            else:
+                left.append(k)
+        if not left:
+            return tuple(out)
+        v = np.concatenate([v[bounds[k] : bounds[k + 1]] for k in left])
+        steps = [steps[k] for k in left]
+        active = [active[k] for k in left]
+        grid = _stack([grids[i] for i in active])
+        backup = _backup(grid)
+    raise ConvergenceError("value iteration did not converge", steps[0], max_iter)
 
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     """The pair with the best one-step backup per state, lowest index on ties."""
-    q = _pair_grid(model)(np.asarray(v, dtype=float))
+    q = _backup(_pair_grid(model))(np.asarray(v, dtype=float))
     return Strategy(tuple(np.argmax(q == q.max(axis=0), axis=0).tolist()))
 
 

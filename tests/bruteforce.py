@@ -10,7 +10,9 @@ package's graph helper is `oracle_reference`, the oracle's former tuple walk,
 which the column oracle must match bit for bit.  Likewise `solve_optimal`,
 `bellman_backup` and `greedy_policy` here are the former flat per-pair value
 iteration, which the solvers' pair grid must match bit for bit; they share
-only the result types with the package.
+only the result types with the package.  `verify_reference` is the former
+`verify_instance` loop: it calls the package's product, views, policy
+evaluation and oracle, and solves the optima with that flat iteration.
 """
 
 import itertools
@@ -31,9 +33,20 @@ from buchirl.product import (
     ProductError,
     ProductMdp,
     Strategy,
+    build_product,
+    random_strategy,
 )
-from buchirl.shaping import AugmentedModel, FlatBranches, Mode
-from buchirl.solvers import ConvergenceError, ValueVector
+from buchirl.shaping import AugmentedModel, FlatBranches, Mode, PayoffSpec, augment
+from buchirl.solvers import ConvergenceError, ValueVector, evaluate_policy
+from buchirl.verify import (
+    BOUND_TOL,
+    EQUALITY_TOL,
+    IDENTITY_TOL,
+    PROB1_TOL,
+    TailCheck,
+    VerifyReport,
+    tail_check,
+)
 
 
 def augment_reference(p, spec):
@@ -583,6 +596,86 @@ def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     # first pair per state that attains the state's best value
     first = np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), bounds[:-1])
     return Strategy(tuple((first - bounds[:-1]).tolist()))
+
+
+# verify_instance as it was before its views were solved in one stacked
+# loop, kept verbatim.  Here `solve_optimal` and `greedy_policy` resolve to
+# the flat per-pair iteration above, one view at a time inside the zeta loop,
+# so the reference shares no value-iteration code with the package.
+
+
+def verify_reference(m, a, zetas=(0.5, 0.9), n_random=20, seed=0, tail_episodes=0):
+    """The report `verify_instance(m, a, ...)` must equal field for field.
+
+    Product, views, policy evaluation, the tail check and the component
+    oracle are the package's; only the optimal solves and greedy choices are
+    this module's.
+    """
+    from buchirl.oracle import policy_buchi_probability
+
+    p = build_product(m, a)
+    rng = np.random.default_rng(seed)
+    identity_err = 0.0
+    bound_excess = 0.0
+    equality_err = 0.0
+    prob1_bad = 0
+    checked = 0
+    tails: list[TailCheck] = []
+    for zeta in zetas:
+        cap = 1.0 / (1.0 - zeta)
+        reach = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta))
+        total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
+        biased = augment(p, PayoffSpec(Mode.BIASED_DISCOUNT, zeta))
+        v_reach = solve_optimal(reach)
+        v_total = solve_optimal(total)
+        v_biased = solve_optimal(biased)
+        equality_err = max(
+            equality_err, float(np.max(np.abs(v_total.values - v_biased.values)))
+        )
+        f_total = greedy_policy(total, v_total.values)
+        pool = [f_total, greedy_policy(reach, v_reach.values)]
+        pool += [random_strategy(p, rng) for _ in range(n_random)]
+        for f in pool:
+            et = evaluate_policy(total, f).values
+            pr = evaluate_policy(reach, f).values
+            ed = evaluate_policy(biased, f).values
+            psat = policy_buchi_probability(p, f)
+            identity_err = max(identity_err, float(np.max(np.abs(pr - (1.0 - zeta) * et))))
+            bound_excess = max(
+                bound_excess,
+                float(np.max(et - cap, initial=0.0)),
+                float(np.max(-et, initial=0.0)),
+            )
+            equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
+            sat = np.abs(psat - 1.0) <= PROB1_TOL
+            full = np.abs(et - cap) <= PROB1_TOL
+            prob1_bad += int(np.sum(sat != full))
+            checked += 1
+        if tail_episodes > 0:
+            tails.append(tail_check(total, f_total, tail_episodes, seed=seed))
+    identity_ok = identity_err <= IDENTITY_TOL
+    bounds_ok = bound_excess <= BOUND_TOL
+    equality_ok = equality_err <= EQUALITY_TOL
+    prob1_ok = prob1_bad == 0
+    passed = identity_ok and bounds_ok and equality_ok and prob1_ok and all(
+        t.ok for t in tails
+    )
+    return VerifyReport(
+        zetas=tuple(zetas),
+        policies_per_zeta=n_random + 2,
+        checked=checked,
+        identity_max_error=identity_err,
+        bound_max_excess=bound_excess,
+        equality_max_error=equality_err,
+        prob1_mismatches=prob1_bad,
+        identity_ok=identity_ok,
+        bounds_ok=bounds_ok,
+        equality_ok=equality_ok,
+        prob1_ok=prob1_ok,
+        tails=tuple(tails),
+        lower_bound_only=p.gfm_caveat,
+        passed=passed,
+    )
 
 
 def lasso_accept_bruteforce(a, word):

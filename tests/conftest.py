@@ -44,13 +44,20 @@ def never_product(accept_g):
 
 
 @pytest.fixture(scope="session")
-def corpus_products():
-    """The products of all 12 corpus MDP/automaton pairs, in file order;
-    incomplete_g builds only once a rejecting trap completes it."""
+def corpus_pairs():
+    """All 12 corpus (MDP, automaton) pairs, in file order; incomplete_g
+    comes completed with a rejecting trap, without which it builds no
+    product."""
     out = []
     for mdp in sorted((CORPUS / "mdp").glob("*.json")):
         for hoa in sorted((CORPUS / "hoa").glob("*.hoa")):
             a = parse_hoa(hoa.read_text())
             a = complete_with_trap(a) if hoa.stem == "incomplete_g" else a
-            out.append(build_product(load_mdp(mdp), a))
+            out.append((load_mdp(mdp), a))
     return tuple(out)
+
+
+@pytest.fixture(scope="session")
+def corpus_products(corpus_pairs):
+    """The products of the 12 corpus pairs, in the same order."""
+    return tuple(build_product(m, a) for m, a in corpus_pairs)

@@ -27,6 +27,7 @@ from buchirl import (
     greedy_policy,
     random_strategy,
     solve_optimal,
+    solve_optimal_many,
 )
 from buchirl.verify import EQUALITY_TOL, IDENTITY_TOL
 
@@ -169,6 +170,50 @@ def test_value_iteration_matches_reference(corpus_products):
                     bruteforce.solve_optimal(m, max_iter=cut)
                 assert exc.value.residual == ref.value.residual > 0.0
                 assert exc.value.iterations == ref.value.iterations == cut
+
+
+def test_solve_optimal_many_matches_single(corpus_products):
+    # the stacked loop against one call per model and against the flat
+    # per-pair sweep, bit for bit: values, residual and sweep count
+    def check(models):
+        got = solve_optimal_many(models)
+        assert len(got) == len(models)
+        for m, v in zip(models, got):
+            for want in (solve_optimal(m), bruteforce.solve_optimal(m)):
+                assert v.values.tobytes() == want.values.tobytes()
+                assert (v.residual, v.iterations) == (want.residual, want.iterations)
+        return got
+
+    corpus = [view(p, mode, z) for p in corpus_products for mode in Mode for z in (0.5, 0.9, 0.99)]
+    assert len(corpus) == 108
+    check(corpus)
+
+    rng = np.random.default_rng(29)
+    mixed = [view(random_instance(rng)[2], Mode.TOTAL_REWARD, 0.9) for _ in range(4)]
+    mixed += [view(p, mode, 0.8) for p, mode in zip(nondet_products(rng, 3), Mode)]
+    mixed.insert(2, mixed[5])
+    assert len({m.n_states for m in mixed}) > 2
+    assert len({int(np.diff(m.flat.pair_start).max()) for m in mixed}) > 1
+    check(mixed)
+
+    _, _, p = large_instance(np.random.default_rng(28))
+    check([view(p, mode, 0.99) for mode in Mode])
+    check(corpus[40:41])
+    assert solve_optimal_many([]) == ()
+
+    # cut between the sweep counts so that only the middle model fails, then
+    # so that it and the last one fail: the error is the middle one's
+    models = [view(p, Mode.REACH_TARGET, 0.5), view(p, Mode.TOTAL_REWARD, 0.99)]
+    models.append(view(p, Mode.REACH_TARGET, 0.99))
+    iters = [solve_optimal(m).iterations for m in models]
+    assert iters[0] < iters[2] < iters[1]
+    for cut in (iters[2], iters[2] - 1):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_optimal_many(models, max_iter=cut)
+        with pytest.raises(ConvergenceError) as ref:
+            bruteforce.solve_optimal(models[1], max_iter=cut)
+        assert exc.value.residual == ref.value.residual > 0.0
+        assert exc.value.iterations == ref.value.iterations == cut
 
 
 class TestEvaluatePolicy:

@@ -1,5 +1,7 @@
 """Cross-view verification reports and the bias threshold sweep."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from buchirl import (
     verify_instance,
 )
 
-from generators import random_instance
+import bruteforce
+from generators import large_instance, random_instance
 
 GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -167,3 +170,25 @@ def test_verify_random_instances():
         rep = verify_instance(m, a, zetas=(0.5, 0.8), n_random=5, seed=k)
         assert rep.passed
         assert rep.checked == 14
+
+
+def test_verify_rejects_empty_zetas(i2, accept_g):
+    # with no bias there is nothing to check, and passed would be vacuous
+    with pytest.raises(ValueError, match="zetas"):
+        verify_instance(i2, accept_g, zetas=())
+
+
+def test_verify_matches_reference(corpus_pairs):
+    # the views solved in one stacked loop against the former loop, which
+    # solves each view alone: the whole report, field for field
+    cases = [(m, a, {}) for m, a in corpus_pairs]
+    rng = np.random.default_rng(43)
+    for k in range(20):
+        m, a, _ = random_instance(rng)
+        zetas = tuple(float(z) for z in rng.choice((0.3, 0.5, 0.8, 0.9, 0.99), size=1 + k % 3))
+        cases.append((m, a, {"zetas": zetas, "n_random": 5, "seed": k}))
+    m, a, _ = large_instance(np.random.default_rng(44))
+    cases.append((m, a, {"zetas": (0.5, 0.9, 0.99), "n_random": 1, "tail_episodes": 200}))
+    for m, a, kw in cases:
+        want = bruteforce.verify_reference(m, a, **kw)
+        assert asdict(verify_instance(m, a, **kw)) == asdict(want)
