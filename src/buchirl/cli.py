@@ -112,16 +112,17 @@ def _read_automaton(args):
     return a
 
 
-def _load_checked(path):
-    """Load MDP JSON and refuse to compute on a semantically invalid model."""
-    m = load_mdp(path)
+def _load_inputs(args):
+    """Load the MDP and refuse a semantically invalid one, then read the
+    automaton."""
+    m = load_mdp(args.mdp)
     problems = [d for d in validate(m) if d.severity == "error"]
     if problems:
         raise ValueError(
             f"MDP failed validation with {len(problems)} error(s): "
             + "; ".join(d.message for d in problems[:3])
         )
-    return m
+    return m, _read_automaton(args)
 
 
 def _values_by_name(p: ProductMdp, values) -> dict[str, float]:
@@ -208,8 +209,7 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def cmd_product(args) -> tuple[dict, int]:
-    m = _load_checked(args.mdp)
-    a = _read_automaton(args)
+    m, a = _load_inputs(args)
     p = build_product(m, a)
     result = {
         "states": p.n_states,
@@ -227,8 +227,7 @@ def cmd_product(args) -> tuple[dict, int]:
 
 
 def cmd_solve(args) -> tuple[dict, int]:
-    m = _load_checked(args.mdp)
-    a = _read_automaton(args)
+    m, a = _load_inputs(args)
     p = build_product(m, a)
     model = augment(p, PayoffSpec(Mode(args.mode), args.zeta))
     v = solve_optimal(model, tol=args.tol, max_iter=args.max_iter)
@@ -247,8 +246,7 @@ def cmd_solve(args) -> tuple[dict, int]:
 
 
 def cmd_oracle(args) -> tuple[dict, int]:
-    m = _load_checked(args.mdp)
-    a = _read_automaton(args)
+    m, a = _load_inputs(args)
     p = build_product(m, a)
     res = buchi_value(p)
     result = {
@@ -266,8 +264,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
 
 
 def cmd_learn(args) -> tuple[dict, int]:
-    m = _load_checked(args.mdp)
-    a = _read_automaton(args)
+    m, a = _load_inputs(args)
     p = build_product(m, a)
     model = augment(p, PayoffSpec(Mode(args.mode), args.zeta))
     cfg = LearnConfig(
@@ -306,8 +303,7 @@ def cmd_learn(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    m = _load_checked(args.mdp)
-    a = _read_automaton(args)
+    m, a = _load_inputs(args)
     report = verify_instance(
         m,
         a,
@@ -320,8 +316,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
-    m = _load_checked(args.mdp)
-    a = _read_automaton(args)
+    m, a = _load_inputs(args)
     report = threshold_sweep(m, a, args.grid)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -360,35 +355,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trust the automaton to be good for MDPs",
     )
 
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--mdp", required=True)
+    inputs.add_argument("--hoa", required=True)
+
     s = sub.add_parser("validate", parents=[common, auto], help="check MDP JSON, optionally a pair")
     s.add_argument("--mdp", required=True)
     s.add_argument("--hoa")
     s.set_defaults(func=cmd_validate)
 
-    s = sub.add_parser("product", parents=[common, auto], help="build the product")
-    s.add_argument("--mdp", required=True)
-    s.add_argument("--hoa", required=True)
+    s = sub.add_parser("product", parents=[common, auto, inputs], help="build the product")
     s.add_argument("--zeta", type=_zeta, help="export the leaked dynamics instead of the raw product")
     s.add_argument("--export", help="write the (augmented) product as MDP JSON here")
     s.set_defaults(func=cmd_product)
 
-    s = sub.add_parser("solve", parents=[common, auto], help="optimal values of one payoff view")
-    s.add_argument("--mdp", required=True)
-    s.add_argument("--hoa", required=True)
+    s = sub.add_parser("solve", parents=[common, auto, inputs], help="optimal values of one payoff view")
     s.add_argument("--zeta", type=_zeta, required=True)
     s.add_argument("--mode", choices=[m.value for m in Mode], default="total")
     s.add_argument("--tol", type=_positive, default=1e-10)
     s.add_argument("--max-iter", type=_count(1), default=10**6)
     s.set_defaults(func=cmd_solve)
 
-    s = sub.add_parser("oracle", parents=[common, auto], help="independent Buchi value")
-    s.add_argument("--mdp", required=True)
-    s.add_argument("--hoa", required=True)
+    s = sub.add_parser("oracle", parents=[common, auto, inputs], help="independent Buchi value")
     s.set_defaults(func=cmd_oracle)
 
-    s = sub.add_parser("learn", parents=[common, auto], help="tabular Q-learning")
-    s.add_argument("--mdp", required=True)
-    s.add_argument("--hoa", required=True)
+    s = sub.add_parser("learn", parents=[common, auto, inputs], help="tabular Q-learning")
     s.add_argument("--zeta", type=_zeta, required=True)
     s.add_argument("--mode", choices=["total", "reach"], default="total")
     s.add_argument("--episodes", type=_count(1), default=50_000)
@@ -401,18 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--curve", help="write the learning curve CSV here")
     s.set_defaults(func=cmd_learn)
 
-    s = sub.add_parser("verify", parents=[common, auto], help="cross-check the payoff views")
-    s.add_argument("--mdp", required=True)
-    s.add_argument("--hoa", required=True)
+    s = sub.add_parser("verify", parents=[common, auto, inputs], help="cross-check the payoff views")
     s.add_argument("--zeta", type=_zeta, action="append", help="repeatable; default 0.5 and 0.9")
     s.add_argument("--policies", type=_count(0), default=20, help="random strategies per zeta")
     s.add_argument("--seed", type=_count(0), default=0)
     s.add_argument("--tail-episodes", type=_count(0), default=0, help="Monte Carlo tail check sample size")
     s.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("sweep", parents=[common, auto], help="greedy policy across a zeta grid")
-    s.add_argument("--mdp", required=True)
-    s.add_argument("--hoa", required=True)
+    s = sub.add_parser("sweep", parents=[common, auto, inputs], help="greedy policy across a zeta grid")
     s.add_argument("--grid", type=_grid, default=DEFAULT_GRID, help="comma-separated zetas")
     s.add_argument("--csv", help="write sweep rows as CSV here")
     s.set_defaults(func=cmd_sweep)

@@ -12,16 +12,18 @@ nonnegative and rounded sums and products are monotone, so from zero every
 entry of new - v is >= 0, and its max is the sup-norm step.
 
 `solve_optimal_many` holds the one value-iteration loop; `solve_optimal` is
-its one-model case.  Several models sweep together on one (K, N) grid: their
-state columns sit side by side (N the summed state count, K the largest of
-their pair counts), each model's slots and successors offset by the columns
-of the models before it.  Every cell still sums the same branches in the
-same order, and a maximum is exact in any order, so each model's iterate is
-bit for bit its iterate alone; one reduceat over the columns gives each
-model's step.  A model leaves at its own first step <= tol with that sweep's
-values, and the rest are restacked, so no sweep works on a finished model.
-Stacking pays on small models, whose sweeps cost mostly per-call overhead;
-on large ones a sweep is bound by its data, and the stack only keeps pace.
+its one-model case.  One builder, `_pair_grid`, lays out one model or
+several side by side on one (K, N) grid: their state columns follow each
+other (N the summed state count, K the largest of their pair counts), each
+model's cells and successors offset by the columns of the models before it.
+Every cell still sums the same branches in the same order, and a maximum is
+exact in any order, so each model's iterate is bit for bit its iterate
+alone; one reduceat over the columns gives each model's step.  A model
+leaves at its own first step <= tol with that sweep's values, and the grid
+is rebuilt from the models still running, so no sweep works on a finished
+model.  Stacking pays on small models, whose sweeps cost mostly per-call
+overhead; on large ones a sweep is bound by its data, and the stack only
+keeps pace.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
 states that can reach a reward at all (everything else is exactly 0, and
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,83 +92,44 @@ REFINE_PASSES = 4  # BiCGSTAB passes on the true residual before giving up
 RESIDUAL_TOL = 4 * 2.0**-52
 
 
-class _Grid(NamedTuple):
-    """Pair values laid out on a rank-major (K, N) grid of N columns; stacked
-    models start at the columns in `starts`.
+def _pair_grid(models: Sequence[AugmentedModel]):
+    """The models' pair values side by side on one rank-major (K, N) grid.
 
-    Each kept branch adds its weight times its successor's value to its
-    pair's cell `slot`, in branch order, and cells without a pair hold -inf.
+    N is the models' summed state count and K the most pairs any state has:
+    the k-th pair of state s of a model whose columns start at `off` is cell
+    k * N + off + s, and cells without a pair hold -inf.  A sweep costs K * N
+    cells, so one state with many pairs beside many one-pair states pads the
+    grid.  Returns each model's start column and the map v -> every pair's
+    value one backup step ahead, which adds each kept branch's weight times
+    its successor's value to its pair's cell, in branch order; leak branches
+    (weight 0, successor the target) are masked out.
     """
-
-    shape: tuple[int, int]
-    starts: np.ndarray
-    base: np.ndarray
-    slot: np.ndarray
-    succ: np.ndarray
-    weight: np.ndarray
-
-
-def _backup(grid: _Grid):
-    """The map v -> every pair's value one backup step ahead, on `grid`."""
-    shape, _, base, slot, succ, weight = grid
+    counts = [np.diff(m.flat.pair_start) for m in models]
+    starts = list(accumulate((m.n_states for m in models), initial=0))
+    k, n = int(max(c.max() for c in counts)), starts[-1]
+    base = np.full(k * n, -np.inf)
+    slot, succ, weight = [], [], []
+    for m, c, off in zip(models, counts, starts):
+        flat = m.flat
+        state = np.repeat(np.arange(m.n_states), c)
+        cell = (np.arange(state.size) - flat.pair_start[state]) * n + off + state
+        base[cell] = flat.base
+        kept = np.flatnonzero(flat.weight)
+        slot.append(cell[np.searchsorted(flat.branch_start, kept, side="right") - 1])
+        succ.append(flat.succ[kept] + off)
+        weight.append(flat.weight[kept])
+    slot, succ, weight = np.concatenate(slot), np.concatenate(succ), np.concatenate(weight)
 
     def backup(v: np.ndarray) -> np.ndarray:
         sums = np.bincount(slot, weights=weight * v[succ], minlength=base.size)
-        return (base + sums).reshape(shape)
+        return (base + sums).reshape(k, n)
 
-    return backup
-
-
-def _pair_grid(model: AugmentedModel) -> _Grid:
-    """One model's grid: column s is state s, and K is the most pairs any
-    state has.  Leak branches (weight 0, successor the target) are masked
-    out.
-    """
-    flat = model.flat
-    n = model.n_states
-    counts = np.diff(flat.pair_start)
-    state = np.repeat(np.arange(n), counts)
-    cell = (np.arange(state.size) - flat.pair_start[state]) * n + state
-    k = int(counts.max())
-    base = np.full(k * n, -np.inf)
-    base[cell] = flat.base
-    kept = np.flatnonzero(flat.weight)
-    slot = cell[np.searchsorted(flat.branch_start, kept, side="right") - 1]
-    starts = np.zeros(1, dtype=np.int64)
-    return _Grid((k, n), starts, base, slot, flat.succ[kept], flat.weight[kept])
-
-
-def _stack(grids: list[_Grid]) -> _Grid:
-    """One-model grids side by side: each takes the columns after those of
-    the grids before it and the top rows of the common K, and its slots and
-    successors move with its columns.
-    """
-    if len(grids) == 1:
-        return grids[0]
-    rows = max(g.shape[0] for g in grids)
-    starts = np.cumsum([0] + [g.shape[1] for g in grids])
-    cols = int(starts[-1])
-    base = np.full((rows, cols), -np.inf)
-    slot = []
-    succ = []
-    for g, off in zip(grids, starts.tolist()):
-        k, n = g.shape
-        base[:k, off : off + n] = g.base.reshape(k, n)
-        slot.append(g.slot + g.slot // n * (cols - n) + off)  # (rank, s) -> (rank, off + s)
-        succ.append(g.succ + off)
-    return _Grid(
-        (rows, cols),
-        starts[:-1],
-        base.ravel(),
-        np.concatenate(slot),
-        np.concatenate(succ),
-        np.concatenate([g.weight for g in grids]),
-    )
+    return np.array(starts[:-1]), backup
 
 
 def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
     """One application of the optimal backup; exposed for tests."""
-    return _backup(_pair_grid(model))(np.asarray(v, dtype=float)).max(axis=0)
+    return _pair_grid([model])[1](np.asarray(v, dtype=float)).max(axis=0)
 
 
 def solve_optimal(
@@ -185,24 +148,22 @@ def solve_optimal_many(
     do not converge within max_iter sweeps, ConvergenceError is raised for
     the first of them, as calls on one model after another would raise it.
     """
-    grids = [_pair_grid(m) for m in models]
-    if not grids:
+    if not models:
         return ()
-    out: list[ValueVector | None] = [None] * len(grids)
-    active = list(range(len(grids)))  # the unconverged models, in input order
-    steps = [math.inf] * len(grids)
-    grid = _stack(grids)
-    backup = _backup(grid)
-    v = np.zeros(grid.shape[1])
+    out: list[ValueVector | None] = [None] * len(models)
+    active = list(range(len(models)))  # the unconverged models, in input order
+    steps = [math.inf] * len(models)
+    starts, backup = _pair_grid(models)
+    v = np.zeros(sum(m.n_states for m in models))
     for it in range(1, max_iter + 1):
         new = backup(v).max(axis=0)
         # each model's max of new - v is its sup-norm step, see the module docstring
-        steps = np.maximum.reduceat(new - v, grid.starts).tolist()
+        steps = np.maximum.reduceat(new - v, starts).tolist()
         v = new
         if min(steps) > tol:
             continue
-        # the converged models leave with this sweep's values, the rest restack
-        bounds = grid.starts.tolist() + [v.size]
+        # the converged models leave with this sweep's values, the rest get a new grid
+        bounds = starts.tolist() + [v.size]
         left = []
         for k, i in enumerate(active):
             if steps[k] <= tol:
@@ -214,14 +175,13 @@ def solve_optimal_many(
         v = np.concatenate([v[bounds[k] : bounds[k + 1]] for k in left])
         steps = [steps[k] for k in left]
         active = [active[k] for k in left]
-        grid = _stack([grids[i] for i in active])
-        backup = _backup(grid)
+        starts, backup = _pair_grid([models[i] for i in active])
     raise ConvergenceError("value iteration did not converge", steps[0], max_iter)
 
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     """The pair with the best one-step backup per state, lowest index on ties."""
-    q = _backup(_pair_grid(model))(np.asarray(v, dtype=float))
+    q = _pair_grid([model])[1](np.asarray(v, dtype=float))
     return Strategy(tuple(np.argmax(q == q.max(axis=0), axis=0).tolist()))
 
 

@@ -213,6 +213,10 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
     p = build_product(m, a)
     opt = buchi_value(p).at_initial()
     rows: list[SweepRow] = []
+    # one solve_optimal per zeta rather than one solve_optimal_many for the
+    # grid: perfbench's tracer wraps solve_optimal but not solve_optimal_many,
+    # and perfbench/test_perfbench.py pins solvers.solve_optimal.calls == 2 for
+    # a two-point sweep, so batching waits until the tracer counts batched solves
     for zeta in grid:
         total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
         v = solve_optimal(total)

@@ -196,6 +196,16 @@ def test_solve_optimal_many_matches_single(corpus_products):
     assert len({int(np.diff(m.flat.pair_start).max()) for m in mixed}) > 1
     check(mixed)
 
+    # the model with the most pairs per state converges first, so the restack
+    # after it drops grid rows: corpus total views of i2 and self_loop with
+    # accept_g and nondet_g beside a nondeterministic product's reach view
+    hub = view(nondet_products(np.random.default_rng(31), 1)[0], Mode.REACH_TARGET, 0.5)
+    shrink = [hub] + [view(corpus_products[i], Mode.TOTAL_REWARD, 0.99) for i in (0, 3, 8, 11)]
+    iters = [solve_optimal(m).iterations for m in shrink]
+    pairs = [int(np.diff(m.flat.pair_start).max()) for m in shrink]
+    assert iters[0] < min(iters[1:]) and pairs[0] > max(pairs[1:])
+    check(shrink)
+
     _, _, p = large_instance(np.random.default_rng(28))
     check([view(p, mode, 0.99) for mode in Mode])
     check(corpus[40:41])
