@@ -6,11 +6,12 @@ Updates are undiscounted; the termination itself supplies the effective
 bias, so the fixpoint of the update is the expected payoff of the view.
 Against the target there is no bootstrap.
 
-One episode loop does the learning.  `train` runs it without a trace;
-`run_episode` runs single episodes through it with a trace sink, so the
-trace shows exactly what training does.  Randomness comes from a buffered
-uniform stream that is bit-transparent to the underlying generator, so a
-sequence of `run_episode` calls on one stream replays `train` draw for draw.
+One episode loop does the learning, on tables that one builder, `_sim`,
+makes.  `train` runs it without a trace; `run_episode` runs single episodes
+through it with a trace sink, so the trace shows exactly what training does.
+Randomness comes from a chunked uniform stream, one iterator that is
+bit-transparent to the underlying generator, so a sequence of `run_episode`
+calls on one stream replays `train` draw for draw.
 
 An episode that falls into a trap is not simulated further.  A trap is a
 product state with one pair whose one branch is a non-accepting self-loop,
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,27 +38,25 @@ from .shaping import AugmentedModel, Mode
 
 
 class UniformStream:
-    """Buffered uniform(0,1) draws from a numpy Generator.
+    """Uniform(0,1) draws from a numpy Generator, taken in chunks.
 
     Chunked `Generator.random(n)` yields the same values as repeated single
-    calls, so buffering does not change the stream, only when it is drawn.
+    calls, so chunking does not change the stream, only when it is drawn.
+    `draws` is one iterator over the values: the first chunk is drawn on
+    construction, and each later one only when the one before it is used
+    up and another value is requested.
     """
 
     CHUNK = 4096
-    __slots__ = ("rng", "buf", "pos")
+    __slots__ = ("rng", "draws")
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.buf = rng.random(self.CHUNK).tolist()
-        self.pos = 0
+        refills = iter(lambda: rng.random(self.CHUNK).tolist(), None)
+        self.draws = chain(rng.random(self.CHUNK).tolist(), chain.from_iterable(refills))
 
     def draw(self) -> float:
-        if self.pos == self.CHUNK:
-            self.buf = self.rng.random(self.CHUNK).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+        return next(self.draws)
 
 
 @dataclass(frozen=True)
@@ -115,48 +115,49 @@ class TrainResult:
     truncated: int  # episodes that hit cfg.max_steps without reaching the target
 
 
-def _check_mode(model: AugmentedModel) -> bool:
-    """Returns True for the reach view; rejects the biased view, whose
-    episodes never terminate and whose returns the undiscounted update does
-    not estimate."""
+class _Sim(NamedTuple):
+    """What the episode loop reads of one view."""
+
+    rows: list  # per state, per pair: (partial branch prob sums, successors, accepting, symbols)
+    trap: list[bool]  # per state: one pair, one branch, a non-accepting self-loop
+    initial: int
+    divert: float  # probability 1 - zeta that an accepting step diverts
+    racc_cont: float  # reward of an accepting step that does not divert
+
+
+def _sim(model: AugmentedModel) -> _Sim:
+    """The loop's tables for a reach or total view.
+
+    Rejects the biased view, whose episodes never terminate and whose
+    returns the undiscounted update does not estimate.  The rows are sliced
+    from the product's branch columns; the partial sums run left to right as
+    the sampler scans them.  The diversion coin is separate so traces keep
+    their symbols.
+    """
     if model.mode is Mode.BIASED_DISCOUNT:
         raise ValueError("learning runs on the leaked views (reach or total)")
-    return model.mode is Mode.REACH_TARGET
-
-
-def _sim_tables(model: AugmentedModel):
-    """Per state, per pair: (partial branch prob sums, successors, accepting,
-    symbols).
-
-    Sliced from the product's branch columns; the partial sums run left to
-    right as the sampler scans them.  The diversion coin is separate so
-    traces keep their symbols.
-    """
     p = model.product
     succ, prob, acc, sym = (c.tolist() for c in (p.succ, p.prob, p.accepting, p.symbol))
     bounds = p.branch_start.tolist()
-    rows = [
+    branch_rows = [
         (list(accumulate(prob[lo : hi - 1])), succ[lo:hi], acc[lo:hi], sym[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])
     ]
     starts = p.pair_start.tolist()
-    return [rows[lo:hi] for lo, hi in zip(starts, starts[1:])]
-
-
-def _trap_flags(sim) -> list[bool]:
-    """Per state: one pair, one branch, and that branch a non-accepting
-    self-loop.  `_episode` stops simulating once it is in such a state."""
-    return [
-        len(rows) == 1 and not rows[0][0] and rows[0][1][0] == s and not rows[0][2][0]
-        for s, rows in enumerate(sim)
+    rows = [branch_rows[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    trap = [
+        len(pairs) == 1 and not pairs[0][0] and pairs[0][1][0] == s and not pairs[0][2][0]
+        for s, pairs in enumerate(rows)
     ]
+    racc_cont = 0.0 if model.mode is Mode.REACH_TARGET else 1.0
+    return _Sim(rows, trap, p.initial, 1.0 - model.zeta, racc_cont)
 
 
-def _sit_out(sim, visits, s, steps, trace):
+def _sit_out(rows, visits, s, steps, trace):
     """Book `steps` steps in trap `s` without simulating them."""
     visits[s][0] += steps
     if trace is not None:
-        symbol = sim[s][0][3][0]
+        symbol = rows[s][0][3][0]
         t_states, t_pairs, t_symbols, t_accepting = trace
         t_states.extend([s] * steps)
         t_pairs.extend([0] * steps)
@@ -176,44 +177,27 @@ def run_episode(
     Runs the training loop's `_episode` with a trace sink, so a sequence of
     calls on one stream replays `train` draw for draw.
     """
-    reach_mode = _check_mode(model)
+    sim = _sim(model)
     stream = rng if isinstance(rng, UniformStream) else UniformStream(rng)
     eps = cfg.epsilon0 if epsilon is None else epsilon
-    initial = model.product.initial
-    trace = ([initial], [], [], [])
-    racc_cont = 0.0 if reach_mode else 1.0
-    sim = _sim_tables(model)
-    _, reached = _episode(
-        sim,
-        _trap_flags(sim),
-        table.q,
-        table.visits,
-        initial,
-        eps,
-        1.0 - model.zeta,
-        racc_cont,
-        cfg,
-        stream,
-        trace,
-    )
+    trace = ([sim.initial], [], [], [])
+    _, reached = _episode(sim, table.q, table.visits, eps, cfg, stream, trace)
     if reached:
         trace[0][-1] = model.target  # the diverted step ends at the target
     states, actions, labels, accepting = trace
     return RunRecord(tuple(states), tuple(actions), tuple(labels), tuple(accepting), reached)
 
 
-def _episode(
-    sim, trap, q, visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream, trace=None
-):
+def _episode(sim, q, visits, eps, cfg, stream, trace=None):
     """The Q-learning episode loop; returns (total reward, reached target).
 
     Draw accounting: states with a single pair and pairs with a single branch
     spend no randomness; otherwise one uniform decides greedy vs explore (a
     second picks the explored pair), one picks the branch, and accepting
-    branches spend one on the diversion coin.  Draws come from `stream`'s
-    buffer, which is read here directly and left consistent on return.
+    branches spend one on the diversion coin.  Each draw is the next value
+    of `stream.draws`.
 
-    Traps (`trap[s]` true, see `_trap_flags`) are skipped: an episode that
+    Traps (`sim.trap[s]` true, see `_Sim`) are skipped: an episode that
     starts in one, or moves into one, adds its remaining steps to the trap's
     visit count and returns as truncated.  This is exact.  A trap step draws
     nothing under the accounting above and earns 0, and its update is
@@ -227,59 +211,39 @@ def _episode(
     each step appends to; the state appended is the raw branch successor, also
     on a final diverted step.  Skipped trap steps are appended too.
     """
-    rng = stream.rng
-    buf = stream.buf
-    pos = stream.pos
-    chunk = UniformStream.CHUNK
+    rows, trap, cur, divert, racc_cont = sim
+    draws = stream.draws
     alpha0 = cfg.alpha0
     decay = cfg.visit_decay
     tracing = trace is not None
     if tracing:
         t_states, t_pairs, t_symbols, t_accepting = trace
-    cur = initial
     max_steps = cfg.max_steps
     if trap[cur]:
-        _sit_out(sim, visits, cur, max_steps, trace)
+        _sit_out(rows, visits, cur, max_steps, trace)
         return 0.0, False
     row = q[cur]
     vrow = visits[cur]
-    pairs = sim[cur]
+    pairs = rows[cur]
     npairs = len(row)
     total = 0.0
     for step in range(max_steps):
         if npairs == 1:
             k = 0
+        elif next(draws) < eps:
+            k = int(next(draws) * npairs)
+            if k == npairs:
+                k = npairs - 1
         else:
-            if pos == chunk:
-                buf = rng.random(chunk).tolist()
-                stream.buf = buf
-                pos = 0
-            u = buf[pos]
-            pos += 1
-            if u < eps:
-                if pos == chunk:
-                    buf = rng.random(chunk).tolist()
-                    stream.buf = buf
-                    pos = 0
-                k = int(buf[pos] * npairs)
-                pos += 1
-                if k == npairs:
-                    k = npairs - 1
-            else:
-                k = 0
-                best = row[0]
-                for i in range(1, npairs):
-                    if row[i] > best:
-                        best = row[i]
-                        k = i
+            k = 0
+            best = row[0]
+            for i in range(1, npairs):
+                if row[i] > best:
+                    best = row[i]
+                    k = i
         cums, succs, accs, syms = pairs[k]
         if cums:
-            if pos == chunk:
-                buf = rng.random(chunk).tolist()
-                stream.buf = buf
-                pos = 0
-            u = buf[pos]
-            pos += 1
+            u = next(draws)
             b = len(cums)
             for i, cp in enumerate(cums):
                 if u < cp:
@@ -293,18 +257,11 @@ def _episode(
             t_symbols.append(syms[b])
             t_accepting.append(accs[b])
         if accs[b]:
-            if pos == chunk:
-                buf = rng.random(chunk).tolist()
-                stream.buf = buf
-                pos = 0
-            diverted = buf[pos] < one_minus_zeta
-            pos += 1
-            if diverted:
+            if next(draws) < divert:
                 total += 1.0
                 nv = vrow[k]
                 row[k] += (alpha0 / (1.0 + nv / decay)) * (1.0 - row[k])
                 vrow[k] = nv + 1
-                stream.pos = pos
                 return total, True
             r = racc_cont
             total += r
@@ -322,38 +279,29 @@ def _episode(
         if nxt != cur:
             cur = nxt
             if trap[cur]:
-                _sit_out(sim, visits, cur, max_steps - 1 - step, trace)
-                stream.pos = pos
+                _sit_out(rows, visits, cur, max_steps - 1 - step, trace)
                 return total, False
             row = q[cur]
             vrow = visits[cur]
-            pairs = sim[cur]
+            pairs = rows[cur]
             npairs = len(row)
-    stream.pos = pos
     return total, False
 
 
 def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
     """Run cfg.episodes epsilon-greedy episodes and return table, greedy
     strategy, the per-episode learning curve and the truncation count."""
-    reach_mode = _check_mode(model)
+    sim = _sim(model)
     init = 0.0
     if cfg.optimistic:
-        init = 1.0 if reach_mode else 1.0 / (1.0 - model.zeta)
+        init = 1.0 if model.mode is Mode.REACH_TARGET else 1.0 / (1.0 - model.zeta)
     table = QTable.for_model(model, init)
     stream = UniformStream(np.random.default_rng(cfg.seed))
-    sim = _sim_tables(model)
-    trap = _trap_flags(sim)
-    one_minus_zeta = 1.0 - model.zeta
-    racc_cont = 0.0 if reach_mode else 1.0
     curve: list[tuple[int, float, float]] = []
     truncated = 0
-    initial = model.product.initial
     for ep in range(cfg.episodes):
         eps = epsilon_at(cfg, ep)
-        total, reached = _episode(
-            sim, trap, table.q, table.visits, initial, eps, one_minus_zeta, racc_cont, cfg, stream
-        )
+        total, reached = _episode(sim, table.q, table.visits, eps, cfg, stream)
         curve.append((ep, total, eps))
         if not reached:
             truncated += 1

@@ -113,10 +113,14 @@ def verify_instance(
 
     The optimal values of all 3 * len(zetas) views come from one
     `solve_optimal_many` call.  An empty `zetas` raises ValueError rather
-    than pass with nothing checked.
+    than pass with nothing checked, and so does a negative `n_random` or
+    `tail_episodes` rather than report counts it did not check.
     """
     if not zetas:
         raise ValueError("zetas must name at least one bias")
+    for name, count in (("n_random", n_random), ("tail_episodes", tail_episodes)):
+        if count < 0:
+            raise ValueError(f"{name} must be at least 0, got {count}")
     p = build_product(m, a)
     rng = np.random.default_rng(seed)
     identity_err = 0.0
@@ -205,9 +209,11 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
 
     empirical_zeta0 is the smallest grid point from which the greedy policy
     stays Buchi-optimal (at the initial state) through the end of the grid;
-    None when it is not optimal at the last point.  The grid must be strictly
-    increasing.
+    None when it is not optimal at the last point.  The grid must be
+    non-empty and strictly increasing.
     """
+    if not grid:
+        raise ValueError("grid must name at least one bias")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     p = build_product(m, a)

@@ -167,6 +167,19 @@ def test_run_episode_wraps_plain_generators(i2_product):
     assert r1 == r2 and t1.q == t2.q
 
 
+def test_run_episode_draws_one_chunk_per_plain_generator_call(never_product):
+    # each call wraps the Generator in a new stream, which draws its first
+    # chunk up front, even for an episode that starts in a trap and draws
+    # nothing; callers sharing one Generator across calls rely on this
+    m = view(never_product, Mode.TOTAL_REWARD, 0.9)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        run_episode(m, QTable.for_model(m), LearnConfig(max_steps=5), rng)
+    fresh = np.random.default_rng(11)
+    fresh.random(3 * UniformStream.CHUNK)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 def test_run_episode_trace_shape(i2_product):
     m = view(i2_product, Mode.TOTAL_REWARD, 0.5)
     p = m.product
@@ -294,8 +307,12 @@ def assert_matches_reference(model, cfg, monkeypatch):
     assert res.table.visits == ref.visits
     assert res.curve == curve
     assert res.truncated == truncated
-    # the stream stands where the reference's draws end
-    assert stream.pos == ((ref.draws - 1) % UniformStream.CHUNK + 1 if ref.draws else 0)
+    # the stream stands where the reference's draws end: its generator has
+    # given the chunks those draws needed, and no more
+    chunks = max(1, math.ceil(ref.draws / UniformStream.CHUNK))
+    fresh = np.random.default_rng(cfg.seed)
+    fresh.random(chunks * UniformStream.CHUNK)
+    assert stream.rng.bit_generator.state == fresh.bit_generator.state
     assert stream.draw() == ref.rng.random()
     return ref
 

@@ -137,6 +137,12 @@ def test_threshold_sweep_rejects_unordered_grid(i2, accept_g):
     assert threshold_sweep(i2, accept_g, (0.5, 0.6)).empirical_zeta0 == 0.6
 
 
+def test_threshold_sweep_rejects_empty_grid(i2, accept_g):
+    # with no point, None would claim the policy is not optimal at the last one
+    with pytest.raises(ValueError, match="grid"):
+        threshold_sweep(i2, accept_g, ())
+
+
 def test_threshold_sweep_trivial_instances(corpus, accept_g):
     m = load_mdp(corpus / "mdp" / "self_loop.json")
     rep = threshold_sweep(m, accept_g, GRID)
@@ -176,6 +182,14 @@ def test_verify_rejects_empty_zetas(i2, accept_g):
     # with no bias there is nothing to check, and passed would be vacuous
     with pytest.raises(ValueError, match="zetas"):
         verify_instance(i2, accept_g, zetas=())
+
+
+def test_verify_rejects_negative_counts(i2, accept_g):
+    # n_random=-1 would check 2 policies per zeta yet report 1
+    for name in ("n_random", "tail_episodes"):
+        with pytest.raises(ValueError, match=name):
+            verify_instance(i2, accept_g, zetas=(0.9,), **{name: -1})
+    assert verify_instance(i2, accept_g, zetas=(0.9,), n_random=0).checked == 2
 
 
 def test_verify_matches_reference(corpus_pairs):
