@@ -26,6 +26,16 @@ product's branch columns (`succ`, `prob`, `accepting`, `branch_start`); the
 biased view keeps the product's offsets, successors and probabilities as
 they are.  The solvers, `simulate_batch` and the product export all read
 this table.
+
+`simulate_batch` samples payoffs under a positional strategy and moves only
+the episodes that can still earn.  An episode in a state from which the
+strategy's branches reach no reward and no target keeps its payoff and its
+flag for good; its uniform is still drawn, so the results and the
+generator's position are bit for bit those of moving every episode.  The
+Q-learner skips traps too (see `learn`), with a narrower rule, a one-branch
+non-accepting self-loop, because a skipped learning step must also leave
+its table unchanged and draw nothing.  `can_reach`, the backward search
+behind that set, also gives `solvers.evaluate_policy` its live states.
 """
 
 from __future__ import annotations
@@ -167,6 +177,26 @@ def run_payoff(spec: PayoffSpec, record: RunRecord) -> float:
     return pay
 
 
+def can_reach(seed: np.ndarray, row: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """The states that reach a `seed` state along the edges row[i] -> succ[i].
+
+    `seed` is a boolean array over the states and is not modified; the result
+    includes the seeds.  A backward depth-first search over the edges.
+    """
+    rev: list[list[int]] = [[] for _ in range(seed.size)]
+    for r, s in zip(row.tolist(), succ.tolist()):
+        rev[s].append(r)
+    live = seed.copy()
+    stack = np.flatnonzero(live).tolist()
+    while stack:
+        u = stack.pop()
+        for x in rev[u]:
+            if not live[x]:
+                live[x] = True
+                stack.append(x)
+    return live
+
+
 def simulate_batch(
     model: AugmentedModel,
     f: Strategy,
@@ -180,7 +210,24 @@ def simulate_batch(
     payoff that was still to come.  Sampling uses the aggregated augmented
     branches (one uniform per step, leak included), so traces are not
     label-resolved.
+
+    An episode is alive until it reaches the target, and each step draws one
+    uniform per alive episode, `rng.random(n_alive)`, which the episodes
+    read in rank order.  Only the alive episodes that can still earn move:
+    those in a state from which `f`'s branches lead to a rewarded branch or
+    to the target.  `can_reach` finds those states over every non-target
+    branch of the chosen pairs, whatever its probability, since rounding
+    slack can pick any last branch.  Any other episode earns nothing and
+    never reaches the target, so its payoff and flag are final; it stays
+    alive, and its uniform is drawn and left unread.  The draw sizes, the
+    uniform each moving episode reads and the last step are therefore those
+    of moving every alive episode, and so are the payoffs, the flags and the
+    generator's final position, bit for bit.  A negative `episodes` or
+    `max_steps` raises ValueError.
     """
+    for name, count in (("episodes", episodes), ("max_steps", max_steps)):
+        if count < 0:
+            raise ValueError(f"{name} must be at least 0, got {count}")
     f.check(model.product)
     n = model.n_states
     flat = model.flat
@@ -198,31 +245,43 @@ def simulate_batch(
     last = flat.branch_start[pid + 1] - lo - 1
     cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last branch
     sentinel = n  # the target's index in the leaked views; absorbing
+    # the states from which an episode can still earn or reach the target,
+    # then False for the target itself, where an episode stops moving too
+    to = flat.succ[idx]
+    into = to == sentinel
+    seed = np.zeros(n, dtype=bool)
+    seed[row[into | (flat.reward[idx] > 0.0)]] = True
+    earn = np.append(can_reach(seed, row[~into], to[~into]), False)
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta
-    cur = np.full(episodes, model.product.initial, dtype=np.int64)
     pay = np.zeros(episodes)
     disc = np.ones(episodes)
     reached = np.zeros(episodes, dtype=bool)
-    alive = np.ones(episodes, dtype=bool)
+    n_alive = episodes
+    # the moving episodes, their rank among the alive ones and their states
+    moving = np.arange(episodes) if earn[model.product.initial] else np.arange(0)
+    rank = moving.copy()
+    here = np.full(moving.size, model.product.initial, dtype=np.int64)
     for _ in range(max_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if n_alive == 0:
             break
-        here = cur[idx]
-        u = rng.random(idx.size)
-        k = (u[:, None] >= cum[here]).sum(axis=1)
+        u = rng.random(n_alive)
+        if moving.size == 0:
+            continue
+        k = (u[rank][:, None] >= cum[here]).sum(axis=1)
         r = rew[here, k]
         if biased:
-            pay[idx] += disc[idx] * r
-            disc[idx] *= np.where(r > 0.0, zeta, 1.0)
+            pay[moving] += disc[moving] * r
+            disc[moving] *= np.where(r > 0.0, zeta, 1.0)
         else:
-            pay[idx] += r
+            pay[moving] += r
         nxt = succ[here, k]
         hit = nxt == sentinel
         if hit.any():
-            reached[idx[hit]] = True
-            alive[idx[hit]] = False
-        cur[idx] = nxt
+            reached[moving[hit]] = True
+            n_alive -= int(hit.sum())
+            rank = rank - np.searchsorted(rank[hit], rank)
+        go = earn[nxt]
+        moving, rank, here = moving[go], rank[go], nxt[go]
     return pay, reached

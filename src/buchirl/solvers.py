@@ -26,12 +26,14 @@ overhead; on large ones a sweep is bound by its data, and the stack only
 keeps pace.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
-states that can reach a reward at all (everything else is exactly 0, and
-restricting also keeps the system nonsingular).  Up to DENSE_LIMIT such
-states the system is solved densely.  Above it, W is assembled as a sparse
-matrix (a few nonzeros per row) and solved by BiCGSTAB, refined on the true
-residual, computed in twice the working precision, until that residual is
-within RESIDUAL_TOL * max(1, max|x|); a solve that does not get there raises
+states that can reach a reward at all along branches that carry successor
+value, found by `shaping.can_reach`, the backward search the payoff sampler
+also uses (everything else is exactly 0, and restricting also keeps the
+system nonsingular).  Up to DENSE_LIMIT such states the system is solved
+densely.  Above it, W is assembled as a sparse matrix (a few nonzeros per
+row) and solved by BiCGSTAB, refined on the true residual, computed in
+twice the working precision, until that residual is within
+RESIDUAL_TOL * max(1, max|x|); a solve that does not get there raises
 ConvergenceError instead of returning a worse answer.  scipy is imported
 only on that path.
 
@@ -48,7 +50,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .shaping import AugmentedModel
+from .shaping import AugmentedModel, can_reach
 from .product import Strategy
 
 
@@ -204,17 +206,7 @@ def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
     w = flat.weight[br]
 
     # states that can reach a positive immediate reward along chosen branches
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for r, s in zip(row.tolist(), succ.tolist()):
-        rev[s].append(r)
-    live = b > 0.0
-    stack = np.flatnonzero(live).tolist()
-    while stack:
-        u = stack.pop()
-        for x in rev[u]:
-            if not live[x]:
-                live[x] = True
-                stack.append(x)
+    live = can_reach(b > 0.0, row, succ)
     idx = np.flatnonzero(live)
     v = np.zeros(n)
     if idx.size == 0:

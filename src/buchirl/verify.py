@@ -20,6 +20,7 @@ oracle; they share no numerics, which is the point of the comparison.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,13 @@ def verify_instance(
     """The cross-checks of the module docstring at each bias in `zetas`.
 
     The optimal values of all 3 * len(zetas) views come from one
-    `solve_optimal_many` call.  An empty `zetas` raises ValueError rather
-    than pass with nothing checked, and so does a negative `n_random` or
-    `tail_episodes` rather than report counts it did not check.
+    `solve_optimal_many` call.  A strategy that a zeta's pool holds more
+    than once is evaluated once per view and counted once per entry, and
+    the oracle, whose answer does not depend on zeta, runs once per
+    distinct strategy of the instance.  An empty `zetas` raises ValueError
+    rather than pass with nothing checked, and so does a negative
+    `n_random` or `tail_episodes` rather than report counts it did not
+    check.
     """
     if not zetas:
         raise ValueError("zetas must name at least one bias")
@@ -129,6 +134,7 @@ def verify_instance(
     prob1_bad = 0
     checked = 0
     tails: list[TailCheck] = []
+    psats: dict[Strategy, np.ndarray] = {}  # the oracle's answer per strategy, for every zeta
     views = [
         augment(p, PayoffSpec(mode, zeta))
         for zeta in zetas
@@ -145,11 +151,13 @@ def verify_instance(
         f_total = greedy_policy(total, v_total.values)
         pool = [f_total, greedy_policy(reach, v_reach.values)]
         pool += [random_strategy(p, rng) for _ in range(n_random)]
-        for f in pool:
+        # a strategy drawn twice is evaluated once and counted twice
+        for f, count in Counter(pool).items():
             et = evaluate_policy(total, f).values
             pr = evaluate_policy(reach, f).values
             ed = evaluate_policy(biased, f).values
-            psat = policy_buchi_probability(p, f)
+            if f not in psats:
+                psats[f] = policy_buchi_probability(p, f)
             identity_err = max(identity_err, float(np.max(np.abs(pr - (1.0 - zeta) * et))))
             bound_excess = max(
                 bound_excess,
@@ -157,10 +165,10 @@ def verify_instance(
                 float(np.max(-et, initial=0.0)),
             )
             equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
-            sat = np.abs(psat - 1.0) <= PROB1_TOL
+            sat = np.abs(psats[f] - 1.0) <= PROB1_TOL
             full = np.abs(et - cap) <= PROB1_TOL
-            prob1_bad += int(np.sum(sat != full))
-            checked += 1
+            prob1_bad += count * int(np.sum(sat != full))
+            checked += count
         if tail_episodes > 0:
             tails.append(tail_check(total, f_total, tail_episodes, seed=seed))
     identity_ok = identity_err <= IDENTITY_TOL
@@ -210,7 +218,8 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
     empirical_zeta0 is the smallest grid point from which the greedy policy
     stays Buchi-optimal (at the initial state) through the end of the grid;
     None when it is not optimal at the last point.  The grid must be
-    non-empty and strictly increasing.
+    non-empty and strictly increasing.  The oracle runs once per distinct
+    greedy policy.
     """
     if not grid:
         raise ValueError("grid must name at least one bias")
@@ -219,6 +228,7 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
     p = build_product(m, a)
     opt = buchi_value(p).at_initial()
     rows: list[SweepRow] = []
+    psats: dict[Strategy, float] = {}  # several grid points often share a greedy policy
     # one solve_optimal per zeta rather than one solve_optimal_many for the
     # grid: perfbench's tracer wraps solve_optimal but not solve_optimal_many,
     # and perfbench/test_perfbench.py pins solvers.solve_optimal.calls == 2 for
@@ -227,7 +237,9 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
         total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
         v = solve_optimal(total)
         f = greedy_policy(total, v.values)
-        psat = float(policy_buchi_probability(p, f)[p.initial])
+        if f not in psats:
+            psats[f] = float(policy_buchi_probability(p, f)[p.initial])
+        psat = psats[f]
         desc = ";".join(p.pair_name(st, f.choice[st]) for st in range(p.n_states))
         rows.append(SweepRow(zeta, desc, psat, opt, psat >= opt - OPTIMAL_TOL))
     zeta0 = None

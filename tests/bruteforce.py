@@ -13,6 +13,9 @@ iteration, which the solvers' pair grid must match bit for bit; they share
 only the result types with the package.  `verify_reference` is the former
 `verify_instance` loop: it calls the package's product, views, policy
 evaluation and oracle, and solves the optima with that flat iteration.
+`simulate_batch_reference` is the former payoff sampler, which moved every
+alive episode on every step; the sampler must match its payoffs, flags and
+generator calls bit for bit.
 """
 
 import itertools
@@ -89,6 +92,66 @@ def augment_reference(p, spec):
         reward,
         np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
     )
+
+
+def simulate_batch_reference(
+    model: AugmentedModel,
+    f: Strategy,
+    rng: np.random.Generator,
+    episodes: int,
+    max_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The payoff sampler as it was before it skipped episodes that can no
+    longer earn, kept verbatim: every alive episode moves on every step.
+
+    `simulate_batch` must match its payoffs, flags and generator calls bit
+    for bit.
+    """
+    f.check(model.product)
+    n = model.n_states
+    flat = model.flat
+    pid, row, idx = flat.select(f.choice)
+    lo = flat.branch_start[pid]
+    col = idx - lo[row]
+    shape = (n, int(col.max()) + 1)
+    prob = np.zeros(shape)
+    succ = np.zeros(shape, dtype=np.int64)
+    rew = np.zeros(shape)
+    prob[row, col] = flat.prob[idx]
+    succ[row, col] = flat.succ[idx]
+    rew[row, col] = flat.reward[idx]
+    cum = np.cumsum(prob, axis=1)  # adds along each row in branch order
+    last = flat.branch_start[pid + 1] - lo - 1
+    cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last branch
+    sentinel = n  # the target's index in the leaked views; absorbing
+
+    biased = model.mode is Mode.BIASED_DISCOUNT
+    zeta = model.zeta
+    cur = np.full(episodes, model.product.initial, dtype=np.int64)
+    pay = np.zeros(episodes)
+    disc = np.ones(episodes)
+    reached = np.zeros(episodes, dtype=bool)
+    alive = np.ones(episodes, dtype=bool)
+    for _ in range(max_steps):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        here = cur[idx]
+        u = rng.random(idx.size)
+        k = (u[:, None] >= cum[here]).sum(axis=1)
+        r = rew[here, k]
+        if biased:
+            pay[idx] += disc[idx] * r
+            disc[idx] *= np.where(r > 0.0, zeta, 1.0)
+        else:
+            pay[idx] += r
+        nxt = succ[here, k]
+        hit = nxt == sentinel
+        if hit.any():
+            reached[idx[hit]] = True
+            alive[idx[hit]] = False
+        cur[idx] = nxt
+    return pay, reached
 
 
 def product_reference(m, a):

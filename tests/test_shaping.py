@@ -15,12 +15,15 @@ from buchirl import (
     augment,
     build_product,
     evaluate_policy,
+    greedy_policy,
+    random_strategy,
     run_payoff,
     simulate_batch,
+    solve_optimal,
 )
 
-from bruteforce import augment_reference
-from generators import random_instance
+from bruteforce import augment_reference, simulate_batch_reference
+from generators import large_instance, random_instance
 
 
 def pair_rows(m, st, k):
@@ -238,3 +241,133 @@ def test_simulate_batch_against_reach_probability(i2_product):
     pay, reached = simulate_batch(m, f, np.random.default_rng(9), 30_000, 200)
     assert np.array_equal(pay > 0.0, reached)
     assert abs(reached.mean() - exact) <= 3.0 * math.sqrt(exact * (1 - exact) / 30_000)
+
+
+def test_simulate_batch_rejects_negative_counts(i2_product):
+    m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+    f = Strategy((0, 0, 0))
+    for episodes, max_steps, name in ((-1, 10, "episodes"), (10, -1, "max_steps")):
+        with pytest.raises(ValueError, match=name):
+            simulate_batch(m, f, np.random.default_rng(0), episodes, max_steps)
+    pay, reached = simulate_batch(m, f, np.random.default_rng(0), 0, 0)
+    assert pay.size == 0 and reached.size == 0
+
+
+class Recording:
+    """A generator that logs the size of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+class Tripwire(Recording):
+    """A `Recording` whose uniforms are +inf wherever stuck(call, size) says.
+
+    +inf passes every branch's cumulative bound, the last one's included, so
+    a sampler that reads such a uniform indexes past its branch table and
+    raises IndexError.
+    """
+
+    def __init__(self, seed, stuck):
+        super().__init__(seed)
+        self.stuck = stuck
+
+    def random(self, size):
+        u = super().random(size)
+        u[self.stuck(len(self.sizes) - 1, size)] = np.inf
+        return u
+
+
+def assert_sampler_matches_reference(m, f, seed, episodes, max_steps):
+    """Payoffs, flags, call sizes and the next draw equal the old sampler's."""
+    got_rng, want_rng = Recording(seed), Recording(seed)
+    got = simulate_batch(m, f, got_rng, episodes, max_steps)
+    want = simulate_batch_reference(m, f, want_rng, episodes, max_steps)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got_rng.sizes == want_rng.sizes
+    assert got_rng.rng.random() == want_rng.rng.random()
+
+
+def test_simulate_batch_matches_reference(corpus_products):
+    rng = np.random.default_rng(17)
+    products = list(corpus_products) + [random_instance(rng)[2] for _ in range(20)]
+    products.append(large_instance(rng)[2])
+    for i, p in enumerate(products):
+        for mode in Mode:
+            m = augment(p, PayoffSpec(mode, 0.9))
+            pool = [greedy_policy(m, solve_optimal(m).values)]
+            pool += [random_strategy(p, rng) for _ in range(2)]
+            for f in pool:
+                assert_sampler_matches_reference(m, f, i, 400, 100)
+
+
+def chain_model(accept_g, edges, n_states, mode):
+    """One-action MDP on s0 .. s(n-1) under GF g, in one view at zeta 0.5."""
+    states = tuple(f"s{i}" for i in range(n_states))
+    p = build_product(Mdp(states, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
+    return augment(p, PayoffSpec(mode, 0.5)), Strategy((0,) * p.n_states)
+
+
+# Trap shapes the learner's trap rule, one pair whose one branch is a
+# non-accepting self-loop, does not cover.  Each is checked against the old
+# sampler, and with a tripwire on the uniforms of the episodes that can no
+# longer earn, which the sampler must draw and leave unread.
+
+
+def test_simulate_batch_skips_a_zero_reward_cycle(accept_g):
+    # s0 sends half the episodes into the cycle s1 <-> s2, which never earns,
+    # and half onto the accepting loop at s3; s1 is product state 1, and the
+    # first branch of s0, which draws below 0.5 take
+    edges = [Edge(0, 0, 1, 0.5, 1), Edge(0, 0, 3, 0.5, 0), Edge(1, 0, 2, 1.0, 1)]
+    edges += [Edge(2, 0, 1, 1.0, 1), Edge(3, 0, 3, 1.0, 0)]
+    for mode in Mode:
+        m, f = chain_model(accept_g, edges, 4, mode)
+        assert m.flat.succ[0] == 1 and m.flat.reward[0] == 0.0
+        assert_sampler_matches_reference(m, f, 3, 500, 40)
+    # in the biased view no episode leaves, so ranks are episode indices
+    cycle = np.random.default_rng(3).random(500) < 0.5
+    rng = Tripwire(3, lambda call, size: cycle & (call > 0))
+    pay, reached = simulate_batch(m, f, rng, 500, 40)
+    assert not reached.any() and rng.sizes == [500] * 40
+    assert np.all((pay == 0.0) == cycle)
+    assert np.all(pay[~cycle] == (1.0 - 0.5**40) / 0.5)
+    with pytest.raises(IndexError):
+        simulate_batch_reference(m, f, Tripwire(3, rng.stuck), 500, 40)
+
+
+def test_simulate_batch_skips_a_trap_entered_after_accepting_steps(accept_g):
+    # two accepting steps, then the cycle s2 -> {s2, s3}, s3 -> s2 without reward
+    edges = [Edge(0, 0, 1, 1.0, 0), Edge(1, 0, 2, 1.0, 0)]
+    edges += [Edge(2, 0, 2, 0.5, 1), Edge(2, 0, 3, 0.5, 1), Edge(3, 0, 2, 1.0, 1)]
+    for mode in Mode:
+        m, f = chain_model(accept_g, edges, 4, mode)
+        assert_sampler_matches_reference(m, f, 4, 500, 30)
+        # after two steps every episode still alive is in the cycle
+        rng = Tripwire(4, lambda call, size: np.full(size, call >= 2))
+        pay, reached = simulate_batch(m, f, rng, 500, 30)
+        assert len(rng.sizes) == 30 and len(set(rng.sizes[2:])) == 1
+        if mode is Mode.BIASED_DISCOUNT:
+            assert not reached.any() and np.all(pay == 1.5)
+        elif mode is Mode.TOTAL_REWARD:
+            assert np.all(pay[~reached] == 2.0) and set(pay[reached].tolist()) == {1.0, 2.0}
+        else:
+            assert np.array_equal(pay, reached.astype(float))
+        with pytest.raises(IndexError):
+            simulate_batch_reference(m, f, Tripwire(4, rng.stuck), 500, 30)
+
+
+def test_simulate_batch_skips_never_in_the_biased_view(never_product):
+    m = augment(never_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.9))
+    f = Strategy((0,))
+    assert_sampler_matches_reference(m, f, 5, 100, 50)
+    rng = Tripwire(5, lambda call, size: np.ones(size, dtype=bool))
+    pay, reached = simulate_batch(m, f, rng, 100, 50)
+    assert not pay.any() and not reached.any() and rng.sizes == [100] * 50
+    with pytest.raises(IndexError):
+        simulate_batch_reference(m, f, Tripwire(5, rng.stuck), 100, 50)
