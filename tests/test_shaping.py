@@ -206,13 +206,6 @@ def test_simulate_batch_deterministic_policy_b(i2_product):
     assert abs(reached.mean() - 0.5) <= 3.0 * math.sqrt(0.25 / 4000)
 
 
-def test_simulate_batch_biased_never_reaches(never_product):
-    m = augment(never_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.9))
-    pay, reached = simulate_batch(
-        m, Strategy((0,)), np.random.default_rng(8), 100, 50
-    )
-    assert not reached.any()
-    assert not pay.any()
 
 
 def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
@@ -362,12 +355,13 @@ def test_simulate_batch_skips_a_trap_entered_after_accepting_steps(accept_g):
             simulate_batch_reference(m, f, Tripwire(4, rng.stuck), 500, 30)
 
 
-def test_simulate_batch_skips_never_in_the_biased_view(never_product):
+def test_simulate_batch_biased_never_reaches(never_product):
+    # no episode can earn from the start, so every uniform is left unread
     m = augment(never_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.9))
     f = Strategy((0,))
-    assert_sampler_matches_reference(m, f, 5, 100, 50)
-    rng = Tripwire(5, lambda call, size: np.ones(size, dtype=bool))
+    assert_sampler_matches_reference(m, f, 8, 100, 50)
+    rng = Tripwire(8, lambda call, size: np.ones(size, dtype=bool))
     pay, reached = simulate_batch(m, f, rng, 100, 50)
-    assert not pay.any() and not reached.any() and rng.sizes == [100] * 50
+    assert not reached.any() and not pay.any() and rng.sizes == [100] * 50
     with pytest.raises(IndexError):
-        simulate_batch_reference(m, f, Tripwire(5, rng.stuck), 100, 50)
+        simulate_batch_reference(m, f, Tripwire(8, rng.stuck), 100, 50)
