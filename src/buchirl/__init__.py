@@ -11,22 +11,19 @@ from .automata import (
     HoaError,
     HoaSemanticError,
     HoaSyntaxError,
-    LassoWord,
     Nba,
-    accepts_lasso,
     complete_with_trap,
     is_complete,
     is_deterministic,
     parse_hoa,
     serialize_hoa,
 )
-from .learn import LearnConfig, QTable, TrainResult, UniformStream, epsilon_at, run_episode, train
+from .learn import LearnConfig, QTable, TrainResult, UniformStream, epsilon_at, train
 from .mdp import (
     Diagnostic,
     Edge,
     Mdp,
     MdpFormatError,
-    RunRecord,
     dump_mdp,
     load_mdp,
     mdp_from_json,
@@ -61,7 +58,6 @@ from .shaping import (
     Mode,
     PayoffSpec,
     augment,
-    run_payoff,
     simulate_batch,
 )
 from .solvers import (

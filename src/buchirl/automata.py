@@ -16,8 +16,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import strongly_connected_components
-
 
 class HoaError(ValueError):
     """Base for HOA parsing failures."""
@@ -39,18 +37,6 @@ class HoaSemanticError(HoaError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-@dataclass(frozen=True)
-class LassoWord:
-    """Ultimately periodic word prefix.cycle^omega over symbol indices."""
-
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.cycle) == 0:
-            raise ValueError("lasso cycle must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -99,12 +85,6 @@ class Nba:
         """Successor (state, accepting) pairs for reading `symbol` in `state`."""
         return self._delta.get((state, symbol), ())
 
-    def symbol_index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise KeyError(f"unknown symbol {name!r}") from None
-
 
 def is_deterministic(a: Nba) -> bool:
     """At most one move per (state, symbol)."""
@@ -139,53 +119,6 @@ def complete_with_trap(a: Nba) -> Nba:
     for s in range(len(a.symbols)):
         trans.append((trap, s, trap))
     return Nba(a.symbols, a.n_states + 1, a.initial, tuple(trans), a.accepting, a.gfm)
-
-
-def accepts_lasso(a: Nba, w: LassoWord) -> bool:
-    """Does some run over prefix.cycle^omega see accepting transitions forever?
-
-    Feeds the prefix breadth-first, then searches the finite run graph over
-    (state, cycle position) nodes for an accepting edge that lies inside a
-    strongly connected component reachable from the prefix frontier.  Any such
-    edge can be traversed infinitely often, and conversely an accepting run
-    must keep crossing one SCC-internal accepting edge.
-    """
-    for s in w.prefix + w.cycle:
-        if not 0 <= s < len(a.symbols):
-            raise ValueError("word uses a symbol outside the alphabet")
-    cur = {a.initial}
-    for s in w.prefix:
-        cur = {r for q in cur for r, _ in a.moves(q, s)}
-        if not cur:
-            return False
-    c = len(w.cycle)
-    n = a.n_states * c
-
-    def succ(node: int):
-        q, i = divmod(node, c)
-        j = (i + 1) % c
-        return [r * c + j for r, _ in a.moves(q, w.cycle[i])]
-
-    seen = {q * c for q in cur}
-    queue = list(seen)
-    while queue:
-        u = queue.pop()
-        for v in succ(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    comps = strongly_connected_components(n, succ)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
-    for u in seen:
-        q, i = divmod(u, c)
-        j = (i + 1) % c
-        for r, acc in a.moves(q, w.cycle[i]):
-            if acc and comp_of[r * c + j] == comp_of[u]:
-                return True
-    return False
 
 
 _HEADERS = {"HOA", "States", "Start", "AP", "acc-name", "Acceptance", "GFM"}

@@ -6,7 +6,8 @@ produce identical bytes unless --timing is set, which fills the otherwise
 null timing field.
 
 Exit codes: 0 ok, 2 usage (a numeric option out of its range included), 3
-unreadable or unparsable input, 4 validation or construction failure, 5
+unreadable or unparsable input (MDP JSON with a duplicate key or nested too
+deeply included), 4 validation or construction failure, 5
 solver failure (value iteration not converged, a singular linear system, a
 sparse policy evaluation that misses its residual target, or the oracle's
 policy iteration not stabilized), 6 verification failed.
@@ -33,7 +34,7 @@ from .automata import (
     parse_hoa,
 )
 from .learn import LearnConfig, train
-from .mdp import MdpFormatError, load_mdp, validate
+from .mdp import Edge, Mdp, MdpFormatError, dump_mdp, load_mdp, validate
 from .oracle import PolicyIterationError, buchi_value
 from .product import ProductError, ProductMdp, build_product
 from .shaping import Mode, PayoffSpec, augment
@@ -133,8 +134,8 @@ def _policy_by_name(p: ProductMdp, f) -> dict[str, str]:
     return {p.state_name(st): p.pair_name(st, f.choice[st]) for st in range(p.n_states)}
 
 
-def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
-    """Dynamics of the product (or its leaked augmentation) as MDP JSON.
+def _product_as_mdp(p: ProductMdp, zeta: float | None) -> Mdp:
+    """Dynamics of the product (or its leaked augmentation) as an MDP.
 
     Rewards are not part of the MDP schema, so this is dynamics only.  The
     leaked probabilities are those of `augment`'s reach view, whose table
@@ -143,12 +144,10 @@ def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
     branch (the label function is per-triple, so mixed symbols cannot be kept
     apart).
     """
-    m = p.mdp
     states = [p.state_name(i) for i in range(p.n_states)]
     starts = p.pair_start.tolist()
     owner = np.repeat(np.arange(p.n_states), np.diff(p.pair_start)).tolist()  # state of each pair
     names = [p.pair_name(st, pid - starts[st]) for pid, st in enumerate(owner)]
-    actions = sorted(set(names))
     bounds = p.branch_start.tolist()
     succ, symbol, accepting = p.succ.tolist(), p.symbol.tolist(), p.accepting.tolist()
     if zeta is None:
@@ -156,30 +155,22 @@ def _product_as_mdp_json(p: ProductMdp, zeta: float | None) -> dict:
     else:
         flat = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
         probs, prob_bounds = flat.prob.tolist(), flat.branch_start.tolist()
-    edges = []  # (pair, to, prob, symbol)
+    leaks = prob_bounds[-1] > bounds[-1]  # some pair leaks into t
+    t = len(states)
+    actions = sorted(set(names) | ({"stop"} if leaks else set()))
+    where = {name: i for i, name in enumerate(actions)}
+    edges = []
     for pid, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        st, act = owner[pid], where[names[pid]]
         at, end = prob_bounds[pid], prob_bounds[pid + 1]
-        edges += [(pid, states[succ[b]], probs[at + b - lo], symbol[b]) for b in range(lo, hi)]
+        edges += [Edge(st, act, succ[b], probs[at + b - lo], symbol[b]) for b in range(lo, hi)]
         if end - at > hi - lo:
             leak_sym = next(symbol[b] for b in range(lo, hi) if accepting[b])
-            edges.append((pid, "t", probs[end - 1], leak_sym))
-    transitions = [
-        {"from": states[owner[pid]], "action": names[pid], "to": to, "prob": pr, "label": m.symbols[sym]}
-        for pid, to, pr, sym in edges
-    ]
-    if prob_bounds[-1] > bounds[-1]:  # some pair leaks into t
+            edges.append(Edge(st, act, t, probs[end - 1], leak_sym))
+    if leaks:
         states.append("t")
-        actions = sorted(set(actions) | {"stop"})
-        transitions.append(
-            {"from": "t", "action": "stop", "to": "t", "prob": 1.0, "label": m.symbols[0]}
-        )
-    return {
-        "states": states,
-        "actions": actions,
-        "alphabet": list(m.symbols),
-        "initial": states[p.initial],
-        "transitions": transitions,
-    }
+        edges.append(Edge(t, where["stop"], t, 1.0, 0))
+    return Mdp(tuple(states), tuple(actions), p.mdp.symbols, p.initial, tuple(edges))
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -219,10 +210,10 @@ def cmd_product(args) -> tuple[dict, int]:
         "state_names": [p.state_name(i) for i in range(p.n_states)],
     }
     if args.export:
-        data = _product_as_mdp_json(p, args.zeta)
-        Path(args.export).write_text(json.dumps(data, indent=2) + "\n")
+        exported = _product_as_mdp(p, args.zeta)
+        dump_mdp(exported, args.export)
         result["export"] = args.export
-        result["export_states"] = len(data["states"])
+        result["export_states"] = len(exported.states)
     return result, EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Shared graph helper: strongly connected components.
 
-Used for lasso acceptance checks on automata, end-component decomposition
-and bottom-component classification of induced chains.
+Used by the oracle for end-component decomposition and bottom-component
+classification of induced chains.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ Updates are undiscounted; the termination itself supplies the effective
 bias, so the fixpoint of the update is the expected payoff of the view.
 Against the target there is no bootstrap.
 
-One episode loop does the learning, on tables that one builder, `_sim`,
-makes.  `train` runs it without a trace; `run_episode` runs single episodes
-through it with a trace sink, so the trace shows exactly what training does.
-Randomness comes from a chunked uniform stream, one iterator that is
-bit-transparent to the underlying generator, so a sequence of `run_episode`
-calls on one stream replays `train` draw for draw.
+One episode loop, `_episode`, does the learning, on tables that one
+builder, `_sim`, makes; `train` runs it once per episode.  Randomness comes
+from a chunked uniform stream, one iterator that is bit-transparent to the
+underlying generator.  What each step draws is fixed (see `_episode`), and
+`tests/reference_learner.py` holds a step-by-step learner that draws under
+the same contract, one `Generator.random()` call per uniform.
 
 An episode that falls into a trap is not simulated further.  A trap is a
 product state with one pair whose one branch is a non-accepting self-loop,
@@ -19,8 +19,8 @@ such as a rejecting sink.  A step there draws nothing, earns 0 and
 bootstraps on its own entry, so its update adds exactly 0.0 as long as the
 entry and alpha are finite (`LearnConfig` checks alpha).  The loop adds the
 remaining steps to the trap's visit count and ends the episode as truncated;
-tables, curve, truncation count, stream position and traces are those of
-the step-by-step run.
+tables, curve, truncation count and stream position are those of the
+step-by-step run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import RunRecord
 from .product import Strategy
 from .shaping import AugmentedModel, Mode
 
@@ -54,9 +53,6 @@ class UniformStream:
         self.rng = rng
         refills = iter(lambda: rng.random(self.CHUNK).tolist(), None)
         self.draws = chain(rng.random(self.CHUNK).tolist(), chain.from_iterable(refills))
-
-    def draw(self) -> float:
-        return next(self.draws)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class TrainResult:
 class _Sim(NamedTuple):
     """What the episode loop reads of one view."""
 
-    rows: list  # per state, per pair: (partial branch prob sums, successors, accepting, symbols)
+    rows: list  # per state, per pair: (partial branch prob sums, successors, accepting)
     trap: list[bool]  # per state: one pair, one branch, a non-accepting self-loop
     initial: int
     divert: float  # probability 1 - zeta that an accepting step diverts
@@ -131,16 +127,17 @@ def _sim(model: AugmentedModel) -> _Sim:
     Rejects the biased view, whose episodes never terminate and whose
     returns the undiscounted update does not estimate.  The rows are sliced
     from the product's branch columns; the partial sums run left to right as
-    the sampler scans them.  The diversion coin is separate so traces keep
-    their symbols.
+    the sampler scans them.  The diversion coin is not a branch of the rows
+    but a draw of its own, as the draw contract in `_episode` (which
+    `tests/reference_learner.py` follows) spends it.
     """
     if model.mode is Mode.BIASED_DISCOUNT:
         raise ValueError("learning runs on the leaked views (reach or total)")
     p = model.product
-    succ, prob, acc, sym = (c.tolist() for c in (p.succ, p.prob, p.accepting, p.symbol))
+    succ, prob, acc = (c.tolist() for c in (p.succ, p.prob, p.accepting))
     bounds = p.branch_start.tolist()
     branch_rows = [
-        (list(accumulate(prob[lo : hi - 1])), succ[lo:hi], acc[lo:hi], sym[lo:hi])
+        (list(accumulate(prob[lo : hi - 1])), succ[lo:hi], acc[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])
     ]
     starts = p.pair_start.tolist()
@@ -153,42 +150,7 @@ def _sim(model: AugmentedModel) -> _Sim:
     return _Sim(rows, trap, p.initial, 1.0 - model.zeta, racc_cont)
 
 
-def _sit_out(rows, visits, s, steps, trace):
-    """Book `steps` steps in trap `s` without simulating them."""
-    visits[s][0] += steps
-    if trace is not None:
-        symbol = rows[s][0][3][0]
-        t_states, t_pairs, t_symbols, t_accepting = trace
-        t_states.extend([s] * steps)
-        t_pairs.extend([0] * steps)
-        t_symbols.extend([symbol] * steps)
-        t_accepting.extend([False] * steps)
-
-
-def run_episode(
-    model: AugmentedModel,
-    table: QTable,
-    cfg: LearnConfig,
-    rng: np.random.Generator | UniformStream,
-    epsilon: float | None = None,
-) -> RunRecord:
-    """One epsilon-greedy episode with in-place Q updates and a full trace.
-
-    Runs the training loop's `_episode` with a trace sink, so a sequence of
-    calls on one stream replays `train` draw for draw.
-    """
-    sim = _sim(model)
-    stream = rng if isinstance(rng, UniformStream) else UniformStream(rng)
-    eps = cfg.epsilon0 if epsilon is None else epsilon
-    trace = ([sim.initial], [], [], [])
-    _, reached = _episode(sim, table.q, table.visits, eps, cfg, stream, trace)
-    if reached:
-        trace[0][-1] = model.target  # the diverted step ends at the target
-    states, actions, labels, accepting = trace
-    return RunRecord(tuple(states), tuple(actions), tuple(labels), tuple(accepting), reached)
-
-
-def _episode(sim, q, visits, eps, cfg, stream, trace=None):
+def _episode(sim, q, visits, eps, cfg, stream):
     """The Q-learning episode loop; returns (total reward, reached target).
 
     Draw accounting: states with a single pair and pairs with a single branch
@@ -206,21 +168,14 @@ def _episode(sim, q, visits, eps, cfg, stream, trace=None):
     initial value, finite in every `QTable.for_model` table.  Only the visit
     count moves, by one per step.  The flag is tested only when the state
     changes, so other steps cost what they did.
-
-    `trace`, if given, is four lists (states, pairs, symbols, accepting) that
-    each step appends to; the state appended is the raw branch successor, also
-    on a final diverted step.  Skipped trap steps are appended too.
     """
     rows, trap, cur, divert, racc_cont = sim
     draws = stream.draws
     alpha0 = cfg.alpha0
     decay = cfg.visit_decay
-    tracing = trace is not None
-    if tracing:
-        t_states, t_pairs, t_symbols, t_accepting = trace
     max_steps = cfg.max_steps
     if trap[cur]:
-        _sit_out(rows, visits, cur, max_steps, trace)
+        visits[cur][0] += max_steps
         return 0.0, False
     row = q[cur]
     vrow = visits[cur]
@@ -241,7 +196,7 @@ def _episode(sim, q, visits, eps, cfg, stream, trace=None):
                 if row[i] > best:
                     best = row[i]
                     k = i
-        cums, succs, accs, syms = pairs[k]
+        cums, succs, accs = pairs[k]
         if cums:
             u = next(draws)
             b = len(cums)
@@ -251,11 +206,6 @@ def _episode(sim, q, visits, eps, cfg, stream, trace=None):
                     break
         else:
             b = 0
-        if tracing:
-            t_states.append(succs[b])
-            t_pairs.append(k)
-            t_symbols.append(syms[b])
-            t_accepting.append(accs[b])
         if accs[b]:
             if next(draws) < divert:
                 total += 1.0
@@ -279,7 +229,7 @@ def _episode(sim, q, visits, eps, cfg, stream, trace=None):
         if nxt != cur:
             cur = nxt
             if trap[cur]:
-                _sit_out(rows, visits, cur, max_steps - 1 - step, trace)
+                visits[cur][0] += max_steps - 1 - step
                 return total, False
             row = q[cur]
             vrow = visits[cur]

@@ -7,14 +7,15 @@ labelling is a function of (state, action, successor).
 
 The JSON shape is strict: top level ``{states, actions, alphabet, initial,
 transitions}``, each transition ``{from, action, to, prob, label}``, nothing
-else.  A ``null`` label loads (so the checker can point at it) but counts as
-a validation error.
+else, and no object names a key twice.  A ``null`` label loads (so the
+checker can point at it) but counts as a validation error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -244,43 +245,24 @@ def mdp_to_json(m: Mdp) -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`object_pairs_hook` that refuses an object naming one key twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        dup = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise MdpFormatError(f"duplicate key {dup!r} in a JSON object")
+    return out
+
+
 def load_mdp(path: str | Path) -> Mdp:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MdpFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MdpFormatError("not valid JSON: nested too deeply") from None
     return mdp_from_json(data)
 
 
 def dump_mdp(m: Mdp, path: str | Path) -> None:
     Path(path).write_text(json.dumps(mdp_to_json(m), indent=2) + "\n")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One finite trace through a product or augmented model.
-
-    ``states`` has one more entry than the step-indexed arrays; when
-    ``reached_target`` the final entry is the target index of the augmented
-    model.  ``actions`` holds the chosen pair index per step, ``labels`` the
-    emitted symbol, ``accepting`` whether the step earned a reward.
-    """
-
-    states: tuple[int, ...]
-    actions: tuple[int, ...]
-    labels: tuple[int, ...]
-    accepting: tuple[bool, ...]
-    reached_target: bool
-
-    def __post_init__(self):
-        n = len(self.states) - 1
-        if n < 0 or len(self.actions) != n or len(self.labels) != n or len(self.accepting) != n:
-            raise ValueError("trace arrays disagree on the number of steps")
-
-    @property
-    def steps(self) -> int:
-        return len(self.labels)
-
-    @property
-    def accepting_count(self) -> int:
-        return sum(self.accepting)

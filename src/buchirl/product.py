@@ -79,10 +79,6 @@ class ProductMdp:
     initial = 0  # construction starts there by definition
 
     @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {sq: i for i, sq in enumerate(self.states)}
-
-    @cached_property
     def pairs(self) -> tuple[tuple[Pair, ...], ...]:
         """Available pairs per product state, as tuples built from the columns."""
         columns = (self.succ, self.prob, self.symbol, self.accepting)

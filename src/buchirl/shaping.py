@@ -47,7 +47,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import RunRecord
 from .product import ProductMdp, Strategy
 
 
@@ -162,21 +161,6 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     return AugmentedModel(p, spec, target, flat)
 
 
-def run_payoff(spec: PayoffSpec, record: RunRecord) -> float:
-    """Realized payoff of one trace, accumulated step by step."""
-    if spec.mode is Mode.REACH_TARGET:
-        return 1.0 if record.reached_target else 0.0
-    if spec.mode is Mode.TOTAL_REWARD:
-        return float(record.accepting_count)
-    pay = 0.0
-    disc = 1.0
-    for acc in record.accepting:
-        if acc:
-            pay += disc
-            disc *= spec.zeta
-    return pay
-
-
 def can_reach(seed: np.ndarray, row: np.ndarray, succ: np.ndarray) -> np.ndarray:
     """The states that reach a `seed` state along the edges row[i] -> succ[i].
 
@@ -208,8 +192,7 @@ def simulate_batch(
 
     Episodes still alive at max_steps are truncated, which can only lose
     payoff that was still to come.  Sampling uses the aggregated augmented
-    branches (one uniform per step, leak included), so traces are not
-    label-resolved.
+    branches (one uniform per step, leak included).
 
     An episode is alive until it reaches the target, and each step draws one
     uniform per alive episode, `rng.random(n_alive)`, which the episodes

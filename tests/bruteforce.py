@@ -744,11 +744,14 @@ def verify_reference(m, a, zetas=(0.5, 0.9), n_random=20, seed=0, tail_episodes=
 def lasso_accept_bruteforce(a, word):
     """Lasso acceptance by flagged reachability on the cycle-unrolled graph.
 
-    A run graph node is (automaton state, cycle position).  The word is
-    accepted iff some node u reachable from the after-prefix frontier can
-    return to itself along a path crossing at least one accepting edge.
+    `word` is a (prefix, cycle) pair of symbol-index tuples, the cycle
+    nonempty, standing for prefix.cycle^omega.  A run graph node is
+    (automaton state, cycle position).  The word is accepted iff some node u
+    reachable from the after-prefix frontier can return to itself along a
+    path crossing at least one accepting edge.
     """
-    c = len(word.cycle)
+    prefix, cycle = word
+    c = len(cycle)
     plain = {}
     good = {}
     for q in range(a.n_states):
@@ -756,14 +759,14 @@ def lasso_accept_bruteforce(a, word):
             u = (q, i)
             plain[u] = set()
             good[u] = set()
-            for r, acc in a.moves(q, word.cycle[i]):
+            for r, acc in a.moves(q, cycle[i]):
                 v = (r, (i + 1) % c)
                 plain[u].add(v)
                 if acc:
                     good[u].add(v)
 
     frontier = {a.initial}
-    for s in word.prefix:
+    for s in prefix:
         frontier = {r for q in frontier for r, _ in a.moves(q, s)}
         if not frontier:
             return False

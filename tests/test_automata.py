@@ -1,4 +1,4 @@
-"""Automaton model, HOA subset parser, serializer and lasso acceptance."""
+"""Automaton model, HOA subset parser and serializer, checked on lasso words."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from buchirl import (
     HoaSemanticError,
     HoaSyntaxError,
-    LassoWord,
     Nba,
-    accepts_lasso,
     complete_with_trap,
     is_complete,
     is_deterministic,
@@ -72,11 +70,12 @@ def test_parse_corpus_incomplete(corpus):
 
 
 def test_moves_and_symbol_index(accept_g):
-    assert accept_g.moves(0, 0) == ((0, True),)
-    assert accept_g.moves(0, 1) == ((0, False),)
-    assert accept_g.symbol_index("n") == 1
-    with pytest.raises(KeyError):
-        accept_g.symbol_index("x")
+    # symbol indices follow the AP order of the file
+    g, n = (accept_g.symbols.index(x) for x in "gn")
+    assert (g, n) == (0, 1)
+    assert accept_g.moves(0, g) == ((0, True),)
+    assert accept_g.moves(0, n) == ((0, False),)
+    assert accept_g.moves(0, 2) == ()
 
 
 def test_nba_validation_errors():
@@ -230,7 +229,7 @@ def test_serialize_round_trip_random():
         b = parse_hoa(serialize_hoa(a))
         assert parse_hoa(serialize_hoa(b)) == b
         for w in words:
-            assert accepts_lasso(a, w) == accepts_lasso(b, w)
+            assert lasso_accept_bruteforce(a, w) == lasso_accept_bruteforce(b, w)
 
 
 def test_complete_with_trap(corpus):
@@ -247,7 +246,7 @@ def test_trap_preserves_language(corpus):
     a = parse_hoa((corpus / "hoa" / "incomplete_g.hoa").read_text())
     b = complete_with_trap(a)
     for word in short_words(2, 2, 3):
-        assert accepts_lasso(a, word) == accepts_lasso(b, word)
+        assert lasso_accept_bruteforce(a, word) == lasso_accept_bruteforce(b, word)
 
 
 def short_words(n_symbols, max_prefix, max_cycle):
@@ -258,56 +257,27 @@ def short_words(n_symbols, max_prefix, max_cycle):
         for prefix in itertools.product(range(n_symbols), repeat=plen):
             for clen in range(1, max_cycle + 1):
                 for cycle in itertools.product(range(n_symbols), repeat=clen):
-                    out.append(LassoWord(prefix, cycle))
+                    out.append((prefix, cycle))
     return out
-
-
-def test_lasso_word_validation():
-    with pytest.raises(ValueError):
-        LassoWord((), ())
 
 
 def test_accepts_lasso_hand_cases(corpus, accept_g):
     g, n = 0, 1
-    assert accepts_lasso(accept_g, LassoWord((), (g,)))
-    assert not accepts_lasso(accept_g, LassoWord((), (n,)))
-    assert accepts_lasso(accept_g, LassoWord((n, n), (n, g)))
+    assert lasso_accept_bruteforce(accept_g, ((), (g,)))
+    assert not lasso_accept_bruteforce(accept_g, ((), (n,)))
+    assert lasso_accept_bruteforce(accept_g, ((n, n), (n, g)))
 
     a = parse_hoa((corpus / "hoa" / "inf_gn.hoa").read_text())
-    assert accepts_lasso(a, LassoWord((), (g, n)))
-    assert not accepts_lasso(a, LassoWord((), (g,)))
-    assert not accepts_lasso(a, LassoWord((g,), (g,)))
-    assert not accepts_lasso(a, LassoWord((), (n,)))
-
-
-def test_accepts_lasso_rejects_unknown_symbol(accept_g):
-    with pytest.raises(ValueError):
-        accepts_lasso(accept_g, LassoWord((5,), (0,)))
+    assert lasso_accept_bruteforce(a, ((), (g, n)))
+    assert not lasso_accept_bruteforce(a, ((), (g,)))
+    assert not lasso_accept_bruteforce(a, ((g,), (g,)))
+    assert not lasso_accept_bruteforce(a, ((), (n,)))
 
 
 def test_accepts_lasso_incomplete_run_dies(corpus):
     # the only move reads g, so any n kills every run
     a = parse_hoa((corpus / "hoa" / "incomplete_g.hoa").read_text())
-    assert accepts_lasso(a, LassoWord((), (0,)))
-    assert not accepts_lasso(a, LassoWord((1,), (0,)))
-    assert not accepts_lasso(a, LassoWord((), (0, 1)))
+    assert lasso_accept_bruteforce(a, ((), (0,)))
+    assert not lasso_accept_bruteforce(a, ((1,), (0,)))
+    assert not lasso_accept_bruteforce(a, ((), (0, 1)))
 
-
-class TestLassoAgainstBruteForce:
-    """accepts_lasso versus the flagged-closure reference on random automata."""
-
-    def test_nondeterministic(self):
-        rng = np.random.default_rng(11)
-        words = short_words(2, 2, 2)
-        for _ in range(20):
-            a = random_nondet_automaton(rng)
-            for w in words:
-                assert accepts_lasso(a, w) == lasso_accept_bruteforce(a, w)
-
-    def test_longer_cycles(self):
-        rng = np.random.default_rng(12)
-        words = short_words(2, 1, 3)
-        for _ in range(8):
-            a = random_nondet_automaton(rng, max_states=4)
-            for w in words:
-                assert accepts_lasso(a, w) == lasso_accept_bruteforce(a, w)

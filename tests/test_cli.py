@@ -114,6 +114,34 @@ def test_unparsable_json_is_a_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "nested too deeply"),
+        ('{"states": ["s0"], "states": ["s1"]}', "duplicate key 'states'"),
+        (
+            '{"states": ["s0"], "actions": ["a"], "alphabet": ["g"], "initial": "s0",'
+            ' "transitions": [{"from": "s0", "action": "a", "to": "s0",'
+            ' "prob": 0.5, "prob": 1, "label": "g"}]}',
+            "duplicate key 'prob'",
+        ),
+    ],
+    ids=["deep", "duplicate-top", "duplicate-edge"],
+)
+def test_malformed_json_is_a_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (
+        ["validate", "--mdp", str(path)],
+        ["verify", "--mdp", str(path), "--hoa", ACCEPT_G],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and message in line
+
+
 def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -275,6 +303,54 @@ def test_product_export_leaked(tmp_path, capsys):
     assert abs(by_key[("s0|q0", "b@q0", "sR|q0")] - 0.9) <= 1e-12
     assert abs(by_key[("s0|q0", "b@q0", "t")] - 0.1) <= 1e-12
     assert by_key[("t", "stop", "t")] == 1.0
+
+
+MIXED_LEAK_MDP = {
+    "states": ["s0", "s1", "s2"],
+    "actions": ["a", "b"],
+    "alphabet": ["g", "h", "n"],
+    "initial": "s0",
+    "transitions": [
+        {"from": "s0", "action": "a", "to": "s2", "prob": 0.2, "label": "n"},
+        {"from": "s0", "action": "a", "to": "s0", "prob": 0.3, "label": "h"},
+        {"from": "s0", "action": "a", "to": "s1", "prob": 0.5, "label": "g"},
+        {"from": "s1", "action": "b", "to": "s0", "prob": 1.0, "label": "n"},
+        {"from": "s2", "action": "b", "to": "s2", "prob": 1.0, "label": "n"},
+    ],
+}
+
+ACCEPT_G_OR_H = """HOA: v1
+States: 1
+Start: 0
+AP: 3 "g" "h" "n"
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0
+[0|1] 0 {0}
+[2] 0
+--END--
+"""
+
+
+def test_product_export_leak_takes_first_accepting_label(tmp_path, capsys):
+    # a@q0 at s0 has two accepting branches, h then g, after a rejecting n;
+    # the one merged leak edge into t carries h and (1-ζ) of their mass
+    mdp = tmp_path / "mixed.json"
+    mdp.write_text(json.dumps(MIXED_LEAK_MDP))
+    hoa = tmp_path / "g_or_h.hoa"
+    hoa.write_text(ACCEPT_G_OR_H)
+    out = tmp_path / "leaked.json"
+    argv = ["product", "--mdp", str(mdp), "--hoa", str(hoa), "--zeta", "0.9", "--export", str(out)]
+    code, _ = run(argv, capsys)
+    assert code == 0
+    m = load_mdp(out)
+    assert not [d for d in validate_mdp(m) if d.severity == "error"]
+    leaks = [e for e in m.edges if m.states[e.succ] == "t" and m.states[e.state] != "t"]
+    assert len(leaks) == 1
+    (leak,) = leaks
+    assert (m.states[leak.state], m.actions[leak.action]) == ("s0|q0", "a@q0")
+    assert m.symbols[leak.symbol] == "h"
+    assert abs(leak.prob - (1 - 0.9) * (0.3 + 0.5)) <= 1e-15
 
 
 def test_oracle_report(capsys):

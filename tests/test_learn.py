@@ -1,4 +1,4 @@
-"""Tabular Q-learning: schedules, update targets, replayability, sanity."""
+"""Tabular Q-learning: schedules, update targets, the draw contract, sanity."""
 
 import math
 import time
@@ -15,8 +15,6 @@ from buchirl import (
     UniformStream,
     augment,
     epsilon_at,
-    run_episode,
-    run_payoff,
     train,
 )
 from generators import random_instance
@@ -32,7 +30,7 @@ def test_rejects_biased_view(i2_product):
     with pytest.raises(ValueError):
         train(m, LearnConfig(episodes=1))
     with pytest.raises(ValueError):
-        run_episode(m, QTable.for_model(m), LearnConfig(), np.random.default_rng(0))
+        buchirl.learn._sim(m)
 
 
 def test_config_rejects_unusable_step_sizes():
@@ -67,7 +65,7 @@ def test_qtable_shape_and_greedy(i2_product):
 
 def test_uniform_stream_is_transparent():
     stream = UniformStream(np.random.default_rng(7))
-    got = np.array([stream.draw() for _ in range(5000)])  # crosses a refill
+    got = np.array([next(stream.draws) for _ in range(5000)])  # crosses a refill
     want = np.random.default_rng(7).random(5000)
     assert np.array_equal(got, want)
 
@@ -96,6 +94,15 @@ def test_never_has_nothing_to_learn(never_product):
     assert res.truncated == 50  # no episode can reach the target
 
 
+def run_greedy_episodes(model, table, cfg):
+    """`cfg.episodes` purely greedy episodes (epsilon 0) of the training loop
+    on a preset table."""
+    sim = buchirl.learn._sim(model)
+    stream = UniformStream(np.random.default_rng(0))
+    for _ in range(cfg.episodes):
+        buchirl.learn._episode(sim, table.q, table.visits, 0.0, cfg, stream)
+
+
 def test_exact_initialization_is_stable(i2_product):
     # seeded with the true pair values and a tiny step size, greedy play
     # keeps preferring a at s0 and the estimate stays put
@@ -104,9 +111,7 @@ def test_exact_initialization_is_stable(i2_product):
     table = QTable.for_model(m)
     table.q[0] = [5.0, 1.0]
     table.q[1] = [10.0]
-    stream = UniformStream(np.random.default_rng(0))
-    for _ in range(cfg.episodes):
-        run_episode(m, table, cfg, stream, epsilon=0.0)
+    run_greedy_episodes(m, table, cfg)
     assert table.greedy().choice[0] == 0
     assert abs(table.q[0][0] - 5.0) <= 1e-2
     assert abs(table.q[1][0] - 10.0) <= 1e-2
@@ -121,9 +126,7 @@ def test_exact_initialization_breaks_at_full_step(i2_product):
     table = QTable.for_model(m)
     table.q[0] = [5.0, 1.0]
     table.q[1] = [10.0]
-    stream = UniformStream(np.random.default_rng(0))
-    for _ in range(cfg.episodes):
-        run_episode(m, table, cfg, stream, epsilon=0.0)
+    run_greedy_episodes(m, table, cfg)
     assert table.greedy().choice[0] == 1
     assert table.q[0][0] < table.q[0][1] == 1.0
 
@@ -138,74 +141,6 @@ def test_train_is_reproducible(i2_product):
     assert a.curve == b.curve
     c = train(m, LearnConfig(episodes=30, max_steps=50, seed=10))
     assert c.curve != a.curve
-
-
-def test_training_loop_replays_through_run_episode(i2_product):
-    # the fast loop and the trace-recording entry point consume the same
-    # draws, so driving run_episode by hand reproduces train exactly
-    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
-    cfg = LearnConfig(episodes=40, max_steps=60, seed=5)
-    fast = train(m, cfg)
-
-    table = QTable.for_model(m)
-    stream = UniformStream(np.random.default_rng(cfg.seed))
-    for ep in range(cfg.episodes):
-        rec = run_episode(m, table, cfg, stream, epsilon=epsilon_at(cfg, ep))
-        assert run_payoff(m.spec, rec) == fast.curve[ep][1]
-        assert rec.reached_target == (rec.states[-1] == m.target)
-    assert table.q == fast.table.q
-    assert table.visits == fast.table.visits
-
-
-def test_run_episode_wraps_plain_generators(i2_product):
-    m = view(i2_product, Mode.REACH_TARGET, 0.9)
-    cfg = LearnConfig(max_steps=50)
-    t1 = QTable.for_model(m)
-    t2 = QTable.for_model(m)
-    r1 = run_episode(m, t1, cfg, np.random.default_rng(3))
-    r2 = run_episode(m, t2, cfg, UniformStream(np.random.default_rng(3)))
-    assert r1 == r2 and t1.q == t2.q
-
-
-def test_run_episode_draws_one_chunk_per_plain_generator_call(never_product):
-    # each call wraps the Generator in a new stream, which draws its first
-    # chunk up front, even for an episode that starts in a trap and draws
-    # nothing; callers sharing one Generator across calls rely on this
-    m = view(never_product, Mode.TOTAL_REWARD, 0.9)
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        run_episode(m, QTable.for_model(m), LearnConfig(max_steps=5), rng)
-    fresh = np.random.default_rng(11)
-    fresh.random(3 * UniformStream.CHUNK)
-    assert rng.bit_generator.state == fresh.bit_generator.state
-
-
-def test_run_episode_trace_shape(i2_product):
-    m = view(i2_product, Mode.TOTAL_REWARD, 0.5)
-    p = m.product
-    diverted = 0
-    for seed in range(4, 12):
-        table = QTable.for_model(m)
-        rec = run_episode(m, table, LearnConfig(max_steps=25), np.random.default_rng(seed))
-        assert rec.states[0] == p.initial
-        assert len(rec.states) == rec.steps + 1
-        assert len(rec.labels) == len(rec.accepting) == rec.steps
-        assert sum(sum(v) for v in table.visits) == rec.steps
-        # every step is a branch of the recorded pair with the recorded symbol
-        # and mark, leading to the next recorded state; a diverted final step
-        # ends at the target instead
-        for i in range(rec.steps):
-            final_divert = rec.reached_target and i == rec.steps - 1
-            assert any(
-                b.symbol == rec.labels[i]
-                and b.accepting == rec.accepting[i]
-                and (final_divert or b.succ == rec.states[i + 1])
-                for b in p.pairs[rec.states[i]][rec.actions[i]].branches
-            )
-        if rec.reached_target:
-            diverted += 1
-            assert rec.accepting[-1] and rec.states[-1] == m.target
-    assert 0 < diverted < 8
 
 
 def test_reach_estimates_stay_in_unit_interval(i2_product):
@@ -244,14 +179,9 @@ def test_truncation_caps_episode_totals(self_loop_product):
     assert max(t for _, t, _ in res.curve) <= 3.0
     assert res.table.visits[0][0] <= 600
     # an episode is truncated when none of its 3 accepting steps diverts;
-    # the replayed traces count those episodes directly
-    table = QTable.for_model(m)
-    stream = UniformStream(np.random.default_rng(cfg.seed))
-    reached = [
-        run_episode(m, table, cfg, stream, epsilon=epsilon_at(cfg, ep)).reached_target
-        for ep in range(cfg.episodes)
-    ]
-    assert res.truncated == reached.count(False)
+    # the step-by-step reference counts those episodes directly
+    _, truncated = ReferenceLearner(m, cfg, np.random.default_rng(cfg.seed)).train()
+    assert res.truncated == truncated
     mean = 200 * 0.9**3
     assert abs(res.truncated - mean) <= 4.0 * math.sqrt(mean * (1 - 0.9**3))
 
@@ -313,7 +243,7 @@ def assert_matches_reference(model, cfg, monkeypatch):
     fresh = np.random.default_rng(cfg.seed)
     fresh.random(chunks * UniformStream.CHUNK)
     assert stream.rng.bit_generator.state == fresh.bit_generator.state
-    assert stream.draw() == ref.rng.random()
+    assert next(stream.draws) == ref.rng.random()
     return ref
 
 
@@ -337,7 +267,7 @@ def test_train_matches_reference_when_starting_in_a_trap(
     assert ref.draws == 0
 
 
-def test_train_and_traces_match_reference_on_random_traps(monkeypatch):
+def test_train_matches_reference_on_random_traps(monkeypatch):
     rng = np.random.default_rng(20240502)
     products = []
     while len(products) < 20:
@@ -355,22 +285,6 @@ def test_train_and_traces_match_reference_on_random_traps(monkeypatch):
                 )
                 ref = assert_matches_reference(m, cfg, monkeypatch)
                 entered += any(ref.visits[s][0] for s in trap_states(p))
-            # run_episode records every step, the skipped trap steps included
-            cfg = LearnConfig(max_steps=max_steps)
-            table = QTable.for_model(m)
-            stream = UniformStream(np.random.default_rng(i))
-            ref = ReferenceLearner(m, cfg, np.random.default_rng(i))
-            for ep in range(10):
-                rec = run_episode(m, table, cfg, stream, epsilon=0.4)
-                _, reached, (states, pairs, symbols, accepting) = ref.episode(0.4)
-                if reached:
-                    states[-1] = m.target
-                assert rec.states == tuple(states)
-                assert rec.actions == tuple(pairs)
-                assert rec.labels == tuple(symbols)
-                assert rec.accepting == tuple(accepting)
-                assert rec.reached_target == reached
-            assert table.q == ref.q and table.visits == ref.visits
     print(f"{entered} of 80 training runs entered a trap")
     assert entered >= 40
 
@@ -385,20 +299,3 @@ def test_trap_steps_are_booked_not_simulated(never_product):
     assert res.truncated == 20
     assert all(t == 0.0 for _, t, _ in res.curve)
 
-
-def test_truncated_trace_ends_in_the_sink(i2_product):
-    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
-    p = m.product
-    sink = p.state_name(2)
-    assert sink == "sR|q0"
-    cfg = LearnConfig(max_steps=40)
-    for seed in range(20):
-        rec = run_episode(m, QTable.for_model(m), cfg, np.random.default_rng(seed))
-        if not rec.reached_target and rec.states[1] == 2:
-            break
-    else:
-        raise AssertionError("no seed sent the episode straight into the sink")
-    assert rec.steps == cfg.max_steps
-    assert len(rec.actions) == len(rec.labels) == len(rec.accepting) == cfg.max_steps
-    assert all(p.state_name(st) == sink for st in rec.states[1:])
-    assert set(rec.actions[1:]) == {0} and not any(rec.accepting)

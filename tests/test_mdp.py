@@ -9,7 +9,6 @@ from buchirl import (
     Edge,
     Mdp,
     MdpFormatError,
-    RunRecord,
     dump_mdp,
     load_mdp,
     mdp_from_json,
@@ -204,13 +203,3 @@ def test_mdp_constructor_errors():
     with pytest.raises(ValueError):
         Mdp(("s",), ("a",), ("g",), 0, (Edge(0, 0, 0, 1.0, 2),))
     Mdp(("s",), ("a",), ("g",), 0, (e,))  # and the well-formed one is fine
-
-
-def test_run_record():
-    r = RunRecord((0, 1, 2), (0, 0), (1, 0), (False, True), False)
-    assert r.steps == 2
-    assert r.accepting_count == 1
-    with pytest.raises(ValueError):
-        RunRecord((0,), (0,), (), (), False)
-    with pytest.raises(ValueError):
-        RunRecord((), (), (), (), False)

@@ -163,7 +163,7 @@ def test_action_dropped_but_state_survives():
     edges = m.edges + (Edge(0, 1, 1, 1.0, 0),)
     m2 = Mdp(m.states, ("a", "b"), GN, 0, edges)
     p = build_product(m2, a)
-    st = p.index[(0, 0)]
+    st = p.states.index((0, 0))
     assert [pair.action for pair in p.pairs[st]] == [1]
 
 
@@ -218,7 +218,7 @@ def test_gfm_caveat_flag(i2, corpus):
 def test_nondet_product_resolves_choices(i2, corpus):
     nondet = parse_hoa((corpus / "hoa" / "nondet_g.hoa").read_text())
     p = build_product(i2, nondet)
-    st = p.index[(0, 0)]
+    st = p.states.index((0, 0))
     names = {p.pair_name(st, k) for k in range(len(p.pairs[st]))}
     # reading g at q0 may move to q0 or q1; both resolutions are actions
     assert names == {"a@q0", "b@q0", "b@q1"}
@@ -286,7 +286,7 @@ def test_pair_and_state_names(i2_product):
     with pytest.raises(IndexError):
         i2_product.pair_name(0, 2)  # s0 has two pairs; pair 2 would be sA's first
     assert i2_product.state_name(2) == "sR|q0"
-    assert i2_product.index[(2, 0)] == 2
+    assert i2_product.states.index((2, 0)) == 2
 
 
 def reference_columns(pairs):

@@ -10,14 +10,12 @@ from buchirl import (
     Mdp,
     Mode,
     PayoffSpec,
-    RunRecord,
     Strategy,
     augment,
     build_product,
     evaluate_policy,
     greedy_policy,
     random_strategy,
-    run_payoff,
     simulate_batch,
     solve_optimal,
 )
@@ -147,40 +145,6 @@ def test_flat_table_matches_reference(i2_product, self_loop_product, never_produ
                 got, want = augment(p, spec).flat, augment_reference(p, spec)
                 for name, g, w in zip(want._fields, got, want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (mode, zeta, name)
-
-
-def _record(accepting, reached=False):
-    n = len(accepting)
-    return RunRecord(
-        tuple(range(n + 1)),
-        (0,) * n,
-        (0,) * n,
-        tuple(accepting),
-        reached,
-    )
-
-
-def test_run_payoff_empty_run():
-    rec = _record([False, False, False])
-    for mode in Mode:
-        assert run_payoff(PayoffSpec(mode, 0.5), rec) == 0.0
-
-
-def test_run_payoff_examples():
-    rec = _record([True, False, True, True], reached=True)
-    assert run_payoff(PayoffSpec(Mode.REACH_TARGET, 0.5), rec) == 1.0
-    assert run_payoff(PayoffSpec(Mode.TOTAL_REWARD, 0.5), rec) == 3.0
-    # 1 + 0.5 + 0.25, position among non-accepting steps irrelevant
-    assert run_payoff(PayoffSpec(Mode.BIASED_DISCOUNT, 0.5), rec) == 1.75
-
-
-def test_run_payoff_biased_geometric():
-    for zeta in (0.3, 0.5, 0.9):
-        for n in (1, 4, 17):
-            rec = _record([True] * n)
-            want = (1.0 - zeta**n) / (1.0 - zeta)
-            got = run_payoff(PayoffSpec(Mode.BIASED_DISCOUNT, zeta), rec)
-            assert abs(got - want) <= 1e-12
 
 
 def test_simulate_batch_matches_exact_values(i2_product):
