@@ -16,7 +16,6 @@ from .automata import (
     is_complete,
     is_deterministic,
     parse_hoa,
-    serialize_hoa,
 )
 from .learn import LearnConfig, QTable, TrainResult, UniformStream, epsilon_at, train
 from .mdp import (

@@ -314,32 +314,3 @@ def parse_hoa(text: str) -> Nba:
     accepting = frozenset(i for i, f in enumerate(acc_flags) if f)
     return Nba(tuple(names), n_states, start, tuple(trans), accepting, gfm)
 
-
-def serialize_hoa(a: Nba) -> str:
-    """Canonical text form: states in index order, one symbol per edge line.
-
-    ``parse_hoa(serialize_hoa(a)) == a`` whenever the transitions of `a` are
-    grouped by source state, which holds for every parsed automaton.
-    """
-    out = [
-        "HOA: v1",
-        f"States: {a.n_states}",
-        f"Start: {a.initial}",
-        "AP: " + " ".join([str(len(a.symbols))] + [f'"{s}"' for s in a.symbols]),
-        "acc-name: Buchi",
-        "Acceptance: 1 Inf(0)",
-    ]
-    if a.gfm is not None:
-        out.append(f"GFM: {'true' if a.gfm else 'false'}")
-    out.append("--BODY--")
-    by_src: list[list[int]] = [[] for _ in range(a.n_states)]
-    for i, (q, _, _) in enumerate(a.transitions):
-        by_src[q].append(i)
-    for q in range(a.n_states):
-        out.append(f"State: {q}")
-        for i in by_src[q]:
-            _, s, r = a.transitions[i]
-            mark = " {0}" if i in a.accepting else ""
-            out.append(f"[{s}] {r}{mark}")
-    out.append("--END--")
-    return "\n".join(out) + "\n"

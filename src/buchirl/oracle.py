@@ -2,9 +2,13 @@
 
 The Buchi value is computed from maximal end components plus exact maximal
 reachability, and per-strategy satisfaction from the bottom components of
-the induced chain.  The reward pipeline is numerically checked against these
-answers, so nothing here may reuse the augmentation or the reward solvers;
-the linear systems are assembled separately on purpose.
+the induced chain.  Every chain is first settled by graph search: states
+that cannot reach the target are exactly 0, states that cannot reach a
+state worth 0 exactly 1, and a dense linear solve covers only the states
+left undecided.  The reward pipeline is numerically checked against these
+answers, so nothing here may reuse the augmentation, the reward solvers or
+their graph searches; the searches and linear systems are assembled
+separately on purpose.
 
 For products of nondeterministic automata without an asserted good-for-MDPs
 flag the computed value is only guaranteed to be a lower bound on the Buchi
@@ -32,9 +36,6 @@ class EndComponent:
     states: tuple[int, ...]
     retained: tuple[tuple[int, ...], ...]  # pair indices, aligned with states
     accepting: bool
-
-    def retained_at(self, state: int) -> tuple[int, ...]:
-        return self.retained[self.states.index(state)]
 
 
 @dataclass(frozen=True)
@@ -108,43 +109,62 @@ def _chain_reach(
 ) -> np.ndarray:
     """Reach probability of `ones` in the chain induced by `choice`.
 
-    States in `ones` are worth 1, in `zeros` 0; free states that cannot reach
-    `ones` are exactly 0 and fixing them keeps the system nonsingular.
+    States in `ones` are worth 1, in `zeros` 0.  Two backward searches over
+    the chosen branches settle the rest by the graph alone: a free state
+    that cannot reach `ones` is worth exactly 0 (the live set is the rest),
+    and a live state that cannot reach a state worth 0 is worth exactly 1.
+    A dense solve runs only over the live states left undecided, with the
+    mass into states worth 1 on its right-hand side; fixing the 0s keeps
+    that system nonsingular.
     """
     n = p.n_states
     chosen = _chosen_branches(p, choice)
     succ, prob = p.succ.tolist(), p.prob.tolist()
     free = [st for st in range(n) if st not in ones and st not in zeros]
-    b = np.zeros(n)
     rev: list[list[int]] = [[] for _ in range(n)]
+    hits: set[int] = set()  # free states one branch away from `ones`
     for st in free:
         for e in chosen[st]:
             if succ[e] in ones:
-                b[st] += prob[e]
+                hits.add(st)
             elif succ[e] not in zeros:
                 rev[succ[e]].append(st)
-    live = {st for st in free if b[st] > 0.0}
-    stack = list(live)
-    while stack:
-        u = stack.pop()
-        for w in rev[u]:
-            if w not in live:
-                live.add(w)
-                stack.append(w)
+    live = _backward_closure(hits, rev)
+    # live states one branch away from a state worth 0, which is one in
+    # `zeros` or a free state off the live set; the closure stays live
+    # because every predecessor of a live state is live
+    doomed = {st for st in live if any(succ[e] not in ones and succ[e] not in live for e in chosen[st])}
+    sure = live - _backward_closure(doomed, rev)
     v = np.zeros(n)
-    for st in ones:
+    for st in ones | sure:
         v[st] = 1.0
-    order = sorted(live)
+    order = sorted(live - sure)
     if order:
         pos = {st: i for i, st in enumerate(order)}
         a = np.eye(len(order))
+        b = np.zeros(len(order))
         for i, st in enumerate(order):
             for e in chosen[st]:
                 j = pos.get(succ[e])
                 if j is not None:
                     a[i, j] -= prob[e]
-        v[np.array(order)] = np.linalg.solve(a, b[np.array(order)])
+                elif v[succ[e]] == 1.0:
+                    b[i] += prob[e]
+        v[np.array(order)] = np.linalg.solve(a, b)
     return v
+
+
+def _backward_closure(seeds: set[int], rev: list[list[int]]) -> set[int]:
+    """`seeds` and every state with a path into them along `rev`'s edges."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for w in rev[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list[int]]:
@@ -247,7 +267,9 @@ def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:
     accepting branches.
 
     Classifies bottom strongly connected components of the chain as accepting
-    or not, then solves exact absorption into the accepting ones.
+    or not, then computes absorption into the accepting ones: exactly 0 and
+    exactly 1 where the graph decides it, by a dense solve over the states
+    left undecided.
     """
     f.check(p)
     chosen = _chosen_branches(p, f.choice)

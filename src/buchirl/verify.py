@@ -7,8 +7,10 @@ total views plus random draws) the checks are, per bias zeta:
 - bounds: every ETotal lies in [0, 1/(1-zeta)];
 - equality: ETotal = EDisct per strategy, and for the optimal value vectors
   (one backup serves both views, so these are expected bit-identical);
-- prob-1: ETotal hits 1/(1-zeta) exactly where the independent component
-  oracle reports Buchi satisfaction with probability 1, and nowhere else;
+- prob-1: ETotal hits 1/(1-zeta), within PROB1_TOL, exactly where the
+  independent component oracle reports Buchi satisfaction with probability
+  exactly 1, and nowhere else; the oracle settles its 0/1 sets by graph
+  search, so only the reward side needs a tolerance;
 - tail (optional, Monte Carlo): the empirical probability of n accepting
   steps all surviving the diversion decays at least as fast as zeta^n.
   Diverted steps still earn reward but do not count as survived, which is
@@ -36,7 +38,7 @@ TAIL_NS = (5, 10, 20)  # accepting-step counts the tail check looks at
 IDENTITY_TOL = 1e-8  # max |PReach - (1-zeta) ETotal|
 BOUND_TOL = 1e-9  # max excess of ETotal over [0, 1/(1-zeta)]
 EQUALITY_TOL = 1e-12  # max |ETotal - EDisct|
-PROB1_TOL = 1e-6  # distance from 1, and from 1/(1-zeta), that counts as equal
+PROB1_TOL = 1e-6  # distance from 1/(1-zeta) at which ETotal counts as the cap
 OPTIMAL_TOL = 1e-9  # a sweep policy within this of the Buchi optimum is optimal
 
 
@@ -165,7 +167,7 @@ def verify_instance(
                 float(np.max(-et, initial=0.0)),
             )
             equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
-            sat = np.abs(psats[f] - 1.0) <= PROB1_TOL
+            sat = psats[f] == 1.0
             full = np.abs(et - cap) <= PROB1_TOL
             prob1_bad += count * int(np.sum(sat != full))
             checked += count

@@ -408,7 +408,7 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     is then visited again and again, and each visit crosses the accepting
     branch with fixed positive probability.
     """
-    retained = dict(zip(ec.states, ec.retained))  # ec.retained_at scans the members per call
+    retained = dict(zip(ec.states, ec.retained))
     anchor = None
     for u in ec.states:
         for k in retained[u]:

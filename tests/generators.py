@@ -1,5 +1,6 @@
 """Random instances for the property tests: desk-scale ones, and one size
-of a few hundred product states for the sparse policy solver.
+of a few hundred product states for the sparse policy solver; and the HOA
+text of an automaton, for tests that hand one to the parser or the CLI.
 
 Branch probabilities are integer weights over a common denominator with the
 last branch taking the exact remainder, so every distribution sums to 1.0 in
@@ -136,3 +137,33 @@ def large_instance(rng, n_states=300):
     m = Mdp(names, ("a0", "a1"), SYMBOLS, 0, tuple(edges))
     a = Nba(SYMBOLS, 2, 0, ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)), frozenset({0, 2}))
     return m, a, build_product(m, a)
+
+
+def serialize_hoa(a: Nba) -> str:
+    """Canonical text form: states in index order, one symbol per edge line.
+
+    ``parse_hoa(serialize_hoa(a)) == a`` whenever the transitions of `a` are
+    grouped by source state, which holds for every parsed automaton.
+    """
+    out = [
+        "HOA: v1",
+        f"States: {a.n_states}",
+        f"Start: {a.initial}",
+        "AP: " + " ".join([str(len(a.symbols))] + [f'"{s}"' for s in a.symbols]),
+        "acc-name: Buchi",
+        "Acceptance: 1 Inf(0)",
+    ]
+    if a.gfm is not None:
+        out.append(f"GFM: {'true' if a.gfm else 'false'}")
+    out.append("--BODY--")
+    by_src: list[list[int]] = [[] for _ in range(a.n_states)]
+    for i, (q, _, _) in enumerate(a.transitions):
+        by_src[q].append(i)
+    for q in range(a.n_states):
+        out.append(f"State: {q}")
+        for i in by_src[q]:
+            _, s, r = a.transitions[i]
+            mark = " {0}" if i in a.accepting else ""
+            out.append(f"[{s}] {r}{mark}")
+    out.append("--END--")
+    return "\n".join(out) + "\n"

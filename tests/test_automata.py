@@ -1,4 +1,5 @@
-"""Automaton model, HOA subset parser and serializer, checked on lasso words."""
+"""Automaton model and HOA subset parser, checked on lasso words and text
+round trips."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from buchirl import (
     is_complete,
     is_deterministic,
     parse_hoa,
-    serialize_hoa,
 )
 
 from bruteforce import lasso_accept_bruteforce
-from generators import random_nondet_automaton
+from generators import random_nondet_automaton, serialize_hoa
 
 
 def hoa(body, headers=""):

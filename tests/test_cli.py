@@ -7,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from buchirl import ProductMdp, dump_mdp, load_mdp, serialize_hoa, validate_mdp
+from buchirl import ProductMdp, dump_mdp, load_mdp, validate_mdp
 from buchirl.cli import main
 from buchirl.verify import VerifyReport
 
 from conftest import CORPUS, ROOT
-from generators import large_instance
+from generators import large_instance, serialize_hoa
 
 I2 = str(CORPUS / "mdp" / "i2.json")
 SELF_LOOP = str(CORPUS / "mdp" / "self_loop.json")

@@ -46,7 +46,7 @@ def test_self_loop_mec(self_loop_product):
     (ec,) = mec_decomposition(self_loop_product)
     assert ec.states == (0,)
     assert ec.accepting
-    assert ec.retained_at(0) == (0,)
+    assert dict(zip(ec.states, ec.retained))[0] == (0,)
 
 
 def test_never_mec(never_product):
@@ -219,8 +219,10 @@ def test_values_are_probabilities():
 
 
 def test_oracle_matches_reference(corpus_products):
-    # the column oracle against its former tuple walk, bit for bit: values,
-    # strategy, components with their retained pairs, policy satisfaction
+    # the column oracle against its former tuple walk, which solved every
+    # live state densely: strategy and components exactly; values and policy
+    # satisfaction within 1e-15, with the 0/1 sets exact, since the graph
+    # search now settles states the walk's LU left a few ulps off 1
     products = list(corpus_products)
     rng = np.random.default_rng(16)
     for make_automaton in (random_det_automaton, random_nondet_automaton):
@@ -239,7 +241,7 @@ def test_oracle_matches_reference(corpus_products):
         pool += [random_strategy(p, rng) for _ in range(5)]
         want, want_sat = oracle_reference(p, pool)
         got = buchi_value(p)
-        assert got.values.tobytes() == want.values.tobytes()
+        _assert_rounding_apart(got.values, want.values)
         assert got.strategy == want.strategy
         # repr also tells Python ints and bools from numpy scalars
         assert repr(got.mecs) == repr(want.mecs)
@@ -247,4 +249,56 @@ def test_oracle_matches_reference(corpus_products):
         assert got.accepting_mecs == want.accepting_mecs
         assert got.lower_bound_only == want.lower_bound_only
         for f, sat in zip(pool, want_sat):
-            assert policy_buchi_probability(p, f).tobytes() == sat.tobytes()
+            _assert_rounding_apart(policy_buchi_probability(p, f), sat)
+
+
+def _assert_rounding_apart(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.array_equal(got == 1.0, want >= 1.0 - 1e-12)
+    assert np.array_equal(got == 0.0, want <= 1e-12)
+
+
+def test_sure_states_need_no_solve(monkeypatch):
+    # the greedy chain and every max-reach evaluation of this product are
+    # settled by the graph searches alone, so no linear system is built
+    _, _, p = large_instance(np.random.default_rng(1))
+    total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+    f = greedy_policy(total, solve_optimal(total).values)
+    sizes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(b)) or solve(a, b))
+    for values in (policy_buchi_probability(p, f), buchi_value(p).values):
+        assert np.all((values == 0.0) | (values == 1.0))
+    assert sizes == []
+
+
+def _chain_product(accept_g, edges):
+    """The product of a one-action chain (states named by index) and GF g."""
+    n = 1 + max(e[0] for e in edges)
+    m = Mdp(tuple(f"s{i}" for i in range(n)), ("a",), GN, 0, tuple(Edge(*e) for e in edges))
+    p = build_product(m, accept_g)
+    return p, Strategy((0,) * p.n_states)
+
+
+def test_sure_state_behind_a_long_chain_is_exactly_one(accept_g):
+    # s0 is truly undecided: a quarter each into the winning loop s1 and the
+    # chain head s3, half into the losing loop s2.  The chain s3..s10 steps
+    # on with 0.1 and falls back to s3 with 0.9, so it reaches s1 surely,
+    # but only once in 1e8 tries: a solve would leave it some ulps off 1
+    chain = [(i, 0, i + 1 if i < 10 else 1, 0.1, 1) for i in range(3, 11)]
+    chain += [(i, 0, 3, 0.9, 1) for i in range(3, 11)]
+    edges = [(0, 0, 1, 0.25, 1), (0, 0, 3, 0.25, 1), (0, 0, 2, 0.5, 1), (1, 0, 1, 1.0, 0), (2, 0, 2, 1.0, 1)]
+    p, f = _chain_product(accept_g, edges + chain)
+    want = [0.5, 1.0, 0.0] + [1.0] * 8
+    for values in (policy_buchi_probability(p, f), buchi_value(p).values):
+        assert {p.states[i][0]: x for i, x in enumerate(values.tolist())} == dict(enumerate(want))
+
+
+def test_state_with_a_path_to_a_doomed_free_state_is_not_sure(accept_g):
+    # s0 reaches the winning loop s1, and the transient s3, which can only
+    # fall into the losing loop s2: s0 has no branch into a bottom component
+    # worth 0, yet it is worth 0.5, not 1
+    edges = [(0, 0, 1, 0.5, 1), (0, 0, 3, 0.5, 1), (1, 0, 1, 1.0, 0), (2, 0, 2, 1.0, 1), (3, 0, 2, 1.0, 1)]
+    p, f = _chain_product(accept_g, edges)
+    values = policy_buchi_probability(p, f)
+    assert {p.states[i][0]: x for i, x in enumerate(values.tolist())} == {0: 0.5, 1: 1.0, 2: 0.0, 3: 0.0}
