@@ -30,12 +30,12 @@ states that can reach a reward at all along branches that carry successor
 value, found by `shaping.can_reach`, the backward search the payoff sampler
 also uses (everything else is exactly 0, and restricting also keeps the
 system nonsingular).  Up to DENSE_LIMIT such states the system is solved
-densely.  Above it, W is assembled as a sparse matrix (a few nonzeros per
-row) and solved by BiCGSTAB, refined on the true residual, computed in
-twice the working precision, until that residual is within
-RESIDUAL_TOL * max(1, max|x|); a solve that does not get there raises
-ConvergenceError instead of returning a worse answer.  scipy is imported
-only on that path.
+densely.  Above it, W stays a list of (row, col, w) entries (a few per row)
+and the system is solved by an in-repo BiCGSTAB whose mat-vec is one
+bincount, refined on the true residual, computed in twice the working
+precision, until that residual is within RESIDUAL_TOL * max(1, max|x|); a
+solve that does not get there raises ConvergenceError instead of returning
+a worse answer.  Only numpy is needed at run time.
 
 Every solver reads the model's flat branch table (`AugmentedModel.flat`);
 the branch layout lives in `shaping`.
@@ -66,8 +66,8 @@ class ValueVector:
     """Values per product state.
 
     From value iteration, residual is the last sup-norm change and iterations
-    the sweep count.  From a dense policy solve both are 0; from a sparse one
-    (above DENSE_LIMIT live states) residual is the final true residual
+    the sweep count.  From a dense policy solve both are 0; from an iterative
+    one (above DENSE_LIMIT live states) residual is the final true residual
     max|b - Mx| and iterations the number of BiCGSTAB passes.
     """
 
@@ -84,10 +84,12 @@ class ValueVector:
 
 
 # evaluate_policy solves densely up to this many live states and sparsely above
-# it: np.linalg.solve and BiCGSTAB break even at about 350 live states on
-# large_mdp products (2.5 ms each), and dense costs 8.3 ms to sparse 2.8 ms at 586
+# it: np.linalg.solve and BiCGSTAB break even between 300 and 400 live states on
+# large_mdp products (2.4 and 2.8 ms at 296), and dense costs 10.5 ms to sparse
+# 4.1-4.7 ms at 586
 DENSE_LIMIT = 400
-BICGSTAB_RTOL = 1e-12  # per pass, relative to the pass's right-hand side
+BICGSTAB_RTOL = 1e-12  # per pass, 2-norm relative to the pass's right-hand side
+BICGSTAB_ITER = 10  # a pass stops after this many iterations per unknown
 REFINE_PASSES = 4  # BiCGSTAB passes on the true residual before giving up
 # the refinement target: max|b - Mx| <= RESIDUAL_TOL * max(1, max|x|); 4 eps of
 # float64, a few times what the correctly rounded solution leaves
@@ -259,24 +261,65 @@ def _residual(b, x, row, col, w, ranks):
     return hi + lo
 
 
+def _bicgstab(matvec, b):
+    """One unpreconditioned BiCGSTAB pass for M x = b from x = 0.
+
+    The iteration of van der Vorst (SIAM J. Sci. Stat. Comput. 1992) with the
+    shadow residual r~ = b; a test compares it bit for bit with a library
+    implementation of the same steps.  It stops once
+    |r| < BICGSTAB_RTOL * |b| in the 2-norm, after BICGSTAB_ITER * n
+    iterations, or at a breakdown (rho, r~.v or omega exactly 0), and returns
+    its current iterate in every case: `_solve_sparse` judges the result by
+    the true residual, not by how the pass ended.
+    """
+    x = np.zeros_like(b)
+    tol = BICGSTAB_RTOL * np.linalg.norm(b)
+    r = b.copy()
+    for it in range(BICGSTAB_ITER * b.size):
+        if np.linalg.norm(r) < tol:
+            break
+        rho = b @ r
+        if rho == 0.0:
+            break
+        if it == 0:
+            p = r.copy()
+        else:
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        v = matvec(p)
+        rv = b @ v
+        if rv == 0.0:
+            break
+        alpha = rho / rv
+        r -= alpha * v  # r is s from here on
+        if np.linalg.norm(r) < tol:
+            x += alpha * p
+            break
+        t = matvec(r)
+        omega = (t @ r) / (t @ t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+        if omega == 0.0:
+            break
+    return x
+
+
 def _solve_sparse(row, col, w, b):
     """Solve (I - W) x = b, W[row, col] = w, by BiCGSTAB with refinement.
 
-    Each pass solves for the correction on the true residual b - Mx; the
-    result is returned as (x, residual, passes) once that residual is at most
-    RESIDUAL_TOL * max(1, max|x|), and ConvergenceError is raised when
-    REFINE_PASSES passes do not get there.
+    Each `_bicgstab` pass solves for the correction on the true residual
+    b - Mx; the result is returned as (x, residual, passes) once that
+    residual is at most RESIDUAL_TOL * max(1, max|x|), and ConvergenceError
+    is raised when REFINE_PASSES passes do not get there.
     """
-    # scipy.sparse costs about 0.17 s to import, which small systems never pay
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import bicgstab
-
     n = b.size
-    diag = np.arange(n)
-    m = csr_matrix(
-        (np.concatenate((np.ones(n), -w)), (np.concatenate((diag, row)), np.concatenate((diag, col)))),
-        shape=(n, n),
-    )
+
+    def matvec(y):
+        return y - np.bincount(row, weights=w * y[col], minlength=n)
+
     rank = np.arange(row.size) - np.searchsorted(row, row)  # row is nondecreasing
     order = np.argsort(rank, kind="stable")
     ranks = np.split(order, np.flatnonzero(np.diff(rank[order])) + 1)
@@ -284,8 +327,7 @@ def _solve_sparse(row, col, w, b):
     r = b
     residual = math.inf
     for passes in range(1, REFINE_PASSES + 1):
-        dx, _ = bicgstab(m, r, rtol=BICGSTAB_RTOL, atol=0.0)
-        x = x + dx
+        x = x + _bicgstab(matvec, r)
         r = _residual(b, x, row, col, w, ranks)
         residual = float(np.max(np.abs(r)))
         if residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(x)))):

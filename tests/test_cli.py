@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from buchirl import ProductMdp, dump_mdp, load_mdp, validate_mdp
+from buchirl import ProductMdp, dump_mdp, load_mdp, solvers, validate_mdp
 from buchirl.cli import main
 from buchirl.verify import VerifyReport
 
@@ -469,13 +469,11 @@ def test_singular_solve_exit_code(monkeypatch, capsys):
 def test_sparse_solve_exit_code(tmp_path, monkeypatch, capsys):
     # above DENSE_LIMIT live states policy evaluation is iterative; passes that
     # never reach the residual target are a solver failure too
-    import scipy.sparse.linalg
-
     m, a, _ = large_instance(np.random.default_rng(40))
     mdp, hoa = tmp_path / "large.json", tmp_path / "gf_g.hoa"
     dump_mdp(m, mdp)
     hoa.write_text(serialize_hoa(a))
-    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 0))
+    monkeypatch.setattr(solvers, "_bicgstab", lambda matvec, b: np.zeros_like(b))
     assert main(["verify", "--mdp", str(mdp), "--hoa", str(hoa), "--policies", "0"]) == 5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: policy evaluation missed its residual target")

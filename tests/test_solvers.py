@@ -327,6 +327,33 @@ def test_iterative_fallback_matches_dense(i2_product, monkeypatch):
             assert sweep.iterations > 0  # the zero shortcut did not fire
 
 
+def test_bicgstab_matches_scipy():
+    # the in-repo pass runs scipy's iteration step for step, so on systems
+    # where scipy's pass converges the iterates agree bit for bit; scipy is
+    # a test dependency only
+    from scipy.sparse.linalg import LinearOperator, bicgstab
+
+    rng = np.random.default_rng(26)
+    n = 300
+    row = np.repeat(np.arange(n), 3)
+    for zeta in (0.5, 0.9, 0.99):
+        col = rng.integers(n, size=row.size)
+        w = rng.random(row.size)
+        w *= zeta / np.bincount(row, weights=w)[row]
+        b = rng.random(n)
+
+        def matvec(y):
+            return y - np.bincount(row, weights=w * y[col], minlength=n)
+
+        want, info = bicgstab(
+            LinearOperator((n, n), matvec=matvec, dtype=float), b,
+            rtol=solvers.BICGSTAB_RTOL, atol=0.0,
+        )
+        assert info == 0
+        assert np.array_equal(solvers._bicgstab(matvec, b), want)
+    assert not solvers._bicgstab(matvec, np.zeros(n)).any()
+
+
 def test_convergence_errors(self_loop_product, monkeypatch):
     m = view(self_loop_product, Mode.TOTAL_REWARD, 0.9)
     with pytest.raises(ConvergenceError) as exc:
@@ -335,10 +362,8 @@ def test_convergence_errors(self_loop_product, monkeypatch):
     assert exc.value.residual > 0.0
     # a sparse solve whose passes never move x misses its residual target
     # and raises rather than return the start vector
-    import scipy.sparse.linalg
-
     _, _, p = large_instance(np.random.default_rng(40))
-    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 0))
+    monkeypatch.setattr(solvers, "_bicgstab", lambda matvec, b: np.zeros_like(b))
     with pytest.raises(ConvergenceError) as exc:
         evaluate_policy(view(p, Mode.TOTAL_REWARD, 0.9), Strategy((0,) * p.n_states))
     assert exc.value.iterations == solvers.REFINE_PASSES
@@ -373,24 +398,38 @@ def test_sparse_solve_matches_dense(monkeypatch):
             assert np.max(np.abs(pr - (1.0 - zeta) * et)) <= IDENTITY_TOL
 
 
-def test_small_products_never_import_scipy():
-    # scipy is imported on the sparse path only, so commands on small
-    # products do not pay for it
+def test_commands_never_import_scipy(tmp_path):
+    # numpy is the only runtime dependency: neither commands on small
+    # products nor verify on a product that takes the sparse path import scipy
     code = """
 import sys
 import numpy as np
-from buchirl import verify_instance
+from buchirl import dump_mdp, verify, verify_instance
 from buchirl.cli import main
-from generators import random_instance
+from generators import large_instance, random_instance, serialize_hoa
 assert main(["verify", "--mdp", sys.argv[1], "--hoa", sys.argv[2]]) == 0
 m, a, _ = random_instance(np.random.default_rng(0))
 assert verify_instance(m, a, zetas=(0.5, 0.9, 0.99)).passed
+m, a, _ = large_instance(np.random.default_rng(40))
+dump_mdp(m, sys.argv[3])
+with open(sys.argv[4], "w") as out:
+    out.write(serialize_hoa(a))
+passes = []
+evaluate = verify.evaluate_policy
+def spy(model, f):
+    v = evaluate(model, f)
+    passes.append(v.iterations)
+    return v
+verify.evaluate_policy = spy
+assert main(["verify", "--mdp", sys.argv[3], "--hoa", sys.argv[4]]) == 0
+assert max(passes) > 0, passes  # some evaluation ran above DENSE_LIMIT
 assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith("scipy"))
 """
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
     corpus = root / "corpus"
     args = [str(corpus / "mdp" / "i2.json"), str(corpus / "hoa" / "accept_g.hoa")]
+    args += [str(tmp_path / "large.json"), str(tmp_path / "gf_g.hoa")]
     done = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
