@@ -330,7 +330,7 @@ def test_iterative_fallback_matches_dense(i2_product, monkeypatch):
 def test_bicgstab_matches_scipy():
     # the in-repo pass runs scipy's iteration step for step, so on systems
     # where scipy's pass converges the iterates agree bit for bit; scipy is
-    # a test dependency only
+    # a test dependency only, from 1.12 (rtol, and the Python iteration)
     from scipy.sparse.linalg import LinearOperator, bicgstab
 
     rng = np.random.default_rng(26)
