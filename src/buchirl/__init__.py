@@ -62,11 +62,9 @@ from .shaping import (
 from .solvers import (
     ConvergenceError,
     ValueVector,
-    bellman_backup,
     evaluate_policy,
     greedy_policy,
     solve_optimal,
-    solve_optimal_many,
 )
 from .verify import (
     SweepRow,

@@ -8,9 +8,10 @@ null timing field.
 Exit codes: 0 ok, 2 usage (a numeric option out of its range included), 3
 unreadable or unparsable input (MDP JSON with a duplicate key or nested too
 deeply included), 4 validation or construction failure, 5
-solver failure (value iteration not converged, a singular linear system, a
-sparse policy evaluation that misses its residual target, or the oracle's
-policy iteration not stabilized), 6 verification failed.
+solver failure (the optimal solve's policy iteration past its round cap, a
+singular linear system, a sparse policy evaluation that misses its residual
+target, or the oracle's policy iteration not stabilized), 6 verification
+failed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .mdp import Edge, Mdp, MdpFormatError, dump_mdp, load_mdp, validate
 from .oracle import PolicyIterationError, buchi_value
 from .product import ProductError, ProductMdp, build_product
 from .shaping import Mode, PayoffSpec, augment
-from .solvers import ConvergenceError, greedy_policy, solve_optimal
+from .solvers import ConvergenceError, solve_optimal
 from .verify import threshold_sweep, verify_instance
 
 EXIT_OK = 0
@@ -221,8 +222,7 @@ def cmd_solve(args) -> tuple[dict, int]:
     m, a = _load_inputs(args)
     p = build_product(m, a)
     model = augment(p, PayoffSpec(Mode(args.mode), args.zeta))
-    v = solve_optimal(model, tol=args.tol, max_iter=args.max_iter)
-    f = greedy_policy(model, v.values)
+    v = solve_optimal(model)
     result = {
         "mode": args.mode,
         "zeta": args.zeta,
@@ -230,7 +230,7 @@ def cmd_solve(args) -> tuple[dict, int]:
         "residual": v.residual,
         "value_at_initial": v.at_initial(),
         "values": _values_by_name(p, v.values),
-        "policy": _policy_by_name(p, f),
+        "policy": _policy_by_name(p, v.policy),
         "gfm_caveat": p.gfm_caveat,
     }
     return result, EXIT_OK
@@ -363,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", parents=[common, auto, inputs], help="optimal values of one payoff view")
     s.add_argument("--zeta", type=_zeta, required=True)
     s.add_argument("--mode", choices=[m.value for m in Mode], default="total")
-    s.add_argument("--tol", type=_positive, default=1e-10)
-    s.add_argument("--max-iter", type=_count(1), default=10**6)
     s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("oracle", parents=[common, auto, inputs], help="independent Buchi value")
@@ -390,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tail-episodes", type=_count(0), default=0, help="Monte Carlo tail check sample size")
     s.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("sweep", parents=[common, auto, inputs], help="greedy policy across a zeta grid")
+    s = sub.add_parser("sweep", parents=[common, auto, inputs], help="optimal policy across a zeta grid")
     s.add_argument("--grid", type=_grid, default=DEFAULT_GRID, help="comma-separated zetas")
     s.add_argument("--csv", help="write sweep rows as CSV here")
     s.set_defaults(func=cmd_sweep)

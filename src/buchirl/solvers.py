@@ -1,29 +1,21 @@
 """Exact solvers on augmented models.
 
-Optimal values come from value iteration started at the all-zero vector,
-which converges to the least fixpoint of the Bellman backup from below.  One
-sweep lays every pair's backup out on a rank-major (K, n) grid, K the most
-pairs any state has: the k-th pair of state s is cell (k, s), and the cells
-of states with fewer than K pairs hold -inf.  One bincount sums the branches
-into their cells in branch order, a state's value is its column's max, and
-the greedy policy takes the first row that attains it.  The iterates never
-decrease, exactly and not just up to rounding: rewards and weights are
-nonnegative and rounded sums and products are monotone, so from zero every
-entry of new - v is >= 0, and its max is the sup-norm step.
-
-`solve_optimal_many` holds the one value-iteration loop; `solve_optimal` is
-its one-model case.  One builder, `_pair_grid`, lays out one model or
-several side by side on one (K, N) grid: their state columns follow each
-other (N the summed state count, K the largest of their pair counts), each
-model's cells and successors offset by the columns of the models before it.
-Every cell still sums the same branches in the same order, and a maximum is
-exact in any order, so each model's iterate is bit for bit its iterate
-alone; one reduceat over the columns gives each model's step.  A model
-leaves at its own first step <= tol with that sweep's values, and the grid
-is rebuilt from the models still running, so no sweep works on a finished
-model.  Stacking pays on small models, whose sweeps cost mostly per-call
-overhead; on large ones a sweep is bound by its data, and the stack only
-keeps pace.
+`solve_optimal` is policy iteration over `evaluate_policy`, the one exact
+evaluator.  It starts from a given strategy, or else from the myopic one
+(`greedy_policy` on all-zero values: the best immediate reward).  Each round
+evaluates the strategy exactly and gives every pair its one-step value under
+those values, with one bincount over the view's flat branches in branch
+order.  A state switches only where some pair beats its current pair by more
+than SWITCH_TOL * max(1, |v|), and then to its lowest-index best pair; a
+round in which no state switches returns the values together with the
+strategy they belong to.  That strategy is PI's own: greedy on the exact
+values could take a zero-reward self-loop that ties, in the total view, with
+the accepting pair that earns 1/(1-zeta), and the loop never accepts.  PI is
+sound here because PReach = (1-zeta) * ETotal reduces the total view to
+maximal reachability, where switching on strict gains only reaches the
+optimum from any start (Forejt, Kwiatkowska, Norman and Parker, SFM 2011);
+the biased view's backup coincides with the total view's coefficient for
+coefficient.  Past MAX_ROUNDS rounds, ConvergenceError is raised.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
 states that can reach a reward at all along branches that carry successor
@@ -44,9 +36,7 @@ the branch layout lives in `shaping`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,17 +53,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Values per product state.
+    """Values per product state, and the strategy they are the values of.
 
-    From value iteration, residual is the last sup-norm change and iterations
-    the sweep count.  From a dense policy solve both are 0; from an iterative
-    one (above DENSE_LIMIT live states) residual is the final true residual
-    max|b - Mx| and iterations the number of BiCGSTAB passes.
+    From `solve_optimal`, iterations is the number of policy-iteration rounds
+    and residual that of the last round's evaluation.  From `evaluate_policy`
+    on a dense system both are 0; on an iterative one (above DENSE_LIMIT live
+    states) residual is the final true residual max|b - Mx| and iterations
+    the number of BiCGSTAB passes.
     """
 
     values: np.ndarray
     residual: float
     iterations: int
+    policy: Strategy | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -83,6 +75,8 @@ class ValueVector:
         return float(self.values[0])
 
 
+MAX_ROUNDS = 1000  # policy-iteration rounds before solve_optimal gives up
+SWITCH_TOL = 1e-12  # a pair must beat the current one by this times max(1, |v|)
 # evaluate_policy solves densely up to this many live states and sparsely above
 # it: np.linalg.solve and BiCGSTAB break even between 300 and 400 live states on
 # large_mdp products (2.4 and 2.8 ms at 296), and dense costs 10.5 ms to sparse
@@ -96,101 +90,56 @@ REFINE_PASSES = 4  # BiCGSTAB passes on the true residual before giving up
 RESIDUAL_TOL = 4 * 2.0**-52
 
 
-def _pair_grid(models: Sequence[AugmentedModel]):
-    """The models' pair values side by side on one rank-major (K, N) grid.
+def _pair_values(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
+    """Every pair's value one step ahead of v, in one bincount.
 
-    N is the models' summed state count and K the most pairs any state has:
-    the k-th pair of state s of a model whose columns start at `off` is cell
-    k * N + off + s, and cells without a pair hold -inf.  A sweep costs K * N
-    cells, so one state with many pairs beside many one-pair states pads the
-    grid.  Returns each model's start column and the map v -> every pair's
-    value one backup step ahead, which adds each kept branch's weight times
-    its successor's value to its pair's cell, in branch order; leak branches
-    (weight 0, successor the target) are masked out.
+    Each branch adds its weight times its successor's value to its pair, in
+    branch order.  A leak branch (weight 0, successor the target) reads an
+    appended 0.
     """
-    counts = [np.diff(m.flat.pair_start) for m in models]
-    starts = list(accumulate((m.n_states for m in models), initial=0))
-    k, n = int(max(c.max() for c in counts)), starts[-1]
-    base = np.full(k * n, -np.inf)
-    slot, succ, weight = [], [], []
-    for m, c, off in zip(models, counts, starts):
-        flat = m.flat
-        state = np.repeat(np.arange(m.n_states), c)
-        cell = (np.arange(state.size) - flat.pair_start[state]) * n + off + state
-        base[cell] = flat.base
-        kept = np.flatnonzero(flat.weight)
-        slot.append(cell[np.searchsorted(flat.branch_start, kept, side="right") - 1])
-        succ.append(flat.succ[kept] + off)
-        weight.append(flat.weight[kept])
-    slot, succ, weight = np.concatenate(slot), np.concatenate(succ), np.concatenate(weight)
-
-    def backup(v: np.ndarray) -> np.ndarray:
-        sums = np.bincount(slot, weights=weight * v[succ], minlength=base.size)
-        return (base + sums).reshape(k, n)
-
-    return np.array(starts[:-1]), backup
+    flat = model.flat
+    pair = np.repeat(np.arange(flat.base.size), np.diff(flat.branch_start))
+    ahead = flat.weight * np.append(np.asarray(v, dtype=float), 0.0)[flat.succ]
+    return flat.base + np.bincount(pair, weights=ahead, minlength=flat.base.size)
 
 
-def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
-    """One application of the optimal backup; exposed for tests."""
-    return _pair_grid([model])[1](np.asarray(v, dtype=float)).max(axis=0)
+def _first_best(pair_start: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per state, the rank of its first pair that attains the state's max of q."""
+    starts = pair_start[:-1]
+    best = np.repeat(np.maximum.reduceat(q, starts), np.diff(pair_start))
+    return np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), starts) - starts
 
 
-def solve_optimal(
-    model: AugmentedModel, tol: float = 1e-10, max_iter: int = 10**6
-) -> ValueVector:
-    """Value iteration from zero until the sup-norm step drops to tol."""
-    return solve_optimal_many([model], tol, max_iter)[0]
+def solve_optimal(model: AugmentedModel, start: Strategy | None = None) -> ValueVector:
+    """Policy iteration from `start`, or else from the myopic strategy.
 
-
-def solve_optimal_many(
-    models: Sequence[AugmentedModel], tol: float = 1e-10, max_iter: int = 10**6
-) -> tuple[ValueVector, ...]:
-    """`solve_optimal` on every model, in one value-iteration loop.
-
-    Each result is bit for bit the one its model gets alone.  If some models
-    do not converge within max_iter sweeps, ConvergenceError is raised for
-    the first of them, as calls on one model after another would raise it.
+    Returns the optimal values with PI's own strategy as `policy`, and
+    raises ConvergenceError when a state still switches after MAX_ROUNDS
+    rounds; see the module docstring.
     """
-    if not models:
-        return ()
-    out: list[ValueVector | None] = [None] * len(models)
-    active = list(range(len(models)))  # the unconverged models, in input order
-    steps = [math.inf] * len(models)
-    starts, backup = _pair_grid(models)
-    v = np.zeros(sum(m.n_states for m in models))
-    for it in range(1, max_iter + 1):
-        new = backup(v).max(axis=0)
-        # each model's max of new - v is its sup-norm step, see the module docstring
-        steps = np.maximum.reduceat(new - v, starts).tolist()
-        v = new
-        if min(steps) > tol:
-            continue
-        # the converged models leave with this sweep's values, the rest get a new grid
-        bounds = starts.tolist() + [v.size]
-        left = []
-        for k, i in enumerate(active):
-            if steps[k] <= tol:
-                out[i] = ValueVector(v[bounds[k] : bounds[k + 1]].copy(), steps[k], it)
-            else:
-                left.append(k)
-        if not left:
-            return tuple(out)
-        v = np.concatenate([v[bounds[k] : bounds[k + 1]] for k in left])
-        steps = [steps[k] for k in left]
-        active = [active[k] for k in left]
-        starts, backup = _pair_grid([models[i] for i in active])
-    raise ConvergenceError("value iteration did not converge", steps[0], max_iter)
+    pair_start = model.flat.pair_start
+    starts, counts = pair_start[:-1], np.diff(pair_start)
+    f = greedy_policy(model, np.zeros(model.n_states)) if start is None else start
+    for rounds in range(1, MAX_ROUNDS + 1):
+        v = evaluate_policy(model, f)
+        q = _pair_values(model, v.values)
+        choice = np.asarray(f.choice, dtype=np.int64)
+        gain = np.maximum.reduceat(q - np.repeat(q[starts + choice], counts), starts)
+        switch = gain > SWITCH_TOL * np.maximum(1.0, np.abs(v.values))
+        if not switch.any():
+            return replace(v, iterations=rounds)
+        choice[switch] = _first_best(pair_start, q)[switch]
+        f = Strategy(tuple(choice.tolist()))
+    raise ConvergenceError("policy iteration did not stabilize", float(gain.max()), MAX_ROUNDS)
 
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
-    """The pair with the best one-step backup per state, lowest index on ties."""
-    q = _pair_grid([model])[1](np.asarray(v, dtype=float))
-    return Strategy(tuple(np.argmax(q == q.max(axis=0), axis=0).tolist()))
+    """The pair with the best one-step value per state, lowest index on ties."""
+    return Strategy(tuple(_first_best(model.flat.pair_start, _pair_values(model, v)).tolist()))
 
 
 def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
-    """Exact expected payoff of `f` per state.
+    """Exact expected payoff of `f` per state, with `f` as the policy.
 
     States that cannot reach a rewarding step have value exactly 0 and are
     fixed to it; the linear system is solved on the rest, directly up to
@@ -212,7 +161,7 @@ def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
     idx = np.flatnonzero(live)
     v = np.zeros(n)
     if idx.size == 0:
-        return ValueVector(v, 0.0, 0)
+        return ValueVector(v, 0.0, 0, f)
     on = live[row] & live[succ]
     pos = -np.ones(n, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
@@ -222,9 +171,9 @@ def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
         a = np.eye(idx.size)
         np.subtract.at(a, (row, col), w)
         v[idx] = np.linalg.solve(a, b[idx])
-        return ValueVector(v, 0.0, 0)
+        return ValueVector(v, 0.0, 0, f)
     v[idx], residual, passes = _solve_sparse(row, col, w, b[idx])
-    return ValueVector(v, residual, passes)
+    return ValueVector(v, residual, passes, f)
 
 
 def _two_sum(a, b):

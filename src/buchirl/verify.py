@@ -1,12 +1,15 @@
 """Numeric cross-checks tying the payoff views together on one instance.
 
-For a pool of positional strategies (the greedy optima of the reach and
-total views plus random draws) the checks are, per bias zeta:
+For a pool of positional strategies (the optimal strategies that
+`solve_optimal` returns for the reach and total views, plus random draws)
+the checks are, per bias zeta:
 
 - identity: PReach = (1-zeta) * ETotal, state by state, strategy by strategy;
 - bounds: every ETotal lies in [0, 1/(1-zeta)];
-- equality: ETotal = EDisct per strategy, and for the optimal value vectors
-  (one backup serves both views, so these are expected bit-identical);
+- equality: ETotal = EDisct per strategy, and for the optimal value vectors,
+  which come from two exact solves, one per view, compared within
+  EQUALITY_TOL; the biased solve starts from the total view's optimal
+  strategy, so among tied optima both report the same one;
 - prob-1: ETotal hits 1/(1-zeta), within PROB1_TOL, exactly where the
   independent component oracle reports Buchi satisfaction with probability
   exactly 1, and nowhere else; the oracle settles its 0/1 sets by graph
@@ -32,7 +35,7 @@ from .mdp import Mdp
 from .oracle import buchi_value, policy_buchi_probability
 from .product import Strategy, build_product, random_strategy
 from .shaping import AugmentedModel, Mode, PayoffSpec, augment, simulate_batch
-from .solvers import evaluate_policy, greedy_policy, solve_optimal, solve_optimal_many
+from .solvers import evaluate_policy, solve_optimal
 
 TAIL_NS = (5, 10, 20)  # accepting-step counts the tail check looks at
 IDENTITY_TOL = 1e-8  # max |PReach - (1-zeta) ETotal|
@@ -114,14 +117,12 @@ def verify_instance(
 ) -> VerifyReport:
     """The cross-checks of the module docstring at each bias in `zetas`.
 
-    The optimal values of all 3 * len(zetas) views come from one
-    `solve_optimal_many` call.  A strategy that a zeta's pool holds more
-    than once is evaluated once per view and counted once per entry, and
-    the oracle, whose answer does not depend on zeta, runs once per
-    distinct strategy of the instance.  An empty `zetas` raises ValueError
-    rather than pass with nothing checked, and so does a negative
-    `n_random` or `tail_episodes` rather than report counts it did not
-    check.
+    A strategy that a zeta's pool holds more than once is evaluated once
+    per view and counted once per entry, and the oracle, whose answer does
+    not depend on zeta, runs once per distinct strategy of the instance.
+    An empty `zetas` raises ValueError rather than pass with nothing
+    checked, and so does a negative `n_random` or `tail_episodes` rather
+    than report counts it did not check.
     """
     if not zetas:
         raise ValueError("zetas must name at least one bias")
@@ -137,21 +138,21 @@ def verify_instance(
     checked = 0
     tails: list[TailCheck] = []
     psats: dict[Strategy, np.ndarray] = {}  # the oracle's answer per strategy, for every zeta
-    views = [
-        augment(p, PayoffSpec(mode, zeta))
-        for zeta in zetas
-        for mode in (Mode.REACH_TARGET, Mode.TOTAL_REWARD, Mode.BIASED_DISCOUNT)
-    ]
-    solved = solve_optimal_many(views)
-    for j, zeta in enumerate(zetas):
+    for zeta in zetas:
         cap = 1.0 / (1.0 - zeta)
-        reach, total, biased = views[3 * j : 3 * j + 3]
-        v_reach, v_total, v_biased = solved[3 * j : 3 * j + 3]
+        reach, total, biased = (
+            augment(p, PayoffSpec(mode, zeta))
+            for mode in (Mode.REACH_TARGET, Mode.TOTAL_REWARD, Mode.BIASED_DISCOUNT)
+        )
+        v_reach, v_total = solve_optimal(reach), solve_optimal(total)
+        # the biased backup is the total one up to rounding, so its solve
+        # starts from the total optimum and compares one policy's values
+        v_biased = solve_optimal(biased, v_total.policy)
         equality_err = max(
             equality_err, float(np.max(np.abs(v_total.values - v_biased.values)))
         )
-        f_total = greedy_policy(total, v_total.values)
-        pool = [f_total, greedy_policy(reach, v_reach.values)]
+        f_total = v_total.policy
+        pool = [f_total, v_reach.policy]
         pool += [random_strategy(p, rng) for _ in range(n_random)]
         # a strategy drawn twice is evaluated once and counted twice
         for f, count in Counter(pool).items():
@@ -215,13 +216,14 @@ class ThresholdReport:
 
 
 def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
-    """Greedy total-reward policy per grid zeta versus the Buchi optimum.
+    """Optimal total-reward policy per grid zeta versus the Buchi optimum.
 
-    empirical_zeta0 is the smallest grid point from which the greedy policy
-    stays Buchi-optimal (at the initial state) through the end of the grid;
-    None when it is not optimal at the last point.  The grid must be
-    non-empty and strictly increasing.  The oracle runs once per distinct
-    greedy policy.
+    The policy is the one `solve_optimal` returns, each grid point's policy
+    iteration starting from the previous point's policy.  empirical_zeta0 is
+    the smallest grid point from which that policy stays Buchi-optimal (at
+    the initial state) through the end of the grid; None when it is not
+    optimal at the last point.  The grid must be non-empty and strictly
+    increasing.  The oracle runs once per distinct policy.
     """
     if not grid:
         raise ValueError("grid must name at least one bias")
@@ -230,15 +232,10 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
     p = build_product(m, a)
     opt = buchi_value(p).at_initial()
     rows: list[SweepRow] = []
-    psats: dict[Strategy, float] = {}  # several grid points often share a greedy policy
-    # one solve_optimal per zeta rather than one solve_optimal_many for the
-    # grid: perfbench's tracer wraps solve_optimal but not solve_optimal_many,
-    # and perfbench/test_perfbench.py pins solvers.solve_optimal.calls == 2 for
-    # a two-point sweep, so batching waits until the tracer counts batched solves
+    psats: dict[Strategy, float] = {}  # several grid points often share a policy
+    f = None
     for zeta in grid:
-        total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
-        v = solve_optimal(total)
-        f = greedy_policy(total, v.values)
+        f = solve_optimal(augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta)), f).policy
         if f not in psats:
             psats[f] = float(policy_buchi_probability(p, f)[p.initial])
         psat = psats[f]

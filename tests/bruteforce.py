@@ -7,12 +7,7 @@ positional strategies, lasso acceptance from a flagged transitive closure,
 and the product and payoff-view tables from loops over tuples, one branch at
 a time.  Size caps keep everything desk-scale.  The one user of the
 package's graph helper is `oracle_reference`, the oracle's former tuple walk,
-which the column oracle must match bit for bit.  Likewise `solve_optimal`,
-`bellman_backup` and `greedy_policy` here are the former flat per-pair value
-iteration, which the solvers' pair grid must match bit for bit; they share
-only the result types with the package.  `verify_reference` is the former
-`verify_instance` loop: it calls the package's product, views, policy
-evaluation and oracle, and solves the optima with that flat iteration.
+which the column oracle must match bit for bit.
 `simulate_batch_reference` is the former payoff sampler, which moved every
 alive episode on every step; the sampler must match its payoffs, flags and
 generator calls bit for bit.
@@ -36,20 +31,8 @@ from buchirl.product import (
     ProductError,
     ProductMdp,
     Strategy,
-    build_product,
-    random_strategy,
 )
-from buchirl.shaping import AugmentedModel, FlatBranches, Mode, PayoffSpec, augment
-from buchirl.solvers import ConvergenceError, ValueVector, evaluate_policy
-from buchirl.verify import (
-    BOUND_TOL,
-    EQUALITY_TOL,
-    IDENTITY_TOL,
-    PROB1_TOL,
-    TailCheck,
-    VerifyReport,
-    tail_check,
-)
+from buchirl.shaping import AugmentedModel, FlatBranches, Mode
 
 
 def augment_reference(p, spec):
@@ -565,13 +548,17 @@ def all_end_components(p):
     return out
 
 
-def policy_value_bruteforce(model, choice, tol=1e-14, sweeps=200_000):
+def policy_value_bruteforce(model, choice, tol=0.0, sweeps=200_000):
     """Expected payoff of a positional strategy by plain fixed-point sweeps.
 
     Pure-python Bellman sweeps on the chosen augmented branches, read as
     per-pair slices of the flat table; no linear algebra shared with
     evaluate_policy.  Converges geometrically since every reward cycle
-    carries weight at most zeta < 1.
+    carries weight at most zeta < 1.  By default it sweeps until a sweep
+    changes nothing: from zero the rounded iterates never decrease, so they
+    settle on a floating-point fixed point, within a few ulps / (1 - zeta)
+    of the exact values.  Stopping at a step of size d instead leaves an
+    error of about d / (1 - zeta).
     """
     n = model.n_states
     flat = model.flat
@@ -605,140 +592,6 @@ def optimal_value_bruteforce(model):
     for choice in all_strategies(model.product):
         best = np.maximum(best, policy_value_bruteforce(model, choice))
     return best
-
-
-# The value iteration that the pair grid replaced, kept verbatim: one flat
-# value per pair, and each state's best by np.maximum.reduceat.  The grid
-# must match it bit for bit (values, residual, sweep count, greedy choice).
-
-
-def _pair_values(model: AugmentedModel):
-    """The map v -> value of every pair under v, one backup step ahead.
-
-    Leak branches (weight 0, successor the target) are masked out; each
-    pair's sum runs in branch order.
-    """
-    flat = model.flat
-    n_pairs = flat.base.size
-    kept = np.flatnonzero(flat.weight)
-    pair = np.searchsorted(flat.branch_start, kept, side="right") - 1
-    succ = flat.succ[kept]
-    w = flat.weight[kept]
-    return lambda v: flat.base + np.bincount(pair, weights=w * v[succ], minlength=n_pairs)
-
-
-def bellman_backup(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
-    """One application of the optimal backup; exposed for tests."""
-    q = _pair_values(model)(np.asarray(v, dtype=float))
-    return np.maximum.reduceat(q, model.flat.pair_start[:-1])
-
-
-def solve_optimal(
-    model: AugmentedModel, tol: float = 1e-10, max_iter: int = 10**6
-) -> ValueVector:
-    """Value iteration from zero until the sup-norm step drops to tol."""
-    pair_values = _pair_values(model)
-    starts = model.flat.pair_start[:-1]
-    n = model.n_states
-    v = np.zeros(n)
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        new = np.maximum.reduceat(pair_values(v), starts)
-        residual = float(np.max(np.abs(new - v))) if n else 0.0
-        v = new
-        if residual <= tol:
-            return ValueVector(v, residual, it)
-    raise ConvergenceError("value iteration did not converge", residual, max_iter)
-
-
-def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
-    """The pair with the best one-step backup per state, lowest index on ties."""
-    q = _pair_values(model)(np.asarray(v, dtype=float))
-    bounds = model.flat.pair_start
-    best = np.repeat(np.maximum.reduceat(q, bounds[:-1]), np.diff(bounds))
-    # first pair per state that attains the state's best value
-    first = np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), bounds[:-1])
-    return Strategy(tuple((first - bounds[:-1]).tolist()))
-
-
-# verify_instance as it was before its views were solved in one stacked
-# loop, kept verbatim.  Here `solve_optimal` and `greedy_policy` resolve to
-# the flat per-pair iteration above, one view at a time inside the zeta loop,
-# so the reference shares no value-iteration code with the package.
-
-
-def verify_reference(m, a, zetas=(0.5, 0.9), n_random=20, seed=0, tail_episodes=0):
-    """The report `verify_instance(m, a, ...)` must equal field for field.
-
-    Product, views, policy evaluation, the tail check and the component
-    oracle are the package's; only the optimal solves and greedy choices are
-    this module's.
-    """
-    from buchirl.oracle import policy_buchi_probability
-
-    p = build_product(m, a)
-    rng = np.random.default_rng(seed)
-    identity_err = 0.0
-    bound_excess = 0.0
-    equality_err = 0.0
-    prob1_bad = 0
-    checked = 0
-    tails: list[TailCheck] = []
-    for zeta in zetas:
-        cap = 1.0 / (1.0 - zeta)
-        reach = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta))
-        total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta))
-        biased = augment(p, PayoffSpec(Mode.BIASED_DISCOUNT, zeta))
-        v_reach = solve_optimal(reach)
-        v_total = solve_optimal(total)
-        v_biased = solve_optimal(biased)
-        equality_err = max(
-            equality_err, float(np.max(np.abs(v_total.values - v_biased.values)))
-        )
-        f_total = greedy_policy(total, v_total.values)
-        pool = [f_total, greedy_policy(reach, v_reach.values)]
-        pool += [random_strategy(p, rng) for _ in range(n_random)]
-        for f in pool:
-            et = evaluate_policy(total, f).values
-            pr = evaluate_policy(reach, f).values
-            ed = evaluate_policy(biased, f).values
-            psat = policy_buchi_probability(p, f)
-            identity_err = max(identity_err, float(np.max(np.abs(pr - (1.0 - zeta) * et))))
-            bound_excess = max(
-                bound_excess,
-                float(np.max(et - cap, initial=0.0)),
-                float(np.max(-et, initial=0.0)),
-            )
-            equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
-            sat = np.abs(psat - 1.0) <= PROB1_TOL
-            full = np.abs(et - cap) <= PROB1_TOL
-            prob1_bad += int(np.sum(sat != full))
-            checked += 1
-        if tail_episodes > 0:
-            tails.append(tail_check(total, f_total, tail_episodes, seed=seed))
-    identity_ok = identity_err <= IDENTITY_TOL
-    bounds_ok = bound_excess <= BOUND_TOL
-    equality_ok = equality_err <= EQUALITY_TOL
-    prob1_ok = prob1_bad == 0
-    passed = identity_ok and bounds_ok and equality_ok and prob1_ok and all(
-        t.ok for t in tails
-    )
-    return VerifyReport(
-        zetas=tuple(zetas),
-        policies_per_zeta=n_random + 2,
-        checked=checked,
-        identity_max_error=identity_err,
-        bound_max_excess=bound_excess,
-        equality_max_error=equality_err,
-        prob1_mismatches=prob1_bad,
-        identity_ok=identity_ok,
-        bounds_ok=bounds_ok,
-        equality_ok=equality_ok,
-        prob1_ok=prob1_ok,
-        tails=tuple(tails),
-        lower_bound_only=p.gfm_caveat,
-        passed=passed,
-    )
 
 
 def lasso_accept_bruteforce(a, word):

@@ -3,7 +3,7 @@
 Checks 1 through 4 share a single sweep over 200 random instances (at most
 6 MDP states, 3 actions, 3 automaton states, deterministic complete
 automata), each cross-checked at zeta in {0.5, 0.9, 0.99} with the two
-greedy-optimal policies plus 20 random ones.
+optimal policies plus 20 random ones.
 """
 
 import math
@@ -19,7 +19,6 @@ from buchirl import (
     Strategy,
     augment,
     buchi_value,
-    greedy_policy,
     policy_buchi_probability,
     simulate_batch,
     solve_optimal,
@@ -131,7 +130,7 @@ def test_criterion_5_i2_threshold(i2, accept_g, i2_product):
     detail = _verdict(
         5,
         ok,
-        "I2: psat* = {:.12f}, greedy plays b below and a above the switch, "
+        "I2: psat* = {:.12f}, the optimal policy plays b below and a above the switch, "
         "empirical zeta0 = {}".format(opt, rep.empirical_zeta0),
     )
     assert ok, detail
@@ -196,7 +195,7 @@ def test_criterion_8_survival_tail_bound(self_loop_product):
 def test_criterion_9_monte_carlo_matches_exact(i2_product):
     model = augment(i2_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.9))
     v = solve_optimal(model)
-    f = greedy_policy(model, v.values)
+    f = v.policy
     exact = v.at_initial()
     pay, _ = simulate_batch(model, f, np.random.default_rng(0), 100_000, 200)
     se = float(pay.std(ddof=1)) / math.sqrt(pay.size)

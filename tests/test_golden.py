@@ -3,9 +3,9 @@
 Each file under `tests/golden/` holds, for one MDP/automaton pair, the
 default reports of `product --export` (raw and with `--zeta 0.9`, followed by
 the exported MDP JSON), of `solve` in every mode at ζ 0.9 and 0.99, and of
-`learn` (seed 0) in both leaked views at ζ 0.9.  These paths make no LAPACK
-call, and learned returns are whole numbers, so their bytes are the same on
-any machine.
+`learn` (seed 0) in both leaked views at ζ 0.9.  Learned returns are whole
+numbers.  `solve` evaluates its policies with `np.linalg.solve` on systems of
+at most four unknowns, so its bytes are those of numpy's bundled LAPACK.
 
 Regenerate after an intended change of output with
 

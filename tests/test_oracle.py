@@ -14,7 +14,6 @@ from buchirl import (
     augment,
     build_product,
     buchi_value,
-    greedy_policy,
     mec_decomposition,
     parse_hoa,
     policy_buchi_probability,
@@ -237,7 +236,7 @@ def test_oracle_matches_reference(corpus_products):
     assert len(products) == 12 + 40 + 1
     for p in products:
         total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-        pool = [greedy_policy(total, solve_optimal(total).values)]
+        pool = [solve_optimal(total).policy]
         pool += [random_strategy(p, rng) for _ in range(5)]
         want, want_sat = oracle_reference(p, pool)
         got = buchi_value(p)
@@ -259,11 +258,11 @@ def _assert_rounding_apart(got, want):
 
 
 def test_sure_states_need_no_solve(monkeypatch):
-    # the greedy chain and every max-reach evaluation of this product are
+    # the optimal policy's chain and every max-reach evaluation of this product are
     # settled by the graph searches alone, so no linear system is built
     _, _, p = large_instance(np.random.default_rng(1))
     total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-    f = greedy_policy(total, solve_optimal(total).values)
+    f = solve_optimal(total).policy
     sizes = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(b)) or solve(a, b))

@@ -14,7 +14,6 @@ from buchirl import (
     augment,
     build_product,
     evaluate_policy,
-    greedy_policy,
     random_strategy,
     simulate_batch,
     solve_optimal,
@@ -258,7 +257,7 @@ def test_simulate_batch_matches_reference(corpus_products):
     for i, p in enumerate(products):
         for mode in Mode:
             m = augment(p, PayoffSpec(mode, 0.9))
-            pool = [greedy_policy(m, solve_optimal(m).values)]
+            pool = [solve_optimal(m).policy]
             pool += [random_strategy(p, rng) for _ in range(2)]
             for f in pool:
                 assert_sampler_matches_reference(m, f, i, 400, 100)

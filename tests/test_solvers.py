@@ -1,7 +1,6 @@
-"""Value iteration and exact policy evaluation against hand values and a
+"""Policy iteration and exact policy evaluation against hand values and a
 pure-python reference."""
 
-import itertools
 import os
 import subprocess
 import sys
@@ -13,7 +12,6 @@ import pytest
 from buchirl import solvers
 from buchirl import (
     ConvergenceError,
-    DeadEndError,
     Edge,
     Mdp,
     Mode,
@@ -21,23 +19,18 @@ from buchirl import (
     Strategy,
     ValueVector,
     augment,
-    bellman_backup,
     build_product,
     evaluate_policy,
     greedy_policy,
     random_strategy,
     solve_optimal,
-    solve_optimal_many,
 )
 from buchirl.verify import EQUALITY_TOL, IDENTITY_TOL
 
-import bruteforce
 from bruteforce import optimal_value_bruteforce, policy_value_bruteforce
 from generators import (
     large_instance,
     random_instance,
-    random_mdp,
-    random_nondet_automaton,
     small_instance,
 )
 
@@ -46,18 +39,6 @@ GN = ("g", "n")
 
 def view(product, mode, zeta):
     return augment(product, PayoffSpec(mode, zeta))
-
-
-def nondet_products(rng, count):
-    """Products of random MDPs with nondeterministic automata of up to 16
-    states, where some states have several times the pairs of others."""
-    out = []
-    while len(out) < count:
-        try:
-            out.append(build_product(random_mdp(rng), random_nondet_automaton(rng, max_states=16)))
-        except DeadEndError:
-            continue
-    return out
 
 
 class TestCorpusValues:
@@ -78,23 +59,22 @@ class TestCorpusValues:
         v = solve_optimal(m)
         assert abs(v.at_initial() - 5.0) <= 1e-8
         assert np.allclose(v.values, [5.0, 10.0, 0.0], atol=1e-8)
-        assert greedy_policy(m, v.values).choice == (0, 0, 0)
+        assert v.policy.choice == (0, 0, 0)
 
     def test_i2_reach(self, i2_product):
         m = view(i2_product, Mode.REACH_TARGET, 0.9)
         v = solve_optimal(m)
         assert np.allclose(v.values, [0.5, 1.0, 0.0], atol=1e-8)
-        assert greedy_policy(m, v.values).choice == (0, 0, 0)
+        assert v.policy.choice == (0, 0, 0)
 
     def test_i2_small_zeta_prefers_b(self, i2_product):
-        # at zeta = 0.5 both actions at s0 are worth 1, but iteration from
-        # zero approaches v(sA) = 2 from below, so the one-shot action b
-        # wins the argmax strictly
+        # at zeta = 0.5 both actions at s0 are worth exactly 1 (a reaches
+        # v(sA) = 2 with probability 1/2); policy iteration starts from the
+        # myopic one-shot action b and keeps it on the tie
         m = view(i2_product, Mode.TOTAL_REWARD, 0.5)
         v = solve_optimal(m)
-        assert abs(v.at_initial() - 1.0) <= 1e-9
-        assert v.values[1] < 2.0
-        assert greedy_policy(m, v.values).choice[0] == 1
+        assert v.values[0] == 1.0 and v.values[1] == 2.0
+        assert v.policy.choice[0] == 1
 
 
 def test_greedy_breaks_exact_ties_low(accept_g):
@@ -135,95 +115,7 @@ def test_greedy_breaks_exact_ties_low(accept_g):
         f = greedy_policy(model, v.values)
         f.check(p)
         assert f.choice == (1, 0, 0)
-        assert f == bruteforce.greedy_policy(model, v.values)
-
-
-def test_value_iteration_matches_reference(corpus_products):
-    # the pair grid against the flat per-pair sweep it replaced, bit for bit:
-    # values, residual, sweep count, greedy choice and one backup, and the
-    # residual of a run cut short before it converges
-    products = list(corpus_products)
-    rng = np.random.default_rng(27)
-    products += [random_instance(rng)[2] for _ in range(30)]
-    products += nondet_products(rng, 20)
-    products.append(large_instance(np.random.default_rng(28))[2])
-    assert len(products) == 12 + 30 + 20 + 1
-    assert max(np.diff(p.pair_start).max() for p in products) >= 6
-    for p in products:
-        for zeta in (0.5, 0.9, 0.99):
-            for mode in Mode:
-                m = view(p, mode, zeta)
-                got, want = solve_optimal(m), bruteforce.solve_optimal(m)
-                assert got.values.tobytes() == want.values.tobytes()
-                assert (got.residual, got.iterations) == (want.residual, want.iterations)
-                f = greedy_policy(m, got.values)
-                f.check(p)
-                assert f == bruteforce.greedy_policy(m, want.values)
-                half = got.values / 2
-                assert bellman_backup(m, half).tobytes() == bruteforce.bellman_backup(m, half).tobytes()
-                if got.iterations == 1:
-                    continue  # all zero, converged at its first sweep
-                cut = min(got.iterations - 1, 64)
-                with pytest.raises(ConvergenceError) as exc:
-                    solve_optimal(m, max_iter=cut)
-                with pytest.raises(ConvergenceError) as ref:
-                    bruteforce.solve_optimal(m, max_iter=cut)
-                assert exc.value.residual == ref.value.residual > 0.0
-                assert exc.value.iterations == ref.value.iterations == cut
-
-
-def test_solve_optimal_many_matches_single(corpus_products):
-    # the stacked loop against one call per model and against the flat
-    # per-pair sweep, bit for bit: values, residual and sweep count
-    def check(models):
-        got = solve_optimal_many(models)
-        assert len(got) == len(models)
-        for m, v in zip(models, got):
-            for want in (solve_optimal(m), bruteforce.solve_optimal(m)):
-                assert v.values.tobytes() == want.values.tobytes()
-                assert (v.residual, v.iterations) == (want.residual, want.iterations)
-        return got
-
-    corpus = [view(p, mode, z) for p in corpus_products for mode in Mode for z in (0.5, 0.9, 0.99)]
-    assert len(corpus) == 108
-    check(corpus)
-
-    rng = np.random.default_rng(29)
-    mixed = [view(random_instance(rng)[2], Mode.TOTAL_REWARD, 0.9) for _ in range(4)]
-    mixed += [view(p, mode, 0.8) for p, mode in zip(nondet_products(rng, 3), Mode)]
-    mixed.insert(2, mixed[5])
-    assert len({m.n_states for m in mixed}) > 2
-    assert len({int(np.diff(m.flat.pair_start).max()) for m in mixed}) > 1
-    check(mixed)
-
-    # the model with the most pairs per state converges first, so the restack
-    # after it drops grid rows: corpus total views of i2 and self_loop with
-    # accept_g and nondet_g beside a nondeterministic product's reach view
-    hub = view(nondet_products(np.random.default_rng(31), 1)[0], Mode.REACH_TARGET, 0.5)
-    shrink = [hub] + [view(corpus_products[i], Mode.TOTAL_REWARD, 0.99) for i in (0, 3, 8, 11)]
-    iters = [solve_optimal(m).iterations for m in shrink]
-    pairs = [int(np.diff(m.flat.pair_start).max()) for m in shrink]
-    assert iters[0] < min(iters[1:]) and pairs[0] > max(pairs[1:])
-    check(shrink)
-
-    _, _, p = large_instance(np.random.default_rng(28))
-    check([view(p, mode, 0.99) for mode in Mode])
-    check(corpus[40:41])
-    assert solve_optimal_many([]) == ()
-
-    # cut between the sweep counts so that only the middle model fails, then
-    # so that it and the last one fail: the error is the middle one's
-    models = [view(p, Mode.REACH_TARGET, 0.5), view(p, Mode.TOTAL_REWARD, 0.99)]
-    models.append(view(p, Mode.REACH_TARGET, 0.99))
-    iters = [solve_optimal(m).iterations for m in models]
-    assert iters[0] < iters[2] < iters[1]
-    for cut in (iters[2], iters[2] - 1):
-        with pytest.raises(ConvergenceError) as exc:
-            solve_optimal_many(models, max_iter=cut)
-        with pytest.raises(ConvergenceError) as ref:
-            bruteforce.solve_optimal(models[1], max_iter=cut)
-        assert exc.value.residual == ref.value.residual > 0.0
-        assert exc.value.iterations == ref.value.iterations == cut
+        assert v.policy == f
 
 
 class TestEvaluatePolicy:
@@ -254,25 +146,9 @@ class TestEvaluatePolicy:
             assert np.allclose(pr.values, (1.0 - zeta) * et.values, atol=1e-10)
 
 
-def test_vi_iterates_are_monotone(i2_product):
-    # exactly, with no rounding slack: solve_optimal's step max(new - v) is
-    # the sup-norm step only because no entry ever decreases
-    rng = np.random.default_rng(21)
-    products = [i2_product] + [random_instance(rng)[2] for _ in range(5)]
-    products += nondet_products(rng, 5)
-    for p in products:
-        for mode, zeta in itertools.product(Mode, (0.7, 0.8)):
-            m = view(p, mode, zeta)
-            v = np.zeros(m.n_states)
-            for _ in range(60):
-                new = bellman_backup(m, v)
-                assert np.all(new >= v)
-                v = new
-
-
 def test_total_and_biased_backups_coincide(i2_product):
     # binary-exact zeta: the two branch tables round identically, so the
-    # whole iteration is bit for bit the same
+    # two solves are bit for bit the same
     vt = solve_optimal(view(i2_product, Mode.TOTAL_REWARD, 0.5))
     vb = solve_optimal(view(i2_product, Mode.BIASED_DISCOUNT, 0.5))
     assert np.array_equal(vt.values, vb.values)
@@ -286,14 +162,18 @@ def test_total_and_biased_backups_coincide(i2_product):
 
 
 def test_optimal_against_bruteforce():
+    # exact optima: within 1e-12 relative of exhaustive enumeration in every
+    # view, and the values are those of the returned policy, bit for bit
     rng = np.random.default_rng(23)
     for _ in range(25):
         _, _, p = small_instance(rng)
-        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
-            m = view(p, mode, 0.6)
-            v = solve_optimal(m)
-            want = optimal_value_bruteforce(m)
-            assert np.max(np.abs(v.values - want)) <= 1e-8
+        for mode in Mode:
+            for zeta in (0.6, 0.99):
+                m = view(p, mode, zeta)
+                v = solve_optimal(m)
+                want = optimal_value_bruteforce(m)
+                assert np.all(np.abs(v.values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                assert evaluate_policy(m, v.policy).values.tobytes() == v.values.tobytes()
 
 
 def test_evaluate_against_bruteforce():
@@ -354,11 +234,16 @@ def test_bicgstab_matches_scipy():
     assert not solvers._bicgstab(matvec, np.zeros(n)).any()
 
 
-def test_convergence_errors(self_loop_product, monkeypatch):
-    m = view(self_loop_product, Mode.TOTAL_REWARD, 0.9)
-    with pytest.raises(ConvergenceError) as exc:
-        solve_optimal(m, max_iter=2)
-    assert exc.value.iterations == 2
+def test_convergence_errors(i2_product, monkeypatch):
+    # policy iteration that is still switching at its round cap raises: on
+    # I2 at zeta 0.9 the myopic start b must switch to a once
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    assert solve_optimal(m).iterations == 2
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_optimal(m)
+    assert exc.value.iterations == 1
     assert exc.value.residual > 0.0
     # a sparse solve whose passes never move x misses its residual target
     # and raises rather than return the start vector
@@ -379,7 +264,7 @@ def test_sparse_solve_matches_dense(monkeypatch):
     for zeta in (0.5, 0.9, 0.99, 0.999):
         views = {mode: view(p, mode, zeta) for mode in Mode}
         total = views[Mode.TOTAL_REWARD]
-        pool = [greedy_policy(total, solve_optimal(total).values)]
+        pool = [solve_optimal(total).policy]
         pool += [random_strategy(p, rng) for _ in range(2)]
         for f in pool:
             got = {}

@@ -1,7 +1,5 @@
 """Cross-view verification reports and the bias threshold sweep."""
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from buchirl import (
     Strategy,
     augment,
     build_product,
-    greedy_policy,
     load_mdp,
     parse_hoa,
     solve_optimal,
@@ -21,8 +18,7 @@ from buchirl import (
     verify_instance,
 )
 
-import bruteforce
-from generators import large_instance, random_instance
+from generators import random_instance
 
 GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -77,8 +73,28 @@ def test_verify_tail_reuses_the_total_view(i2, accept_g, monkeypatch):
     # the same check on a total view built here
     p = build_product(i2, accept_g)
     total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-    f = greedy_policy(total, solve_optimal(total).values)
+    f = solve_optimal(total).policy
     assert rep.tails == (tail_check(total, f, 2000, seed=5),)
+
+
+def test_verify_biased_solve_starts_from_total_optimum(i2, accept_g, monkeypatch):
+    # among tied optima the biased solve reports the total view's one, so
+    # the optimal-value equality compares one policy's values in two views
+    calls, results = [], []
+
+    def spy(model, start=None):
+        calls.append((model.mode, start))
+        results.append(solve_optimal(model, start))
+        return results[-1]
+
+    monkeypatch.setattr(buchirl.verify, "solve_optimal", spy)
+    verify_instance(i2, accept_g, zetas=(0.5, 0.9), n_random=0)
+    for k in (0, 3):
+        assert [mode for mode, _ in calls[k : k + 3]] == [
+            Mode.REACH_TARGET, Mode.TOTAL_REWARD, Mode.BIASED_DISCOUNT
+        ]
+        assert calls[k][1] is None and calls[k + 1][1] is None
+        assert calls[k + 2][1] == results[k + 1].policy == results[k + 2].policy
 
 
 def test_verify_nondet_keeps_caveat(i2, corpus):
@@ -129,6 +145,22 @@ def test_threshold_sweep_i2(i2, accept_g):
             assert row.is_optimal
 
 
+def test_threshold_sweep_warm_starts(i2, accept_g, monkeypatch):
+    # each grid point's policy iteration starts from the previous point's policy
+    starts, results = [], []
+
+    def spy(model, start=None):
+        starts.append(start)
+        results.append(solve_optimal(model, start))
+        return results[-1]
+
+    monkeypatch.setattr(buchirl.verify, "solve_optimal", spy)
+    rep = threshold_sweep(i2, accept_g, (0.4, 0.5, 0.6, 0.9))
+    assert starts == [None] + [v.policy for v in results[:-1]]
+    assert [v.iterations for v in results] == [1, 1, 2, 1]
+    assert rep.empirical_zeta0 == 0.6
+
+
 def test_threshold_sweep_rejects_unordered_grid(i2, accept_g):
     # empirical_zeta0 reads the rows from the end, so it needs an ascending grid
     for grid in ((0.6, 0.5), (0.6, 0.6, 0.5, 0.9), (0.5, 0.5)):
@@ -157,7 +189,7 @@ def test_threshold_sweep_trivial_instances(corpus, accept_g):
 
 
 def test_threshold_exists_on_random_instances():
-    # pushing the bias toward 1 eventually makes the greedy total-reward
+    # pushing the bias toward 1 eventually makes the optimal total-reward
     # policy optimal for the underlying objective; the sweep should find a
     # working zeta within this grid on every instance
     rng = np.random.default_rng(41)
@@ -190,19 +222,3 @@ def test_verify_rejects_negative_counts(i2, accept_g):
         with pytest.raises(ValueError, match=name):
             verify_instance(i2, accept_g, zetas=(0.9,), **{name: -1})
     assert verify_instance(i2, accept_g, zetas=(0.9,), n_random=0).checked == 2
-
-
-def test_verify_matches_reference(corpus_pairs):
-    # the views solved in one stacked loop against the former loop, which
-    # solves each view alone: the whole report, field for field
-    cases = [(m, a, {}) for m, a in corpus_pairs]
-    rng = np.random.default_rng(43)
-    for k in range(20):
-        m, a, _ = random_instance(rng)
-        zetas = tuple(float(z) for z in rng.choice((0.3, 0.5, 0.8, 0.9, 0.99), size=1 + k % 3))
-        cases.append((m, a, {"zetas": zetas, "n_random": 5, "seed": k}))
-    m, a, _ = large_instance(np.random.default_rng(44))
-    cases.append((m, a, {"zetas": (0.5, 0.9, 0.99), "n_random": 1, "tail_episodes": 200}))
-    for m, a, kw in cases:
-        want = bruteforce.verify_reference(m, a, **kw)
-        assert asdict(verify_instance(m, a, **kw)) == asdict(want)
