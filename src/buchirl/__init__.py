@@ -42,15 +42,12 @@ from .product import (
     Branch,
     DeadEndError,
     IncompleteAutomatonError,
-    MemoryStrategy,
     Pair,
     ProductError,
     ProductMdp,
     Strategy,
     build_product,
-    project_strategy,
     random_strategy,
-    recompose_strategy,
 )
 from .shaping import (
     AugmentedModel,

@@ -68,6 +68,10 @@ class LearnConfig:
     optimistic: bool = False
 
     def __post_init__(self):
+        for name in ("episodes", "max_steps"):
+            v = getattr(self, name)
+            if v < 0:
+                raise ValueError(f"{name} must be at least 0, got {v}")
         for name in ("alpha0", "visit_decay"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):

@@ -207,44 +207,3 @@ class Strategy:
 def random_strategy(p: ProductMdp, rng) -> Strategy:
     starts = p.pair_start.tolist()
     return Strategy(tuple(int(rng.integers(hi - lo)) for lo, hi in zip(starts, starts[1:])))
-
-
-@dataclass(frozen=True)
-class MemoryStrategy:
-    """Finite-memory MDP strategy, memory = automaton state.
-
-    In memory q at MDP state s, play `action` and move the memory to `next_memory`
-    regardless of the sampled successor; the product pair already fixes it.
-    """
-
-    table: dict[tuple[int, int], tuple[int, int]]  # (s, q) -> (action, next memory)
-    initial_memory: int = 0
-
-    def act(self, s: int, q: int) -> tuple[int, int]:
-        return self.table[(s, q)]
-
-
-def project_strategy(p: ProductMdp, f: Strategy) -> MemoryStrategy:
-    """Turn a positional product strategy into an MDP strategy with memory."""
-    f.check(p)
-    pid = p.pair_start[:-1] + np.array(f.choice, dtype=np.int64)
-    moves = zip(p.action[pid].tolist(), p.memory[pid].tolist())
-    return MemoryStrategy(dict(zip(p.states, moves)), p.states[0][1])
-
-
-def recompose_strategy(p: ProductMdp, ms: MemoryStrategy) -> Strategy:
-    """Inverse of project_strategy on the reachable product."""
-    moves = list(zip(p.action.tolist(), p.memory.tolist()))
-    starts = p.pair_start.tolist()
-    choice: list[int] = []
-    for st, (s, q) in enumerate(p.states):
-        want = ms.table.get((s, q))
-        if want is None:
-            raise ValueError(f"memory strategy undefined at ({p.mdp.states[s]},q{q})")
-        here = moves[starts[st] : starts[st + 1]]
-        if want not in here:
-            raise ValueError(
-                f"memory strategy picks unavailable pair at ({p.mdp.states[s]},q{q})"
-            )
-        choice.append(here.index(want))
-    return Strategy(tuple(choice))

@@ -27,15 +27,14 @@ biased view keeps the product's offsets, successors and probabilities as
 they are.  The solvers, `simulate_batch` and the product export all read
 this table.
 
-`simulate_batch` samples payoffs under a positional strategy and moves only
-the episodes that can still earn.  An episode in a state from which the
-strategy's branches reach no reward and no target keeps its payoff and its
-flag for good; its uniform is still drawn, so the results and the
-generator's position are bit for bit those of moving every episode.  The
+`simulate_batch` samples payoffs under a positional strategy and moves, and
+draws uniforms for, only the episodes that can still earn.  An episode in a
+state from which the strategy's branches reach no reward and no target
+keeps its payoff and its flag for good, so it leaves the batch.  The
 Q-learner skips traps too (see `learn`), with a narrower rule, a one-branch
 non-accepting self-loop, because a skipped learning step must also leave
-its table unchanged and draw nothing.  `can_reach`, the backward search
-behind that set, also gives `solvers.evaluate_policy` its live states.
+its table unchanged.  `can_reach`, the backward search behind that set,
+also gives `solvers.evaluate_policy` its live states.
 """
 
 from __future__ import annotations
@@ -190,23 +189,20 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized payoff sampling; returns (payoffs, reached_target).
 
-    Episodes still alive at max_steps are truncated, which can only lose
-    payoff that was still to come.  Sampling uses the aggregated augmented
-    branches (one uniform per step, leak included).
+    Episodes still moving at max_steps are truncated, which can only lose
+    payoff that was still to come, so the mean payoff estimates the
+    strategy's expected payoff over max_steps steps.  Sampling uses the
+    aggregated augmented branches (one uniform per step, leak included).
 
-    An episode is alive until it reaches the target, and each step draws one
-    uniform per alive episode, `rng.random(n_alive)`, which the episodes
-    read in rank order.  Only the alive episodes that can still earn move:
-    those in a state from which `f`'s branches lead to a rewarded branch or
-    to the target.  `can_reach` finds those states over every non-target
-    branch of the chosen pairs, whatever its probability, since rounding
-    slack can pick any last branch.  Any other episode earns nothing and
-    never reaches the target, so its payoff and flag are final; it stays
-    alive, and its uniform is drawn and left unread.  The draw sizes, the
-    uniform each moving episode reads and the last step are therefore those
-    of moving every alive episode, and so are the payoffs, the flags and the
-    generator's final position, bit for bit.  A negative `episodes` or
-    `max_steps` raises ValueError.
+    Only the episodes that can still earn move: those in a state from which
+    `f`'s branches lead to a rewarded branch or to the target.  `can_reach`
+    finds those states over every non-target branch of the chosen pairs,
+    whatever its probability, since rounding slack can pick any last
+    branch.  Any other episode earns nothing and never reaches the target,
+    so its payoff and flag are final, and it stops, as does an episode that
+    reaches the target.  Each step draws `rng.random(m)` for the m moving
+    episodes, in episode order, and the loop ends early when none is left.
+    A negative `episodes` or `max_steps` raises ValueError.
     """
     for name, count in (("episodes", episodes), ("max_steps", max_steps)):
         if count < 0:
@@ -241,18 +237,14 @@ def simulate_batch(
     pay = np.zeros(episodes)
     disc = np.ones(episodes)
     reached = np.zeros(episodes, dtype=bool)
-    n_alive = episodes
-    # the moving episodes, their rank among the alive ones and their states
+    # the moving episodes and their states
     moving = np.arange(episodes) if earn[model.product.initial] else np.arange(0)
-    rank = moving.copy()
     here = np.full(moving.size, model.product.initial, dtype=np.int64)
     for _ in range(max_steps):
-        if n_alive == 0:
-            break
-        u = rng.random(n_alive)
         if moving.size == 0:
-            continue
-        k = (u[rank][:, None] >= cum[here]).sum(axis=1)
+            break
+        u = rng.random(moving.size)
+        k = (u[:, None] >= cum[here]).sum(axis=1)
         r = rew[here, k]
         if biased:
             pay[moving] += disc[moving] * r
@@ -260,11 +252,7 @@ def simulate_batch(
         else:
             pay[moving] += r
         nxt = succ[here, k]
-        hit = nxt == sentinel
-        if hit.any():
-            reached[moving[hit]] = True
-            n_alive -= int(hit.sum())
-            rank = rank - np.searchsorted(rank[hit], rank)
+        reached[moving[nxt == sentinel]] = True
         go = earn[nxt]
-        moving, rank, here = moving[go], rank[go], nxt[go]
+        moving, here = moving[go], nxt[go]
     return pay, reached

@@ -118,8 +118,10 @@ def verify_instance(
     """The cross-checks of the module docstring at each bias in `zetas`.
 
     A strategy that a zeta's pool holds more than once is evaluated once
-    per view and counted once per entry, and the oracle, whose answer does
-    not depend on zeta, runs once per distinct strategy of the instance.
+    per view and counted once per entry; in a view whose solve returned it,
+    the solve's values are its values, since the solve's last round
+    evaluated it.  The oracle, whose answer does not depend on zeta, runs
+    once per distinct strategy of the instance.
     An empty `zetas` raises ValueError rather than pass with nothing
     checked, and so does a negative `n_random` or `tail_episodes` rather
     than report counts it did not check.
@@ -154,11 +156,13 @@ def verify_instance(
         f_total = v_total.policy
         pool = [f_total, v_reach.policy]
         pool += [random_strategy(p, rng) for _ in range(n_random)]
+        solved = ((reach, v_reach), (total, v_total), (biased, v_biased))
         # a strategy drawn twice is evaluated once and counted twice
         for f, count in Counter(pool).items():
-            et = evaluate_policy(total, f).values
-            pr = evaluate_policy(reach, f).values
-            ed = evaluate_policy(biased, f).values
+            pr, et, ed = (
+                v.values if v.policy == f else evaluate_policy(view, f).values
+                for view, v in solved
+            )
             if f not in psats:
                 psats[f] = policy_buchi_probability(p, f)
             identity_err = max(identity_err, float(np.max(np.abs(pr - (1.0 - zeta) * et))))

@@ -7,10 +7,9 @@ positional strategies, lasso acceptance from a flagged transitive closure,
 and the product and payoff-view tables from loops over tuples, one branch at
 a time.  Size caps keep everything desk-scale.  The one user of the
 package's graph helper is `oracle_reference`, the oracle's former tuple walk,
-which the column oracle must match bit for bit.
-`simulate_batch_reference` is the former payoff sampler, which moved every
-alive episode on every step; the sampler must match its payoffs, flags and
-generator calls bit for bit.
+which the column oracle must match bit for bit.  `policy_value_bruteforce`
+stopped after T sweeps gives the exact T-step payoffs that the sampler's
+means are tested against.
 """
 
 import itertools
@@ -32,7 +31,7 @@ from buchirl.product import (
     ProductMdp,
     Strategy,
 )
-from buchirl.shaping import AugmentedModel, FlatBranches, Mode
+from buchirl.shaping import FlatBranches, Mode
 
 
 def augment_reference(p, spec):
@@ -75,66 +74,6 @@ def augment_reference(p, spec):
         reward,
         np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
     )
-
-
-def simulate_batch_reference(
-    model: AugmentedModel,
-    f: Strategy,
-    rng: np.random.Generator,
-    episodes: int,
-    max_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The payoff sampler as it was before it skipped episodes that can no
-    longer earn, kept verbatim: every alive episode moves on every step.
-
-    `simulate_batch` must match its payoffs, flags and generator calls bit
-    for bit.
-    """
-    f.check(model.product)
-    n = model.n_states
-    flat = model.flat
-    pid, row, idx = flat.select(f.choice)
-    lo = flat.branch_start[pid]
-    col = idx - lo[row]
-    shape = (n, int(col.max()) + 1)
-    prob = np.zeros(shape)
-    succ = np.zeros(shape, dtype=np.int64)
-    rew = np.zeros(shape)
-    prob[row, col] = flat.prob[idx]
-    succ[row, col] = flat.succ[idx]
-    rew[row, col] = flat.reward[idx]
-    cum = np.cumsum(prob, axis=1)  # adds along each row in branch order
-    last = flat.branch_start[pid + 1] - lo - 1
-    cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last branch
-    sentinel = n  # the target's index in the leaked views; absorbing
-
-    biased = model.mode is Mode.BIASED_DISCOUNT
-    zeta = model.zeta
-    cur = np.full(episodes, model.product.initial, dtype=np.int64)
-    pay = np.zeros(episodes)
-    disc = np.ones(episodes)
-    reached = np.zeros(episodes, dtype=bool)
-    alive = np.ones(episodes, dtype=bool)
-    for _ in range(max_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        here = cur[idx]
-        u = rng.random(idx.size)
-        k = (u[:, None] >= cum[here]).sum(axis=1)
-        r = rew[here, k]
-        if biased:
-            pay[idx] += disc[idx] * r
-            disc[idx] *= np.where(r > 0.0, zeta, 1.0)
-        else:
-            pay[idx] += r
-        nxt = succ[here, k]
-        hit = nxt == sentinel
-        if hit.any():
-            reached[idx[hit]] = True
-            alive[idx[hit]] = False
-        cur[idx] = nxt
-    return pay, reached
 
 
 def product_reference(m, a):
@@ -558,7 +497,9 @@ def policy_value_bruteforce(model, choice, tol=0.0, sweeps=200_000):
     changes nothing: from zero the rounded iterates never decrease, so they
     settle on a floating-point fixed point, within a few ulps / (1 - zeta)
     of the exact values.  Stopping at a step of size d instead leaves an
-    error of about d / (1 - zeta).
+    error of about d / (1 - zeta).  With a negative `tol` it runs exactly
+    `sweeps` sweeps, and v[s] is then the expected payoff of the first
+    `sweeps` steps from s.
     """
     n = model.n_states
     flat = model.flat

@@ -41,6 +41,17 @@ def test_config_rejects_unusable_step_sizes():
     LearnConfig(alpha0=1e-6, visit_decay=1e-3)  # small but usable
 
 
+def test_config_rejects_negative_counts(i2_product):
+    for field in ("episodes", "max_steps"):
+        with pytest.raises(ValueError, match=field):
+            LearnConfig(**{field: -3})
+    # zero episodes is an empty run; zero steps stops every episode at once
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    assert train(m, LearnConfig(episodes=0)).curve == []
+    res = train(m, LearnConfig(episodes=3, max_steps=0))
+    assert res.truncated == 3 and res.table.visits[0] == [0, 0]
+
+
 def test_epsilon_schedule():
     cfg = LearnConfig(episodes=100, epsilon0=0.3, epsilon_final=0.01, anneal_fraction=0.5)
     assert epsilon_at(cfg, 0) == 0.3

@@ -1,4 +1,4 @@
-"""Product construction, accepting branches and strategy translation."""
+"""Product construction, accepting branches and strategies."""
 
 from functools import partial
 from itertools import accumulate
@@ -12,7 +12,6 @@ from buchirl import (
     Edge,
     IncompleteAutomatonError,
     Mdp,
-    MemoryStrategy,
     Mode,
     Nba,
     PayoffSpec,
@@ -24,9 +23,7 @@ from buchirl import (
     is_deterministic,
     load_mdp,
     parse_hoa,
-    project_strategy,
     random_strategy,
-    recompose_strategy,
     solve_optimal,
 )
 
@@ -237,33 +234,6 @@ def test_random_strategy_valid(i2_product):
     rng = np.random.default_rng(5)
     for _ in range(20):
         random_strategy(i2_product, rng).check(i2_product)
-
-
-def test_project_strategy(i2_product):
-    f = Strategy((1, 0, 0))
-    ms = project_strategy(i2_product, f)
-    assert ms.initial_memory == 0
-    assert ms.act(0, 0) == (1, 0)  # play b, stay in q0
-    assert set(ms.table) == {(0, 0), (1, 0), (2, 0)}
-
-
-def test_project_recompose_round_trip(i2, corpus):
-    nondet = parse_hoa((corpus / "hoa" / "nondet_g.hoa").read_text())
-    p = build_product(i2, nondet)
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        f = random_strategy(p, rng)
-        assert recompose_strategy(p, project_strategy(p, f)) == f
-
-
-def test_recompose_rejects_partial_tables(i2_product):
-    with pytest.raises(ValueError):
-        recompose_strategy(i2_product, MemoryStrategy({(0, 0): (0, 0)}))
-    with pytest.raises(ValueError):
-        recompose_strategy(
-            i2_product,
-            MemoryStrategy({(0, 0): (1, 1), (1, 0): (0, 0), (2, 0): (0, 0)}),
-        )
 
 
 def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):

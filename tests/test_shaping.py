@@ -19,7 +19,7 @@ from buchirl import (
     solve_optimal,
 )
 
-from bruteforce import augment_reference, simulate_batch_reference
+from bruteforce import augment_reference, policy_value_bruteforce
 from generators import large_instance, random_instance
 
 
@@ -169,8 +169,6 @@ def test_simulate_batch_deterministic_policy_b(i2_product):
     assert abs(reached.mean() - 0.5) <= 3.0 * math.sqrt(0.25 / 4000)
 
 
-
-
 def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
     # ten branches of 0.1 sum to 0.9999999999999999, which a draw just below 1
     # exceeds; the sampler must then take the last branch (the only g one)
@@ -209,6 +207,41 @@ def test_simulate_batch_rejects_negative_counts(i2_product):
     assert pay.size == 0 and reached.size == 0
 
 
+def assert_near_t_step_value(sample, exact):
+    """The sample mean is within 5 standard errors of `exact`, plus one
+    episode's largest share of the mean, so the bound stays positive when
+    every episode has the same nonzero payoff (every episode can reach the
+    target while the exact chance stays below 1)."""
+    size = sample.size
+    tol = 5.0 * sample.std() / math.sqrt(size) + np.abs(sample).max() / size
+    assert abs(sample.mean() - exact) <= tol, (sample.mean(), exact, tol)
+
+
+def test_simulate_batch_matches_t_step_values(corpus_products):
+    # over T steps the mean payoff estimates the T-step expected payoff,
+    # which T plain Bellman sweeps from zero compute exactly, and the
+    # reached rate the T-step value of the same strategy in the reach view
+    rng = np.random.default_rng(17)
+    products = list(corpus_products) + [random_instance(rng)[2] for _ in range(20)]
+    products.append(large_instance(rng)[2])
+    episodes, steps = 4000, 100
+    for i, p in enumerate(products):
+        reach = augment(p, PayoffSpec(Mode.REACH_TARGET, 0.9))
+        for mode in Mode:
+            m = augment(p, PayoffSpec(mode, 0.9))
+            pool = [solve_optimal(m).policy]
+            pool += [random_strategy(p, rng) for _ in range(2)]
+            for f in pool:
+                pay, reached = simulate_batch(m, f, np.random.default_rng(i), episodes, steps)
+                value = policy_value_bruteforce(m, f.choice, tol=-1.0, sweeps=steps)
+                assert_near_t_step_value(pay, value[p.initial])
+                if mode is Mode.BIASED_DISCOUNT:
+                    assert not reached.any()
+                    continue
+                rate = policy_value_bruteforce(reach, f.choice, tol=-1.0, sweeps=steps)
+                assert_near_t_step_value(reached.astype(float), rate[p.initial])
+
+
 class Recording:
     """A generator that logs the size of every `random` call."""
 
@@ -221,48 +254,6 @@ class Recording:
         return self.rng.random(size)
 
 
-class Tripwire(Recording):
-    """A `Recording` whose uniforms are +inf wherever stuck(call, size) says.
-
-    +inf passes every branch's cumulative bound, the last one's included, so
-    a sampler that reads such a uniform indexes past its branch table and
-    raises IndexError.
-    """
-
-    def __init__(self, seed, stuck):
-        super().__init__(seed)
-        self.stuck = stuck
-
-    def random(self, size):
-        u = super().random(size)
-        u[self.stuck(len(self.sizes) - 1, size)] = np.inf
-        return u
-
-
-def assert_sampler_matches_reference(m, f, seed, episodes, max_steps):
-    """Payoffs, flags, call sizes and the next draw equal the old sampler's."""
-    got_rng, want_rng = Recording(seed), Recording(seed)
-    got = simulate_batch(m, f, got_rng, episodes, max_steps)
-    want = simulate_batch_reference(m, f, want_rng, episodes, max_steps)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert got_rng.sizes == want_rng.sizes
-    assert got_rng.rng.random() == want_rng.rng.random()
-
-
-def test_simulate_batch_matches_reference(corpus_products):
-    rng = np.random.default_rng(17)
-    products = list(corpus_products) + [random_instance(rng)[2] for _ in range(20)]
-    products.append(large_instance(rng)[2])
-    for i, p in enumerate(products):
-        for mode in Mode:
-            m = augment(p, PayoffSpec(mode, 0.9))
-            pool = [solve_optimal(m).policy]
-            pool += [random_strategy(p, rng) for _ in range(2)]
-            for f in pool:
-                assert_sampler_matches_reference(m, f, i, 400, 100)
-
-
 def chain_model(accept_g, edges, n_states, mode):
     """One-action MDP on s0 .. s(n-1) under GF g, in one view at zeta 0.5."""
     states = tuple(f"s{i}" for i in range(n_states))
@@ -270,10 +261,28 @@ def chain_model(accept_g, edges, n_states, mode):
     return augment(p, PayoffSpec(mode, 0.5)), Strategy((0,) * p.n_states)
 
 
+def sample_views(accept_g, edges, n_states, seed, episodes, max_steps):
+    """simulate_batch in each view on one seed: {mode: (pay, reached, sizes)}."""
+    out = {}
+    for mode in Mode:
+        m, f = chain_model(accept_g, edges, n_states, mode)
+        rng = Recording(seed)
+        out[mode] = (*simulate_batch(m, f, rng, episodes, max_steps), rng.sizes)
+    return out
+
+
+def assert_draws_match_moves(sizes, moves):
+    """Step t draws one uniform per episode that moves on it, those with
+    moves > t, and no step draws once none moves."""
+    assert sizes == [int(np.sum(moves > t)) for t in range(int(moves.max(initial=0)))]
+
+
 # Trap shapes the learner's trap rule, one pair whose one branch is a
-# non-accepting self-loop, does not cover.  Each is checked against the old
-# sampler, and with a tripwire on the uniforms of the episodes that can no
-# longer earn, which the sampler must draw and leave unread.
+# non-accepting self-loop, does not cover.  An episode that enters one
+# stops, and so does one that reaches the target.  In the total view of
+# these chains every move of an episode that can still earn pays 1, so its
+# payoff counts its moves; the reach view has the same dynamics, so on the
+# same seed it moves the same episodes and reaches with the same flags.
 
 
 def test_simulate_batch_skips_a_zero_reward_cycle(accept_g):
@@ -282,49 +291,45 @@ def test_simulate_batch_skips_a_zero_reward_cycle(accept_g):
     # first branch of s0, which draws below 0.5 take
     edges = [Edge(0, 0, 1, 0.5, 1), Edge(0, 0, 3, 0.5, 0), Edge(1, 0, 2, 1.0, 1)]
     edges += [Edge(2, 0, 1, 1.0, 1), Edge(3, 0, 3, 1.0, 0)]
-    for mode in Mode:
-        m, f = chain_model(accept_g, edges, 4, mode)
-        assert m.flat.succ[0] == 1 and m.flat.reward[0] == 0.0
-        assert_sampler_matches_reference(m, f, 3, 500, 40)
-    # in the biased view no episode leaves, so ranks are episode indices
+    m, _ = chain_model(accept_g, edges, 4, Mode.TOTAL_REWARD)
+    assert m.flat.succ[0] == 1 and m.flat.reward[0] == 0.0
+    out = sample_views(accept_g, edges, 4, 3, 500, 40)
     cycle = np.random.default_rng(3).random(500) < 0.5
-    rng = Tripwire(3, lambda call, size: cycle & (call > 0))
-    pay, reached = simulate_batch(m, f, rng, 500, 40)
-    assert not reached.any() and rng.sizes == [500] * 40
+    # in the biased view no episode leaves the loop, which pays 0.5**t on move t
+    pay, reached, sizes = out[Mode.BIASED_DISCOUNT]
+    assert not reached.any() and sizes == [500] + [int(np.sum(~cycle))] * 39
     assert np.all((pay == 0.0) == cycle)
     assert np.all(pay[~cycle] == (1.0 - 0.5**40) / 0.5)
-    with pytest.raises(IndexError):
-        simulate_batch_reference(m, f, Tripwire(3, rng.stuck), 500, 40)
+    pay, reached, sizes = out[Mode.TOTAL_REWARD]
+    assert np.all((pay == 0.0) == cycle) and np.all(reached == ~cycle)
+    assert_draws_match_moves(sizes, np.where(cycle, 1.0, pay))
+    assert len(sizes) < 40  # every loop episode leaked before the last step
+    pay, reached, sizes = out[Mode.REACH_TARGET]
+    assert sizes == out[Mode.TOTAL_REWARD][2]
+    assert np.array_equal(reached, out[Mode.TOTAL_REWARD][1])
+    assert np.array_equal(pay, reached.astype(float))
 
 
 def test_simulate_batch_skips_a_trap_entered_after_accepting_steps(accept_g):
     # two accepting steps, then the cycle s2 -> {s2, s3}, s3 -> s2 without reward
     edges = [Edge(0, 0, 1, 1.0, 0), Edge(1, 0, 2, 1.0, 0)]
     edges += [Edge(2, 0, 2, 0.5, 1), Edge(2, 0, 3, 0.5, 1), Edge(3, 0, 2, 1.0, 1)]
-    for mode in Mode:
-        m, f = chain_model(accept_g, edges, 4, mode)
-        assert_sampler_matches_reference(m, f, 4, 500, 30)
-        # after two steps every episode still alive is in the cycle
-        rng = Tripwire(4, lambda call, size: np.full(size, call >= 2))
-        pay, reached = simulate_batch(m, f, rng, 500, 30)
-        assert len(rng.sizes) == 30 and len(set(rng.sizes[2:])) == 1
-        if mode is Mode.BIASED_DISCOUNT:
-            assert not reached.any() and np.all(pay == 1.5)
-        elif mode is Mode.TOTAL_REWARD:
-            assert np.all(pay[~reached] == 2.0) and set(pay[reached].tolist()) == {1.0, 2.0}
-        else:
-            assert np.array_equal(pay, reached.astype(float))
-        with pytest.raises(IndexError):
-            simulate_batch_reference(m, f, Tripwire(4, rng.stuck), 500, 30)
+    out = sample_views(accept_g, edges, 4, 4, 500, 30)
+    pay, reached, sizes = out[Mode.BIASED_DISCOUNT]
+    assert not reached.any() and np.all(pay == 1.5) and sizes == [500, 500]
+    pay, reached, sizes = out[Mode.TOTAL_REWARD]
+    assert np.all(pay[~reached] == 2.0) and set(pay[reached].tolist()) == {1.0, 2.0}
+    assert_draws_match_moves(sizes, pay)
+    pay, reached, sizes = out[Mode.REACH_TARGET]
+    assert sizes == out[Mode.TOTAL_REWARD][2]
+    assert np.array_equal(reached, out[Mode.TOTAL_REWARD][1])
+    assert np.array_equal(pay, reached.astype(float))
 
 
 def test_simulate_batch_biased_never_reaches(never_product):
-    # no episode can earn from the start, so every uniform is left unread
-    m = augment(never_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.9))
-    f = Strategy((0,))
-    assert_sampler_matches_reference(m, f, 8, 100, 50)
-    rng = Tripwire(8, lambda call, size: np.ones(size, dtype=bool))
-    pay, reached = simulate_batch(m, f, rng, 100, 50)
-    assert not reached.any() and not pay.any() and rng.sizes == [100] * 50
-    with pytest.raises(IndexError):
-        simulate_batch_reference(m, f, Tripwire(8, rng.stuck), 100, 50)
+    # no episode can earn from the start, so none moves and nothing is drawn
+    for mode in Mode:
+        m = augment(never_product, PayoffSpec(mode, 0.9))
+        rng = Recording(8)
+        pay, reached = simulate_batch(m, Strategy((0,)), rng, 100, 50)
+        assert not reached.any() and not pay.any() and rng.sizes == []
