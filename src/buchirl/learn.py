@@ -76,6 +76,12 @@ class LearnConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        for name in ("epsilon0", "epsilon_final"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:  # also false for NaN
+                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        if not 0.0 <= self.anneal_fraction < math.inf:  # also false for NaN
+            raise ValueError(f"anneal_fraction must be finite and at least 0, got {self.anneal_fraction!r}")
 
 
 def epsilon_at(cfg: LearnConfig, episode: int) -> float:

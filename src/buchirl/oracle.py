@@ -6,9 +6,9 @@ the induced chain.  Every chain is first settled by graph search: states
 that cannot reach the target are exactly 0, states that cannot reach a
 state worth 0 exactly 1, and a dense linear solve covers only the states
 left undecided.  The reward pipeline is numerically checked against these
-answers, so nothing here may reuse the augmentation, the reward solvers or
-their graph searches; the searches and linear systems are assembled
-separately on purpose.
+answers, so nothing here may reuse the augmentation or the reward solvers:
+the linear systems are assembled separately on purpose.  Graph search is
+not numerics, and it is shared through `graphs` with the reward side.
 
 For products of nondeterministic automata without an asserted good-for-MDPs
 flag the computed value is only guaranteed to be a lower bound on the Buchi
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import strongly_connected_components
+from .graphs import adjacency, backward_levels, strongly_connected_components
 from .product import ProductMdp, Strategy
 
 
@@ -65,7 +65,12 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         # a state without kept pairs has no edges, so it is a component of
         # its own, and every branch into it leaves its source's component
         edge = kept[branch_pair]
-        comp_of = _component_index(n, source[edge], p.succ[edge])
+        out = adjacency(n, source[edge].tolist(), p.succ[edge].tolist())
+        comp_list = [0] * n
+        for ci, comp in enumerate(strongly_connected_components(out)):
+            for u in comp:
+                comp_list[u] = ci
+        comp_of = np.array(comp_list)
         leaves = comp_of[p.succ] != comp_of[source]
         keep = kept & ~np.logical_or.reduceat(leaves, bounds[:-1])
         if np.array_equal(keep, kept):
@@ -73,7 +78,6 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         kept = keep
 
     groups: dict[int, list[int]] = {}
-    comp_list = comp_of.tolist()
     for u in np.flatnonzero(np.logical_or.reduceat(kept, starts[:-1])).tolist():
         groups.setdefault(comp_list[u], []).append(u)
     starts, kept = starts.tolist(), kept.tolist()
@@ -85,17 +89,6 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         acc = any(pair_acc[k] for ks in pairs for k in ks)
         mecs.append(EndComponent(tuple(members), retained, acc))
     return tuple(mecs)
-
-
-def _component_index(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Strongly connected component of each node; edges src -> dst, src ascending."""
-    off = np.searchsorted(src, np.arange(n + 1)).tolist()
-    out = dst.tolist()
-    comp_of = [0] * n
-    for ci, comp in enumerate(strongly_connected_components(n, lambda u: out[off[u] : off[u + 1]])):
-        for u in comp:
-            comp_of[u] = ci
-    return np.array(comp_of)
 
 
 def _chosen_branches(p: ProductMdp, choice) -> list[range]:
@@ -129,12 +122,13 @@ def _chain_reach(
                 hits.add(st)
             elif succ[e] not in zeros:
                 rev[succ[e]].append(st)
-    live = _backward_closure(hits, rev)
+    live = {st for st, lv in enumerate(backward_levels(hits, rev)) if lv >= 0}
     # live states one branch away from a state worth 0, which is one in
     # `zeros` or a free state off the live set; the closure stays live
     # because every predecessor of a live state is live
     doomed = {st for st in live if any(succ[e] not in ones and succ[e] not in live for e in chosen[st])}
-    sure = live - _backward_closure(doomed, rev)
+    unsure = backward_levels(doomed, rev)
+    sure = {st for st in live if unsure[st] < 0}
     v = np.zeros(n)
     for st in ones | sure:
         v[st] = 1.0
@@ -152,19 +146,6 @@ def _chain_reach(
                     b[i] += prob[e]
         v[np.array(order)] = np.linalg.solve(a, b)
     return v
-
-
-def _backward_closure(seeds: set[int], rev: list[list[int]]) -> set[int]:
-    """`seeds` and every state with a path into them along `rev`'s edges."""
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for w in rev[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list[int]]:
@@ -236,22 +217,13 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     anchor = next((uk for uk, (_, acc) in branches.items() if any(acc)), None)
     assert anchor is not None, "accepting component without accepting branch"
     u_star, k_star = anchor
-    members = set(ec.states)
-    dist = {u_star: 0}
-    frontier = [u_star]
-    rev: dict[int, list[int]] = {u: [] for u in ec.states}
+    pos = {u: i for i, u in enumerate(ec.states)}  # members numbered 0..m-1
+    rev: list[list[int]] = [[] for _ in ec.states]
     for (u, _), (succ, _) in branches.items():
         for t in succ:
-            rev[t].append(u)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in rev[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    assert set(dist) == members, "end component not strongly connected"
+            rev[pos[t]].append(pos[u])
+    dist = dict(zip(ec.states, backward_levels([pos[u_star]], rev)))
+    assert min(dist.values()) >= 0, "end component not strongly connected"
     choice[u_star] = k_star
     for u, kept in zip(ec.states, ec.retained):
         if u == u_star:
@@ -277,7 +249,7 @@ def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:
     out = [succ[r.start : r.stop] for r in chosen]
     win: set[int] = set()
     lose: set[int] = set()
-    for comp in strongly_connected_components(p.n_states, out.__getitem__):
+    for comp in strongly_connected_components(out):
         members = set(comp)
         if all(t in members for u in comp for t in out[u]):  # bottom
             acc = any(accepting[e] for u in comp for e in chosen[u])

@@ -33,8 +33,9 @@ state from which the strategy's branches reach no reward and no target
 keeps its payoff and its flag for good, so it leaves the batch.  The
 Q-learner skips traps too (see `learn`), with a narrower rule, a one-branch
 non-accepting self-loop, because a skipped learning step must also leave
-its table unchanged.  `can_reach`, the backward search behind that set,
-also gives `solvers.evaluate_policy` its live states.
+its table unchanged.  That set comes from `graphs.backward_levels`, the
+breadth-first search that also gives `solvers.evaluate_policy` its live
+states.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graphs import adjacency, backward_levels
 from .product import ProductMdp, Strategy
 
 
@@ -160,26 +162,6 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     return AugmentedModel(p, spec, target, flat)
 
 
-def can_reach(seed: np.ndarray, row: np.ndarray, succ: np.ndarray) -> np.ndarray:
-    """The states that reach a `seed` state along the edges row[i] -> succ[i].
-
-    `seed` is a boolean array over the states and is not modified; the result
-    includes the seeds.  A backward depth-first search over the edges.
-    """
-    rev: list[list[int]] = [[] for _ in range(seed.size)]
-    for r, s in zip(row.tolist(), succ.tolist()):
-        rev[s].append(r)
-    live = seed.copy()
-    stack = np.flatnonzero(live).tolist()
-    while stack:
-        u = stack.pop()
-        for x in rev[u]:
-            if not live[x]:
-                live[x] = True
-                stack.append(x)
-    return live
-
-
 def simulate_batch(
     model: AugmentedModel,
     f: Strategy,
@@ -195,9 +177,9 @@ def simulate_batch(
     aggregated augmented branches (one uniform per step, leak included).
 
     Only the episodes that can still earn move: those in a state from which
-    `f`'s branches lead to a rewarded branch or to the target.  `can_reach`
-    finds those states over every non-target branch of the chosen pairs,
-    whatever its probability, since rounding slack can pick any last
+    `f`'s branches lead to a rewarded branch or to the target.  A backward
+    search finds those states over every non-target branch of the chosen
+    pairs, whatever its probability, since rounding slack can pick any last
     branch.  Any other episode earns nothing and never reaches the target,
     so its payoff and flag are final, and it stops, as does an episode that
     reaches the target.  Each step draws `rng.random(m)` for the m moving
@@ -228,9 +210,9 @@ def simulate_batch(
     # then False for the target itself, where an episode stops moving too
     to = flat.succ[idx]
     into = to == sentinel
-    seed = np.zeros(n, dtype=bool)
-    seed[row[into | (flat.reward[idx] > 0.0)]] = True
-    earn = np.append(can_reach(seed, row[~into], to[~into]), False)
+    seeds = row[into | (flat.reward[idx] > 0.0)].tolist()
+    rev = adjacency(n, to[~into].tolist(), row[~into].tolist())
+    earn = np.append(np.array(backward_levels(seeds, rev)) >= 0, False)
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta

@@ -19,12 +19,12 @@ coefficient.  Past MAX_ROUNDS rounds, ConvergenceError is raised.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
 states that can reach a reward at all along branches that carry successor
-value, found by `shaping.can_reach`, the backward search the payoff sampler
-also uses (everything else is exactly 0, and restricting also keeps the
-system nonsingular).  Up to DENSE_LIMIT such states the system is solved
-densely.  Above it, W stays a list of (row, col, w) entries (a few per row)
-and the system is solved by an in-repo BiCGSTAB whose mat-vec is one
-bincount, refined on the true residual, computed in twice the working
+value, found by `graphs.backward_levels`, the backward search the payoff
+sampler also uses (everything else is exactly 0, and restricting also keeps
+the system nonsingular).  Up to DENSE_LIMIT such states the system is
+solved densely.  Above it, W stays a list of (row, col, w) entries (a few
+per row) and the system is solved by an in-repo BiCGSTAB whose mat-vec is
+one bincount, refined on the true residual, computed in twice the working
 precision, until that residual is within RESIDUAL_TOL * max(1, max|x|); a
 solve that does not get there raises ConvergenceError instead of returning
 a worse answer.  Only numpy is needed at run time.
@@ -40,7 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .shaping import AugmentedModel, can_reach
+from .graphs import adjacency, backward_levels
+from .shaping import AugmentedModel
 from .product import Strategy
 
 
@@ -157,7 +158,8 @@ def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
     w = flat.weight[br]
 
     # states that can reach a positive immediate reward along chosen branches
-    live = can_reach(b > 0.0, row, succ)
+    rev = adjacency(n, succ.tolist(), row.tolist())
+    live = np.array(backward_levels(np.flatnonzero(b > 0.0).tolist(), rev)) >= 0
     idx = np.flatnonzero(live)
     v = np.zeros(n)
     if idx.size == 0:

@@ -5,11 +5,11 @@ satisfaction probabilities come from networkx component analysis plus small
 dense solves assembled on the spot, optima from exhaustive enumeration of
 positional strategies, lasso acceptance from a flagged transitive closure,
 and the product and payoff-view tables from loops over tuples, one branch at
-a time.  Size caps keep everything desk-scale.  The one user of the
-package's graph helper is `oracle_reference`, the oracle's former tuple walk,
-which the column oracle must match bit for bit.  `policy_value_bruteforce`
-stopped after T sweeps gives the exact T-step payoffs that the sampler's
-means are tested against.
+a time.  Size caps keep everything desk-scale.  `oracle_reference`, the
+oracle's former tuple walk, which the column oracle must match bit for bit,
+finds its strongly connected components with networkx as well.
+`policy_value_bruteforce` stopped after T sweeps gives the exact T-step
+payoffs that the sampler's means are tested against.
 """
 
 import itertools
@@ -19,7 +19,6 @@ import networkx as nx
 import numpy as np
 
 from buchirl.automata import is_complete, is_deterministic
-from buchirl.graphs import strongly_connected_components
 from buchirl.oracle import BuchiResult, EndComponent, PolicyIterationError
 from buchirl.product import (
     AlphabetMismatchError,
@@ -161,6 +160,14 @@ def oracle_reference(p, strategies=()):
     return buchi_value(p), [policy_buchi_probability(p, f) for f in strategies]
 
 
+def _components(n, succ):
+    """Strongly connected components of nodes 0..n-1 under `succ`, by networkx."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u in range(n) for v in succ(u))
+    return list(nx.strongly_connected_components(g))
+
+
 def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     """Maximal end components, sorted by smallest member state.
 
@@ -182,7 +189,7 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         return out
 
     while True:
-        comps = strongly_connected_components(n, succ)
+        comps = _components(n, succ)
         comp_of = [0] * n
         for ci, comp in enumerate(comps):
             for u in comp:
@@ -381,7 +388,7 @@ def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:
     def succ(u: int):
         return [br.succ for br in p.pairs[u][f.choice[u]].branches]
 
-    comps = strongly_connected_components(n, succ)
+    comps = _components(n, succ)
     comp_of = [0] * n
     for ci, comp in enumerate(comps):
         for u in comp:

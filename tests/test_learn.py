@@ -39,6 +39,16 @@ def test_config_rejects_unusable_step_sizes():
             with pytest.raises(ValueError, match=field):
                 LearnConfig(**{field: bad})
     LearnConfig(alpha0=1e-6, visit_decay=1e-3)  # small but usable
+    for field in ("epsilon0", "epsilon_final"):
+        for bad in (1.7, -0.5, 1.0 + 1e-12, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match=field):
+                LearnConfig(**{field: bad})
+    for bad in (-2.0, -1e-12, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="anneal_fraction"):
+            LearnConfig(anneal_fraction=bad)
+    # the ends of each range are usable
+    LearnConfig(epsilon0=1.0, epsilon_final=0.0, anneal_fraction=0.0)
+    LearnConfig(epsilon0=0.0, epsilon_final=1.0, anneal_fraction=3.0)
 
 
 def test_config_rejects_negative_counts(i2_product):
