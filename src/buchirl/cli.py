@@ -7,7 +7,8 @@ null timing field.
 
 Exit codes: 0 ok, 2 usage (a numeric option out of its range included), 3
 unreadable or unparsable input (MDP JSON with a duplicate key or nested too
-deeply included), 4 validation or construction failure, 5
+deeply, an input that is not UTF-8, and a report or CSV that cannot be
+written included), 4 validation or construction failure, 5
 solver failure (the optimal solve's policy iteration past its round cap, a
 singular linear system, a sparse policy evaluation that misses its residual
 target, or the oracle's policy iteration not stabilized), 6 verification
@@ -139,35 +140,34 @@ def _product_as_mdp(p: ProductMdp, zeta: float | None) -> Mdp:
     """Dynamics of the product (or its leaked augmentation) as an MDP.
 
     Rewards are not part of the MDP schema, so this is dynamics only.  The
-    leaked probabilities are those of `augment`'s reach view, whose table
-    keeps one branch per raw branch, in order, and appends the merged leak
-    edge to "t" last.  That edge carries the symbol of the first accepting
+    leaked probabilities are those of `augment`'s reach view, whose branch
+    columns run parallel to the product's: every raw branch keeps its edge,
+    in order, and a pair with a positive `leak` gains one more edge to "t"
+    after its own.  That edge carries the symbol of the first accepting
     branch (the label function is per-triple, so mixed symbols cannot be kept
     apart).
     """
     states = [p.state_name(i) for i in range(p.n_states)]
-    starts = p.pair_start.tolist()
-    owner = np.repeat(np.arange(p.n_states), np.diff(p.pair_start)).tolist()  # state of each pair
+    starts, owner = p.pair_start.tolist(), p.pair_state.tolist()
     names = [p.pair_name(st, pid - starts[st]) for pid, st in enumerate(owner)]
     bounds = p.branch_start.tolist()
     succ, symbol, accepting = p.succ.tolist(), p.symbol.tolist(), p.accepting.tolist()
     if zeta is None:
-        probs, prob_bounds = p.prob.tolist(), bounds
+        probs, leak = p.prob.tolist(), [0.0] * p.n_pairs
     else:
         flat = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
-        probs, prob_bounds = flat.prob.tolist(), flat.branch_start.tolist()
-    leaks = prob_bounds[-1] > bounds[-1]  # some pair leaks into t
+        probs, leak = flat.prob.tolist(), flat.leak.tolist()
+    leaks = max(leak) > 0.0  # some pair leaks into t
     t = len(states)
     actions = sorted(set(names) | ({"stop"} if leaks else set()))
     where = {name: i for i, name in enumerate(actions)}
     edges = []
     for pid, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         st, act = owner[pid], where[names[pid]]
-        at, end = prob_bounds[pid], prob_bounds[pid + 1]
-        edges += [Edge(st, act, succ[b], probs[at + b - lo], symbol[b]) for b in range(lo, hi)]
-        if end - at > hi - lo:
+        edges += [Edge(st, act, succ[b], probs[b], symbol[b]) for b in range(lo, hi)]
+        if leak[pid] > 0.0:
             leak_sym = next(symbol[b] for b in range(lo, hi) if accepting[b])
-            edges.append(Edge(st, act, t, probs[end - 1], leak_sym))
+            edges.append(Edge(st, act, t, leak[pid], leak_sym))
     if leaks:
         states.append("t")
         edges.append(Edge(t, where["stop"], t, 1.0, 0))
@@ -408,10 +408,25 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         result, code = args.func(args)
-    except (MdpFormatError, HoaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+        elapsed = time.perf_counter() - start
+        report = {
+            "command": args.command,
+            "inputs": {"mdp": getattr(args, "mdp", None), "hoa": getattr(args, "hoa", None)},
+            "config": {
+                k: v
+                for k, v in sorted(vars(args).items())
+                if k not in {"func", "command", "mdp", "hoa", "out", "timing"}
+            },
+            "result": result,
+            "timing": round(elapsed, 6) if args.timing else None,
+        }
+        text = json.dumps(report, indent=2)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
+    except (MdpFormatError, HoaError, UnicodeDecodeError, OSError) as exc:
+        # UnicodeDecodeError is a ValueError, so it is caught before the validation clause
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConvergenceError, PolicyIterationError, np.linalg.LinAlgError) as exc:
@@ -421,25 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProductError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    elapsed = time.perf_counter() - start
-    report = {
-        "command": args.command,
-        "inputs": {"mdp": getattr(args, "mdp", None), "hoa": getattr(args, "hoa", None)},
-        "config": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in {"func", "command", "mdp", "hoa", "out", "timing"}
-        },
-        "result": result,
-        "timing": round(elapsed, 6) if args.timing else None,
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -18,6 +18,7 @@ value of the underlying MDP; results carry that caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,10 +57,8 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     Iteratively drops pairs whose branches leave the current strongly
     connected component and states left without pairs, until stable.
     """
-    n, starts, bounds = p.n_states, p.pair_start, p.branch_start
-    pair_state = np.repeat(np.arange(n), np.diff(starts))
-    source = np.repeat(pair_state, np.diff(bounds))
-    branch_pair = np.repeat(np.arange(p.n_pairs), np.diff(bounds))
+    n, starts, bounds, branch_pair = p.n_states, p.pair_start, p.branch_start, p.branch_pair
+    source = p.pair_state[branch_pair]
     kept = np.ones(p.n_pairs, dtype=bool)
     while True:
         # a state without kept pairs has no edges, so it is a component of
@@ -156,16 +155,14 @@ def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list
     through equal-valued policies.  Among the best pairs of a state the
     lowest index wins.
     """
-    n, starts = p.n_states, p.pair_start[:-1]
-    pair_state = np.repeat(np.arange(n), np.diff(p.pair_start))
-    branch_pair = np.repeat(np.arange(p.n_pairs), np.diff(p.branch_start))
+    n, starts, pair_state = p.n_states, p.pair_start[:-1], p.pair_state
     pair_ids = np.arange(p.n_pairs)
     free = np.ones(n, dtype=bool)
     free[list(targets)] = False
     choice = [0] * n
     v = _chain_reach(p, choice, targets, frozenset())
     for _ in range(10_000):
-        q = np.bincount(branch_pair, weights=p.prob * v[p.succ], minlength=p.n_pairs)
+        q = np.bincount(p.branch_pair, weights=p.prob * v[p.succ], minlength=p.n_pairs)
         best = np.maximum.reduceat(q, starts)
         first = np.minimum.reduceat(np.where(q == best[pair_state], pair_ids, p.n_pairs), starts)
         first -= starts
@@ -206,32 +203,34 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     along retained pairs that step closer to the anchor state, and fires the
     anchor pair there.  The walk stays inside the component, the anchor state
     is then visited again and again, and each visit crosses the accepting
-    branch with fixed positive probability.
+    branch with fixed positive probability.  "First" follows the order of
+    `ec`: member by member, retained pair by retained pair.
     """
-    starts, bounds = p.pair_start, p.branch_start
-    branches = {}  # (member, retained pair) -> (successors, accepting flags)
-    for u, kept in zip(ec.states, ec.retained):
-        for k in kept:
-            lo, hi = bounds[starts[u] + k], bounds[starts[u] + k + 1]
-            branches[u, k] = p.succ[lo:hi].tolist(), p.accepting[lo:hi].tolist()
-    anchor = next((uk for uk, (_, acc) in branches.items() if any(acc)), None)
-    assert anchor is not None, "accepting component without accepting branch"
-    u_star, k_star = anchor
-    pos = {u: i for i, u in enumerate(ec.states)}  # members numbered 0..m-1
-    rev: list[list[int]] = [[] for _ in ec.states]
-    for (u, _), (succ, _) in branches.items():
-        for t in succ:
-            rev[pos[t]].append(pos[u])
-    dist = dict(zip(ec.states, backward_levels([pos[u_star]], rev)))
-    assert min(dist.values()) >= 0, "end component not strongly connected"
-    choice[u_star] = k_star
-    for u, kept in zip(ec.states, ec.retained):
-        if u == u_star:
-            continue
-        for k in kept:
-            if any(dist[t] == dist[u] - 1 for t in branches[u, k][0]):
-                choice[u] = k
-                break
+    members = np.array(ec.states, dtype=np.int64)
+    counts = [len(kept) for kept in ec.retained]
+    owner = np.repeat(np.arange(members.size), counts)  # member position of each retained pair
+    ranks = np.fromiter(chain.from_iterable(ec.retained), dtype=np.int64, count=owner.size)
+    pid = p.pair_start[members][owner] + ranks
+    lo = p.branch_start[pid]
+    size = p.branch_start[pid + 1] - lo
+    at = np.cumsum(size) - size  # where each retained pair's branches start in `br`
+    br = np.arange(at[-1] + size[-1]) + np.repeat(lo - at, size)
+    hits = np.flatnonzero(np.logical_or.reduceat(p.accepting[br], at))
+    assert hits.size, "accepting component without accepting branch"
+    anchor = hits[0]
+    # a retained pair never leaves `ec`, so every successor is a member
+    order = np.argsort(members)
+    src = np.repeat(owner, size)
+    dst = order[np.searchsorted(members, p.succ[br], sorter=order)]
+    dist = np.array(backward_levels([int(owner[anchor])], adjacency(members.size, dst.tolist(), src.tolist())))
+    assert dist.min() >= 0, "end component not strongly connected"
+    steps = np.flatnonzero(np.logical_or.reduceat(dist[dst] == dist[src] - 1, at))
+    _, first = np.unique(owner[steps], return_index=True)  # each member's first such pair
+    picks = steps[first]
+    picks = picks[owner[picks] != owner[anchor]]
+    for u, k in zip(members[owner[picks]].tolist(), ranks[picks].tolist()):
+        choice[u] = k
+    choice[ec.states[owner[anchor]]] = int(ranks[anchor])
 
 
 def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:

@@ -12,12 +12,14 @@ Construction explores only states reachable from (initial, initial).  A
 reachable state where every pair was dropped is a modelling dead end and
 raises, rather than silently producing a sub-stochastic model.
 
-`ProductMdp` holds read-only columns with the offsets of `FlatBranches`: the
-pairs of state s are pair_start[s] .. pair_start[s+1]-1, the branches of pair
-k are branch_start[k] .. branch_start[k+1]-1.  Every layer of the library,
-the oracle included, reads them directly.  `ProductMdp.pairs` derives
-`Pair`/`Branch` tuples from them on first use; the view exists only for
-`tests/` and `perfbench/`.
+`ProductMdp` holds read-only columns: the pairs of state s are
+pair_start[s] .. pair_start[s+1]-1, the branches of pair k are
+branch_start[k] .. branch_start[k+1]-1, and `pair_state` and `branch_pair`
+map each pair to its state and each branch to its pair.  Every layer of the
+library, the oracle and the payoff views included, reads them directly; a
+view's columns run parallel to them (see `shaping`).  `ProductMdp.pairs`
+derives `Pair`/`Branch` tuples from them on first use; the view exists only
+for `tests/` and `perfbench/`.
 """
 
 from __future__ import annotations
@@ -89,6 +91,25 @@ class ProductMdp:
             for act, mem, lo, hi in zip(self.action.tolist(), self.memory.tolist(), bounds, bounds[1:])
         ]
         return tuple(tuple(pairs[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+
+    @cached_property
+    def pair_state(self) -> np.ndarray:
+        """(n_pairs,) int64: the state each pair belongs to."""
+        return _read_only(np.repeat(np.arange(self.n_states), np.diff(self.pair_start)))
+
+    @cached_property
+    def branch_pair(self) -> np.ndarray:
+        """(n_branches,) int64: the pair each branch belongs to."""
+        return _read_only(np.repeat(np.arange(self.n_pairs), np.diff(self.branch_start)))
+
+    def select(self, choice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pair `choice` picks per state, then the state and the flat index
+        of each branch of those pairs, state by state in branch order."""
+        pid = self.pair_start[:-1] + np.asarray(choice, dtype=np.int64)
+        lo = self.branch_start[pid]
+        row = np.repeat(np.arange(pid.size), self.branch_start[pid + 1] - lo)
+        within = np.arange(row.size) - np.searchsorted(row, row)  # rank in its pair
+        return pid, row, lo[row] + within
 
     @property
     def n_states(self) -> int:
@@ -184,9 +205,12 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
     columns = [np.array(c, dtype=np.int64) for c in (pair_start, branch_start, action, memory, succ)]
     columns.append(np.array(prob, dtype=np.float64))
     columns += [np.array(symbol, dtype=np.int64), np.array(accepting, dtype=bool)]
-    for col in columns:
-        col.flags.writeable = False  # payoff views share some of them
-    return ProductMdp(m, a, tuple(states), *columns, caveat)
+    return ProductMdp(m, a, tuple(states), *map(_read_only, columns), caveat)
+
+
+def _read_only(col: np.ndarray) -> np.ndarray:
+    col.flags.writeable = False  # payoff views share some of them
+    return col
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,16 @@ and biased Bellman backups coincide coefficient for coefficient.  Branches
 therefore carry both the simulation probability and the backup weight on the
 successor value.
 
-A view is one `FlatBranches` table, `AugmentedModel.flat`: the product's
-branches pair by pair, each reweighted for the view, and in the leaked views
-one merged leak branch into t after the last branch of every pair that has
-accepting mass.  `augment` builds it with array operations over the
-product's branch columns (`succ`, `prob`, `accepting`, `branch_start`); the
-biased view keeps the product's offsets, successors and probabilities as
-they are.  The solvers, `simulate_batch` and the product export all read
-this table.
+A view is one `FlatBranches` table, `AugmentedModel.flat`, whose columns run
+parallel to the product's own: one entry per product branch, reweighted for
+the view, and one per product pair.  The leaked views divert each pair's
+accepting mass (1-zeta) into t, and that diversion is the per-pair column
+`leak`, not a branch, in the same way the learner draws it as a coin of its
+own (see `learn`).  Successors and offsets are read from the product
+(`succ`, `branch_start`, `pair_start`, `branch_pair`, `ProductMdp.select`);
+t, worth 0 and absorbing, has no row.  `augment` builds the table with array
+operations over the product's branch columns.  The solvers,
+`simulate_batch` and the product export all read it.
 
 `simulate_batch` samples payoffs under a positional strategy and moves, and
 draws uniforms for, only the episodes that can still earn.  An episode in a
@@ -58,31 +60,18 @@ class Mode(enum.Enum):
 
 
 class FlatBranches(NamedTuple):
-    """The branches of every pair as flat arrays, in the product's order.
+    """One payoff view's columns, parallel to its product's branches and pairs.
 
-    Pairs are numbered state by state: the pairs of state s are
-    pair_start[s] .. pair_start[s+1]-1, and the branches of pair k are
-    branch_start[k] .. branch_start[k+1]-1, with the leak branch, if any,
-    last.  Every state has a pair and every pair a branch, so both offset
-    arrays are strictly increasing.
+    Branch k of the view is branch k of the product (successor
+    `product.succ[k]`), and pair k is product pair k.  `leak` is the mass a
+    pair diverts into t, which pays 1; it is all zeros in the biased view.
     """
 
-    pair_start: np.ndarray    # (n_states+1,) int64
-    branch_start: np.ndarray  # (n_pairs+1,) int64
-    succ: np.ndarray          # (n_branches,) int64; leak branches keep the target index
-    prob: np.ndarray          # simulation probability
-    weight: np.ndarray        # coefficient of the successor value in the backup
-    reward: np.ndarray
-    base: np.ndarray          # (n_pairs,) expected immediate reward, math.fsum(prob*reward)
-
-    def select(self, choice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pair `choice` picks per state, then the state and the flat index
-        of each branch of those pairs, state by state in branch order."""
-        pid = self.pair_start[:-1] + np.asarray(choice, dtype=np.int64)
-        lo = self.branch_start[pid]
-        row = np.repeat(np.arange(pid.size), self.branch_start[pid + 1] - lo)
-        within = np.arange(row.size) - np.searchsorted(row, row)  # rank in its pair
-        return pid, row, lo[row] + within
+    prob: np.ndarray    # (n_branches,) simulation probability
+    weight: np.ndarray  # (n_branches,) coefficient of the successor value in the backup
+    reward: np.ndarray  # (n_branches,)
+    base: np.ndarray    # (n_pairs,) expected immediate reward, the leak's included
+    leak: np.ndarray    # (n_pairs,) probability of stepping into t
 
 
 @dataclass(frozen=True)
@@ -116,50 +105,32 @@ class AugmentedModel:
 
 
 def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
-    """Build the branch table of one payoff view; see the module docstring."""
+    """Build the columns of one payoff view; see the module docstring."""
     zeta = spec.zeta
-    raw_start, succ, raw_prob, acc = p.branch_start, p.succ, p.prob, p.accepting
+    raw_prob, acc, lo = p.prob, p.accepting, p.branch_start[:-1]
     scaled = np.where(acc, raw_prob * zeta, raw_prob)
+    # in the reach view only the arrival at t pays; surviving accepting steps do not
+    reward = np.zeros(acc.size) if spec.mode is Mode.REACH_TARGET else acc.astype(np.float64)
+    leak = np.zeros(p.n_pairs)
     if spec.mode is Mode.BIASED_DISCOUNT:
-        target = None
-        branch_start = raw_start
-        prob, weight, reward = raw_prob, scaled, acc.astype(np.float64)
+        target, prob = None, raw_prob
     else:
-        target = p.n_states
+        target, prob = p.n_states, scaled
         # each pair's leak is a running sum over its accepting branches, in branch order
-        pair_of = np.repeat(np.arange(p.n_pairs), np.diff(raw_start))
-        leak = np.zeros(p.n_pairs)
-        np.add.at(leak, pair_of[acc], raw_prob[acc] * (1.0 - zeta))
-        has_leak = leak > 0.0
-        branch_start = raw_start.copy()
-        branch_start[1:] += np.cumsum(has_leak)
-        is_leak = np.zeros(branch_start[-1], dtype=bool)
-        is_leak[branch_start[1:][has_leak] - 1] = True  # the last branch of its pair
-        # in the reach view only the arrival at t pays; surviving accepting steps do not
-        r_cont = 0.0 if spec.mode is Mode.REACH_TARGET else 1.0
-        columns = []  # one scatter per column; np.insert costs several times more
-        for col, leak_value in (
-            (succ, target),
-            (scaled, leak[has_leak]),
-            (scaled, 0.0),
-            (np.where(acc, r_cont, 0.0), 1.0),
-        ):
-            out = np.empty(is_leak.size, col.dtype)
-            out[~is_leak] = col
-            out[is_leak] = leak_value
-            columns.append(out)
-        succ, prob, weight, reward = columns
-        mass = np.add.reduceat(prob, branch_start[:-1]) - np.add.reduceat(raw_prob, raw_start[:-1])
+        np.add.at(leak, p.branch_pair[acc], raw_prob[acc] * (1.0 - zeta))
+        mass = np.add.reduceat(prob, lo) + leak - np.add.reduceat(raw_prob, lo)
         assert np.abs(mass).max() <= 1e-12
-    lo = branch_start[:-1]
     pr = prob * reward
     base = np.add.reduceat(pr, lo)
+    nonzero = np.add.reduceat(pr != 0.0, lo, dtype=np.int64)
+    if target is not None:  # the step into t pays 1, one more term of the sum
+        base += leak
+        nonzero += leak != 0.0
     # a sum of at most two nonzero terms is rounded once, just as math.fsum rounds it
-    multi = np.flatnonzero(np.add.reduceat(pr != 0.0, lo, dtype=np.int64) > 2).tolist()
-    terms, bounds = pr.tolist(), branch_start.tolist()
-    base[multi] = [math.fsum(terms[bounds[k] : bounds[k + 1]]) for k in multi]
-    flat = FlatBranches(p.pair_start, branch_start, succ, prob, weight, reward, base)
-    return AugmentedModel(p, spec, target, flat)
+    multi = np.flatnonzero(nonzero > 2).tolist()
+    terms, bounds, tails = pr.tolist(), p.branch_start.tolist(), leak[multi].tolist()
+    base[multi] = [math.fsum(terms[bounds[k] : bounds[k + 1]] + [x]) for k, x in zip(multi, tails)]
+    return AugmentedModel(p, spec, target, FlatBranches(prob, scaled, reward, base, leak))
 
 
 def simulate_batch(
@@ -173,45 +144,53 @@ def simulate_batch(
 
     Episodes still moving at max_steps are truncated, which can only lose
     payoff that was still to come, so the mean payoff estimates the
-    strategy's expected payoff over max_steps steps.  Sampling uses the
-    aggregated augmented branches (one uniform per step, leak included).
+    strategy's expected payoff over max_steps steps.  Sampling takes one
+    uniform per step over the chosen pair's branches followed by its leak.
 
     Only the episodes that can still earn move: those in a state from which
-    `f`'s branches lead to a rewarded branch or to the target.  A backward
-    search finds those states over every non-target branch of the chosen
-    pairs, whatever its probability, since rounding slack can pick any last
-    branch.  Any other episode earns nothing and never reaches the target,
-    so its payoff and flag are final, and it stops, as does an episode that
-    reaches the target.  Each step draws `rng.random(m)` for the m moving
-    episodes, in episode order, and the loop ends early when none is left.
+    `f`'s branches lead to a rewarded branch or to a pair that leaks into
+    the target.  A backward search finds those states over every branch of
+    the chosen pairs, whatever its probability, since rounding slack can
+    pick any last branch.  Any other episode earns nothing and never
+    reaches the target, so its payoff and flag are final, and it stops, as
+    does an episode that reaches the target.  Each step draws
+    `rng.random(m)` for the m moving episodes, in episode order, and the
+    loop ends early when none is left.
     A negative `episodes` or `max_steps` raises ValueError.
     """
     for name, count in (("episodes", episodes), ("max_steps", max_steps)):
         if count < 0:
             raise ValueError(f"{name} must be at least 0, got {count}")
-    f.check(model.product)
+    p, flat = model.product, model.flat
+    f.check(p)
     n = model.n_states
-    flat = model.flat
-    pid, row, idx = flat.select(f.choice)
-    lo = flat.branch_start[pid]
+    pid, row, idx = p.select(f.choice)
+    lo = p.branch_start[pid]
     col = idx - lo[row]
-    shape = (n, int(col.max()) + 1)
+    to = p.succ[idx]
+    # one row per state: its chosen branches, then the step into t where it leaks
+    leak = flat.leak[pid]
+    leaks = np.flatnonzero(leak > 0.0)
+    width = p.branch_start[pid + 1] - lo
+    last = width - 1 + (leak > 0.0)
+    shape = (n, int(last.max()) + 1)
     prob = np.zeros(shape)
     succ = np.zeros(shape, dtype=np.int64)
     rew = np.zeros(shape)
     prob[row, col] = flat.prob[idx]
-    succ[row, col] = flat.succ[idx]
+    succ[row, col] = to
     rew[row, col] = flat.reward[idx]
-    cum = np.cumsum(prob, axis=1)  # adds along each row in branch order
-    last = flat.branch_start[pid + 1] - lo - 1
-    cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last branch
     sentinel = n  # the target's index in the leaked views; absorbing
+    at = width[leaks]
+    prob[leaks, at] = leak[leaks]
+    succ[leaks, at] = sentinel
+    rew[leaks, at] = 1.0
+    cum = np.cumsum(prob, axis=1)  # adds along each row in branch order
+    cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last column
     # the states from which an episode can still earn or reach the target,
     # then False for the target itself, where an episode stops moving too
-    to = flat.succ[idx]
-    into = to == sentinel
-    seeds = row[into | (flat.reward[idx] > 0.0)].tolist()
-    rev = adjacency(n, to[~into].tolist(), row[~into].tolist())
+    seeds = np.flatnonzero(rew.max(axis=1) > 0.0).tolist()
+    rev = adjacency(n, to.tolist(), row.tolist())
     earn = np.append(np.array(backward_levels(seeds, rev)) >= 0, False)
 
     biased = model.mode is Mode.BIASED_DISCOUNT
@@ -220,8 +199,8 @@ def simulate_batch(
     disc = np.ones(episodes)
     reached = np.zeros(episodes, dtype=bool)
     # the moving episodes and their states
-    moving = np.arange(episodes) if earn[model.product.initial] else np.arange(0)
-    here = np.full(moving.size, model.product.initial, dtype=np.int64)
+    moving = np.arange(episodes) if earn[p.initial] else np.arange(0)
+    here = np.full(moving.size, p.initial, dtype=np.int64)
     for _ in range(max_steps):
         if moving.size == 0:
             break

@@ -4,7 +4,7 @@
 evaluator.  It starts from a given strategy, or else from the myopic one
 (`greedy_policy` on all-zero values: the best immediate reward).  Each round
 evaluates the strategy exactly and gives every pair its one-step value under
-those values, with one bincount over the view's flat branches in branch
+those values, with one bincount over the view's branches in branch
 order.  A state switches only where some pair beats its current pair by more
 than SWITCH_TOL * max(1, |v|), and then to its lowest-index best pair; a
 round in which no state switches returns the values together with the
@@ -18,8 +18,7 @@ the biased view's backup coincides with the total view's coefficient for
 coefficient.  Past MAX_ROUNDS rounds, ConvergenceError is raised.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
-states that can reach a reward at all along branches that carry successor
-value, found by `graphs.backward_levels`, the backward search the payoff
+states that can reach a reward at all along the chosen branches, found by `graphs.backward_levels`, the backward search the payoff
 sampler also uses (everything else is exactly 0, and restricting also keeps
 the system nonsingular).  Up to DENSE_LIMIT such states the system is
 solved densely.  Above it, W stays a list of (row, col, w) entries (a few
@@ -29,8 +28,10 @@ precision, until that residual is within RESIDUAL_TOL * max(1, max|x|); a
 solve that does not get there raises ConvergenceError instead of returning
 a worse answer.  Only numpy is needed at run time.
 
-Every solver reads the model's flat branch table (`AugmentedModel.flat`);
-the branch layout lives in `shaping`.
+Every solver reads the view's columns (`AugmentedModel.flat`) beside the
+product's successors and offsets, which they run parallel to; the leak into
+the target enters only through `base`, since the target is worth 0.  The
+layout lives in `shaping`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .graphs import adjacency, backward_levels
 from .shaping import AugmentedModel
-from .product import Strategy
+from .product import ProductMdp, Strategy
 
 
 class ConvergenceError(RuntimeError):
@@ -95,19 +96,17 @@ def _pair_values(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
     """Every pair's value one step ahead of v, in one bincount.
 
     Each branch adds its weight times its successor's value to its pair, in
-    branch order.  A leak branch (weight 0, successor the target) reads an
-    appended 0.
+    branch order, on top of the pair's `base`.
     """
-    flat = model.flat
-    pair = np.repeat(np.arange(flat.base.size), np.diff(flat.branch_start))
-    ahead = flat.weight * np.append(np.asarray(v, dtype=float), 0.0)[flat.succ]
-    return flat.base + np.bincount(pair, weights=ahead, minlength=flat.base.size)
+    p, flat = model.product, model.flat
+    ahead = flat.weight * np.asarray(v, dtype=float)[p.succ]
+    return flat.base + np.bincount(p.branch_pair, weights=ahead, minlength=p.n_pairs)
 
 
-def _first_best(pair_start: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _first_best(p: ProductMdp, q: np.ndarray) -> np.ndarray:
     """Per state, the rank of its first pair that attains the state's max of q."""
-    starts = pair_start[:-1]
-    best = np.repeat(np.maximum.reduceat(q, starts), np.diff(pair_start))
+    starts = p.pair_start[:-1]
+    best = np.maximum.reduceat(q, starts)[p.pair_state]
     return np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), starts) - starts
 
 
@@ -118,44 +117,42 @@ def solve_optimal(model: AugmentedModel, start: Strategy | None = None) -> Value
     raises ConvergenceError when a state still switches after MAX_ROUNDS
     rounds; see the module docstring.
     """
-    pair_start = model.flat.pair_start
-    starts, counts = pair_start[:-1], np.diff(pair_start)
+    p = model.product
+    starts = p.pair_start[:-1]
     f = greedy_policy(model, np.zeros(model.n_states)) if start is None else start
     for rounds in range(1, MAX_ROUNDS + 1):
         v = evaluate_policy(model, f)
         q = _pair_values(model, v.values)
         choice = np.asarray(f.choice, dtype=np.int64)
-        gain = np.maximum.reduceat(q - np.repeat(q[starts + choice], counts), starts)
+        gain = np.maximum.reduceat(q - q[starts + choice][p.pair_state], starts)
         switch = gain > SWITCH_TOL * np.maximum(1.0, np.abs(v.values))
         if not switch.any():
             return replace(v, iterations=rounds)
-        choice[switch] = _first_best(pair_start, q)[switch]
+        choice[switch] = _first_best(p, q)[switch]
         f = Strategy(tuple(choice.tolist()))
     raise ConvergenceError("policy iteration did not stabilize", float(gain.max()), MAX_ROUNDS)
 
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     """The pair with the best one-step value per state, lowest index on ties."""
-    return Strategy(tuple(_first_best(model.flat.pair_start, _pair_values(model, v)).tolist()))
+    return Strategy(tuple(_first_best(model.product, _pair_values(model, v)).tolist()))
 
 
 def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
     """Exact expected payoff of `f` per state, with `f` as the policy.
 
-    States that cannot reach a rewarding step have value exactly 0 and are
-    fixed to it; the linear system is solved on the rest, directly up to
-    DENSE_LIMIT live states and by `_solve_sparse` above it.
+    Each state's equation takes its chosen pair's `base` and, for every
+    branch of that pair, the branch's weight on its successor; the leak
+    into the target is part of `base` alone.  States that cannot reach a
+    rewarding step have value exactly 0 and are fixed to it; the linear
+    system is solved on the rest, directly up to DENSE_LIMIT live states and
+    by `_solve_sparse` above it.
     """
-    f.check(model.product)
+    p = model.product
+    f.check(p)
     n = model.n_states
-    flat = model.flat
-    pid, row, br = flat.select(f.choice)
-    b = flat.base[pid]
-    # chosen branches that carry successor value; drops the leak branches
-    keep = flat.weight[br] != 0.0
-    row, br = row[keep], br[keep]
-    succ = flat.succ[br]
-    w = flat.weight[br]
+    pid, row, br = p.select(f.choice)
+    b, w, succ = model.flat.base[pid], model.flat.weight[br], p.succ[br]
 
     # states that can reach a positive immediate reward along chosen branches
     rev = adjacency(n, succ.tolist(), row.tolist())

@@ -34,45 +34,36 @@ from buchirl.shaping import FlatBranches, Mode
 
 
 def augment_reference(p, spec):
-    """The branch table of one payoff view, built one branch at a time.
+    """The columns of one payoff view, built one branch at a time.
 
-    Each pair keeps its raw branches in order, reweighted for the view, and in
-    the leaked views gains one merged leak branch into the target, last,
-    whose mass is summed with `+=` over the accepting branches.  Rows are
-    (succ, prob, weight, reward), laid out as a `FlatBranches` table.
+    Each pair keeps its raw branches in order, reweighted for the view.  In
+    the leaked views the pair's accepting branches also add (1-zeta) of
+    their mass to its leak into the target, summed with `+=`, and the leak
+    pays 1.  Rows are (prob, weight, reward) per branch and (base, leak) per
+    pair, laid out as a `FlatBranches` table.
     """
     zeta = spec.zeta
     leaked = spec.mode is not Mode.BIASED_DISCOUNT
     r_cont = 0.0 if spec.mode is Mode.REACH_TARGET else 1.0
-    target = p.n_states
-    pairs = []
+    rows, base, leak = [], [], []
     for st in range(p.n_states):
         for pair in p.pairs[st]:
-            rows = []
             leak_mass = 0.0
+            terms = []
             for b in pair.branches:
                 if not b.accepting:
-                    rows.append((b.succ, b.prob, b.prob, 0.0))
+                    row = (b.prob, b.prob, 0.0)
                 elif leaked:
-                    rows.append((b.succ, b.prob * zeta, b.prob * zeta, r_cont))
+                    row = (b.prob * zeta, b.prob * zeta, r_cont)
                     leak_mass += b.prob * (1.0 - zeta)
                 else:
-                    rows.append((b.succ, b.prob, b.prob * zeta, 1.0))
-            if leak_mass > 0.0:
-                rows.append((target, leak_mass, 0.0, 1.0))
-            pairs.append(rows)
-    succ, prob, weight, reward = (np.array(c) for c in zip(*(r for rows in pairs for r in rows)))
-    bounds = list(itertools.accumulate(map(len, pairs), initial=0))
-    pr = (prob * reward).tolist()
-    return FlatBranches(
-        np.array(list(itertools.accumulate(map(len, p.pairs), initial=0))),
-        np.array(bounds),
-        succ,
-        prob,
-        weight,
-        reward,
-        np.array([math.fsum(pr[i:j]) for i, j in zip(bounds, bounds[1:])]),
-    )
+                    row = (b.prob, b.prob * zeta, 1.0)
+                rows.append(row)
+                terms.append(row[0] * row[2])
+            base.append(math.fsum(terms + [leak_mass]))
+            leak.append(leak_mass)
+    prob, weight, reward = (np.array(c) for c in zip(*rows))
+    return FlatBranches(prob, weight, reward, np.array(base), np.array(leak))
 
 
 def product_reference(m, a):
@@ -497,9 +488,10 @@ def all_end_components(p):
 def policy_value_bruteforce(model, choice, tol=0.0, sweeps=200_000):
     """Expected payoff of a positional strategy by plain fixed-point sweeps.
 
-    Pure-python Bellman sweeps on the chosen augmented branches, read as
-    per-pair slices of the flat table; no linear algebra shared with
-    evaluate_policy.  Converges geometrically since every reward cycle
+    Pure-python Bellman sweeps on the chosen branches, read as per-pair
+    slices of the product's successors and the view's columns, plus each
+    chosen pair's leak, which pays 1 and ends the run; no linear algebra
+    shared with evaluate_policy.  Converges geometrically since every reward cycle
     carries weight at most zeta < 1.  By default it sweeps until a sweep
     changes nothing: from zero the rounded iterates never decrease, so they
     settle on a floating-point fixed point, within a few ulps / (1 - zeta)
@@ -509,23 +501,24 @@ def policy_value_bruteforce(model, choice, tol=0.0, sweeps=200_000):
     `sweeps` steps from s.
     """
     n = model.n_states
-    flat = model.flat
-    cols = (flat.succ, flat.prob, flat.weight, flat.reward)
+    p, flat = model.product, model.flat
+    cols = (p.succ, flat.prob, flat.weight, flat.reward)
     chosen = []
     for st in range(n):
-        pid = flat.pair_start[st] + choice[st]
-        cut = slice(flat.branch_start[pid], flat.branch_start[pid + 1])
-        chosen.append(list(zip(*(c[cut].tolist() for c in cols))))
+        pid = p.pair_start[st] + choice[st]
+        cut = slice(p.branch_start[pid], p.branch_start[pid + 1])
+        chosen.append((list(zip(*(c[cut].tolist() for c in cols))), float(flat.leak[pid])))
     v = [0.0] * n
     for _ in range(sweeps):
         worst = 0.0
         new = []
         for st in range(n):
             tot = 0.0
-            for succ, prob, weight, reward in chosen[st]:
+            rows, leak = chosen[st]
+            for succ, prob, weight, reward in rows:
                 tot += prob * reward
-                if weight != 0.0 and succ != model.target:
-                    tot += weight * v[succ]
+                tot += weight * v[succ]
+            tot += leak
             new.append(tot)
             worst = max(worst, abs(tot - v[st]))
         v = new

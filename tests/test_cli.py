@@ -125,12 +125,16 @@ def test_unparsable_json_is_a_parse_error(tmp_path, capsys):
             ' "prob": 0.5, "prob": 1, "label": "g"}]}',
             "duplicate key 'prob'",
         ),
+        (b'\xff{"states": ["s0"]}', "can't decode byte 0xff"),
     ],
-    ids=["deep", "duplicate-top", "duplicate-edge"],
+    ids=["deep", "duplicate-top", "duplicate-edge", "not-utf-8"],
 )
 def test_malformed_json_is_a_parse_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     for argv in (
         ["validate", "--mdp", str(path)],
         ["verify", "--mdp", str(path), "--hoa", ACCEPT_G],
@@ -140,6 +144,20 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys, text, message):
         assert captured.out == ""
         (line,) = captured.err.splitlines()  # one line, no traceback
         assert line.startswith("error: ") and message in line
+
+
+def test_non_utf8_automaton_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.hoa"
+    path.write_bytes(b"\xff" + (CORPUS / "hoa" / "accept_g.hoa").read_bytes())
+    for argv in (
+        ["validate", "--mdp", I2, "--hoa", str(path)],
+        ["solve", "--mdp", I2, "--hoa", str(path), "--zeta", "0.9"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "can't decode byte 0xff" in line
 
 
 def test_usage_errors(capsys):
@@ -561,6 +579,15 @@ def test_out_file_and_byte_identity(tmp_path, capsys):
     assert capsys.readouterr().out == ""  # --out suppresses stdout
     assert f1.read_bytes() == f2.read_bytes()
     assert json.loads(f1.read_text())["timing"] is None
+    # a report that cannot be written is an input/output error, like a CSV
+    unwritable = str(tmp_path / "no" / "such" / "dir.json")
+    for extra in (["--out", unwritable], ["--out", str(f1), "--csv", unwritable]):
+        cmd = ["sweep", *argv[1:5], *extra] if "--csv" in extra else argv + extra
+        assert main(cmd) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and "No such file or directory" in line
 
 
 def test_timing_field(capsys):

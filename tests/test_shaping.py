@@ -24,18 +24,19 @@ from generators import large_instance, random_instance
 
 
 def pair_rows(m, st, k):
-    """Pair k of state st as (succ, prob, weight, reward) rows of the flat table."""
-    flat = m.flat
-    pid = flat.pair_start[st] + k
-    cut = slice(flat.branch_start[pid], flat.branch_start[pid + 1])
-    return list(zip(*(c[cut].tolist() for c in (flat.succ, flat.prob, flat.weight, flat.reward))))
+    """Pair k of state st as (succ, prob, weight, reward) rows: the product's
+    successors beside the view's branch columns."""
+    p, flat = m.product, m.flat
+    pid = p.pair_start[st] + k
+    cut = slice(p.branch_start[pid], p.branch_start[pid + 1])
+    return list(zip(*(c[cut].tolist() for c in (p.succ, flat.prob, flat.weight, flat.reward))))
 
 
 def table(m):
-    """The whole flat table as rows per pair per state."""
-    flat = m.flat
+    """The view's branch columns as rows per pair per state."""
+    p = m.product
     return [
-        [pair_rows(m, st, k) for k in range(flat.pair_start[st + 1] - flat.pair_start[st])]
+        [pair_rows(m, st, k) for k in range(p.pair_start[st + 1] - p.pair_start[st])]
         for st in range(m.n_states)
     ]
 
@@ -52,7 +53,8 @@ class TestAugmentTables:
 
     All the constants below are exact in binary floating point, so the
     comparisons are equalities, not tolerances.  Rows are
-    (succ, prob, weight, reward).
+    (succ, prob, weight, reward), one per product branch; `leak` and `base`
+    have one entry per product pair.
     """
 
     def test_total(self, i2_product):
@@ -61,11 +63,12 @@ class TestAugmentTables:
         assert table(m) == [
             [
                 [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
-                [(2, 0.5, 0.5, 1.0), (3, 0.5, 0.0, 1.0)],
+                [(2, 0.5, 0.5, 1.0)],
             ],
-            [[(1, 0.5, 0.5, 1.0), (3, 0.5, 0.0, 1.0)]],
+            [[(1, 0.5, 0.5, 1.0)]],
             [[(2, 1.0, 1.0, 0.0)]],
         ]
+        assert m.flat.leak.tolist() == [0.0, 0.5, 0.5, 0.0]
         assert m.flat.base.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_reach(self, i2_product):
@@ -75,11 +78,12 @@ class TestAugmentTables:
         assert table(m) == [
             [
                 [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
-                [(2, 0.5, 0.5, 0.0), (3, 0.5, 0.0, 1.0)],
+                [(2, 0.5, 0.5, 0.0)],
             ],
-            [[(1, 0.5, 0.5, 0.0), (3, 0.5, 0.0, 1.0)]],
+            [[(1, 0.5, 0.5, 0.0)]],
             [[(2, 1.0, 1.0, 0.0)]],
         ]
+        assert m.flat.leak.tolist() == [0.0, 0.5, 0.5, 0.0]
         assert m.flat.base.tolist() == [0.0, 0.5, 0.5, 0.0]
 
     def test_biased(self, i2_product):
@@ -94,33 +98,32 @@ class TestAugmentTables:
             [[(1, 1.0, 0.5, 1.0)]],
             [[(2, 1.0, 1.0, 0.0)]],
         ]
+        assert m.flat.leak.tolist() == [0.0, 0.0, 0.0, 0.0]
         assert m.flat.base.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_self_loop_leak(self, self_loop_product):
+        # one accepting self-loop keeps 0.9 and leaks 1 - 0.9 into t, which pays 1
         m = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-        stay, leak = pair_rows(m, 0, 0)
-        assert stay[0] == 0 and stay[3] == 1.0
-        assert stay[1] == pytest.approx(0.9) and stay[2] == stay[1]
-        assert leak[0] == m.target == 1
-        assert leak[1] == pytest.approx(0.1)
-        assert leak[2] == 0.0 and leak[3] == 1.0
+        assert m.target == 1
+        assert table(m) == [[[(0, 0.9, 0.9, 1.0)]]]
+        assert m.flat.leak.tolist() == [1.0 - 0.9]
+        assert m.flat.base.tolist() == [0.9 + (1.0 - 0.9)]
 
 
 def test_augment_preserves_pair_structure():
-    # one augmented pair per product pair, in order, for every mode
+    # every view has one entry per product branch and per product pair, and
+    # no branch of its own: its successors and offsets are the product's
     rng = np.random.default_rng(11)
     for _ in range(15):
         _, _, p = random_instance(rng)
         for mode in Mode:
             flat = augment(p, PayoffSpec(mode, 0.7)).flat
-            assert flat.pair_start.size == p.n_states + 1
-            assert flat.branch_start.size == p.n_pairs + 1
-            assert flat.branch_start[-1] == flat.succ.size
-            for st in range(p.n_states):
-                assert flat.pair_start[st + 1] - flat.pair_start[st] == len(p.pairs[st])
+            assert flat._fields == ("prob", "weight", "reward", "base", "leak")
+            assert [c.shape for c in flat] == [p.succ.shape] * 3 + [(p.n_pairs,)] * 2
 
 
 def test_augment_stays_stochastic():
+    # per pair, the branch masses and the leak add up to the product's mass
     rng = np.random.default_rng(12)
     for _ in range(15):
         _, _, p = random_instance(rng)
@@ -128,8 +131,12 @@ def test_augment_stays_stochastic():
             m = augment(p, PayoffSpec(mode, 0.3))
             for st in range(p.n_states):
                 for k in range(len(p.pairs[st])):
-                    total = math.fsum(row[1] for row in pair_rows(m, st, k))
+                    leak = m.flat.leak[p.pair_start[st] + k]
+                    total = math.fsum([row[1] for row in pair_rows(m, st, k)] + [leak])
                     assert abs(total - 1.0) <= 1e-12
+                    accepting = any(b.accepting for b in p.pairs[st][k].branches)
+                    assert leak >= 0.0
+                    assert (leak > 0.0) == (accepting and mode is not Mode.BIASED_DISCOUNT)
 
 
 def test_flat_table_matches_reference(i2_product, self_loop_product, never_product):
@@ -292,7 +299,7 @@ def test_simulate_batch_skips_a_zero_reward_cycle(accept_g):
     edges = [Edge(0, 0, 1, 0.5, 1), Edge(0, 0, 3, 0.5, 0), Edge(1, 0, 2, 1.0, 1)]
     edges += [Edge(2, 0, 1, 1.0, 1), Edge(3, 0, 3, 1.0, 0)]
     m, _ = chain_model(accept_g, edges, 4, Mode.TOTAL_REWARD)
-    assert m.flat.succ[0] == 1 and m.flat.reward[0] == 0.0
+    assert m.product.succ[0] == 1 and m.flat.reward[0] == 0.0
     out = sample_views(accept_g, edges, 4, 3, 500, 40)
     cycle = np.random.default_rng(3).random(500) < 0.5
     # in the biased view no episode leaves the loop, which pays 0.5**t on move t
