@@ -107,7 +107,11 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _read_automaton(args):
-    a = parse_hoa(Path(args.hoa).read_text())
+    try:
+        text = Path(args.hoa).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise HoaError(f"{args.hoa}: not UTF-8: {exc}") from None
+    a = parse_hoa(text)
     if getattr(args, "trap_complete", False):
         a = complete_with_trap(a)
     if getattr(args, "assert_gfm", False):
@@ -133,7 +137,8 @@ def _values_by_name(p: ProductMdp, values) -> dict[str, float]:
 
 
 def _policy_by_name(p: ProductMdp, f) -> dict[str, str]:
-    return {p.state_name(st): p.pair_name(st, f.choice[st]) for st in range(p.n_states)}
+    names = p.chosen_pair_names(f.choice)
+    return {p.state_name(st): names[st] for st in range(p.n_states)}
 
 
 def _product_as_mdp(p: ProductMdp, zeta: float | None) -> Mdp:
@@ -148,8 +153,7 @@ def _product_as_mdp(p: ProductMdp, zeta: float | None) -> Mdp:
     apart).
     """
     states = [p.state_name(i) for i in range(p.n_states)]
-    starts, owner = p.pair_start.tolist(), p.pair_state.tolist()
-    names = [p.pair_name(st, pid - starts[st]) for pid, st in enumerate(owner)]
+    names, owner = p.pair_names, p.pair_state.tolist()
     bounds = p.branch_start.tolist()
     succ, symbol, accepting = p.succ.tolist(), p.symbol.tolist(), p.accepting.tolist()
     if zeta is None:
@@ -425,8 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text + "\n")
         else:
             print(text)
-    except (MdpFormatError, HoaError, UnicodeDecodeError, OSError) as exc:
-        # UnicodeDecodeError is a ValueError, so it is caught before the validation clause
+    except (MdpFormatError, HoaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConvergenceError, PolicyIterationError, np.linalg.LinAlgError) as exc:

@@ -6,26 +6,27 @@ Updates are undiscounted; the termination itself supplies the effective
 bias, so the fixpoint of the update is the expected payoff of the view.
 Against the target there is no bootstrap.
 
-One episode loop, `_episode`, does the learning, on tables that one
-builder, `_sim`, makes; `train` runs it once per episode.  Randomness comes
-from a chunked uniform stream, one iterator that is bit-transparent to the
-underlying generator.  What each step draws is fixed (see `_episode`), and
-`tests/reference_learner.py` holds a step-by-step learner that draws under
-the same contract, one `Generator.random()` call per uniform.
+One loop, `_run`, runs every episode of a `train` call, on tables that one
+builder, `_sim`, makes.  It caches each state's best value and best pair,
+so greedy choice and the bootstrap maximum cost O(1) instead of a scan of
+the row.  Randomness comes from a chunked uniform stream, one iterator that
+is bit-transparent to the underlying generator.  What each step draws is
+fixed (see `_run`), and `tests/reference_learner.py` holds a step-by-step
+learner that draws under the same contract, one `Generator.random()` call
+per uniform.
 
 An episode that falls into a trap is not simulated further.  A trap is a
 product state with one pair whose one branch is a non-accepting self-loop,
-such as a rejecting sink.  A step there draws nothing, earns 0 and
-bootstraps on its own entry, so its update adds exactly 0.0 as long as the
-entry and alpha are finite (`LearnConfig` checks alpha).  The loop adds the
-remaining steps to the trap's visit count and ends the episode as truncated;
-tables, curve, truncation count and stream position are those of the
-step-by-step run.
+such as a rejecting sink.  The loop adds the remaining steps to the trap's
+visit count and ends the episode as truncated; tables, curve, truncation
+count and stream position are those of the step-by-step run (`_run` says
+why).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -103,14 +104,8 @@ class QTable:
         return cls([[init] * n for n in counts], [[0] * n for n in counts])
 
     def greedy(self) -> Strategy:
-        out = []
-        for row in self.q:
-            best = 0
-            for k in range(1, len(row)):
-                if row[k] > row[best]:
-                    best = k
-            out.append(best)
-        return Strategy(tuple(out))
+        """Each state's lowest-index best pair."""
+        return Strategy(tuple(row.index(max(row)) for row in self.q))
 
 
 @dataclass
@@ -138,7 +133,7 @@ def _sim(model: AugmentedModel) -> _Sim:
     returns the undiscounted update does not estimate.  The rows are sliced
     from the product's branch columns; the partial sums run left to right as
     the sampler scans them.  The diversion coin is not a branch of the rows
-    but a draw of its own, as the draw contract in `_episode` (which
+    but a draw of its own, as the draw contract in `_run` (which
     `tests/reference_learner.py` follows) spends it.
     """
     if model.mode is Mode.BIASED_DISCOUNT:
@@ -160,109 +155,114 @@ def _sim(model: AugmentedModel) -> _Sim:
     return _Sim(rows, trap, p.initial, 1.0 - model.zeta, racc_cont)
 
 
-def _episode(sim, q, visits, eps, cfg, stream):
-    """The Q-learning episode loop; returns (total reward, reached target).
+def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, float, float]], int]:
+    """The one episode loop: runs cfg.episodes epsilon-greedy episodes on
+    `table`, updating it in place; returns the curve and the truncation count.
 
     Draw accounting: states with a single pair and pairs with a single branch
     spend no randomness; otherwise one uniform decides greedy vs explore (a
     second picks the explored pair), one picks the branch, and accepting
     branches spend one on the diversion coin.  Each draw is the next value
-    of `stream.draws`.
+    of one `UniformStream` seeded with cfg.seed.  The branch is
+    `bisect_right` of its draw on the pair's partial sums, which are
+    nondecreasing: the first branch whose partial sum exceeds the draw, or
+    the last.
 
-    Traps (`sim.trap[s]` true, see `_Sim`) are skipped: an episode that
-    starts in one, or moves into one, adds its remaining steps to the trap's
-    visit count and returns as truncated.  This is exact.  A trap step draws
-    nothing under the accounting above and earns 0, and its update is
-    `row[0] += alpha * (0 + row[0] - row[0])`, which adds 0.0 for finite
-    alpha and row[0].  Only trap steps update row[0], so it keeps its
-    initial value, finite in every `QTable.for_model` table.  Only the visit
-    count moves, by one per step.  The flag is tested only when the state
-    changes, so other steps cost what they did.
+    Each state's best value (`best`) and lowest-index best pair (`arg`) are
+    cached and read for greedy choice and for the bootstrap maximum, which
+    is read before the update (on a self-loop, the row before the write).
+    Every write updates the cache; only a decrease of the cached best entry
+    rescans its row.  This is exact: `max` of floats is exact, and ties go
+    to the lowest index, as in `QTable.greedy`.
+
+    Traps (`sim.trap[s]`, see `_Sim`) are skipped: an episode that starts
+    in one, or moves into one, adds its remaining steps to the trap's visit
+    count and ends as truncated.  This is exact.  A trap step draws nothing
+    and earns 0, and its update `row[0] += alpha * (0 + row[0] - row[0])`
+    adds 0.0 for finite alpha and row[0]; only trap steps update row[0], so
+    it keeps its initial value, finite in every `QTable.for_model` table.
     """
-    rows, trap, cur, divert, racc_cont = sim
-    draws = stream.draws
-    alpha0 = cfg.alpha0
-    decay = cfg.visit_decay
-    max_steps = cfg.max_steps
-    if trap[cur]:
-        visits[cur][0] += max_steps
-        return 0.0, False
-    row = q[cur]
-    vrow = visits[cur]
-    pairs = rows[cur]
-    npairs = len(row)
-    total = 0.0
-    for step in range(max_steps):
-        if npairs == 1:
-            k = 0
-        elif next(draws) < eps:
-            k = int(next(draws) * npairs)
-            if k == npairs:
-                k = npairs - 1
-        else:
-            k = 0
-            best = row[0]
-            for i in range(1, npairs):
-                if row[i] > best:
-                    best = row[i]
-                    k = i
-        cums, succs, accs = pairs[k]
-        if cums:
-            u = next(draws)
-            b = len(cums)
-            for i, cp in enumerate(cums):
-                if u < cp:
-                    b = i
+    rows, trap, initial, divert, racc_cont = sim
+    q, visits = table.q, table.visits
+    draw = UniformStream(np.random.default_rng(cfg.seed)).draws.__next__
+    alpha0, decay, max_steps = cfg.alpha0, cfg.visit_decay, cfg.max_steps
+    eps0, eps_span = cfg.epsilon0, cfg.epsilon_final - cfg.epsilon0  # as in epsilon_at
+    anneal = max(1, int(cfg.episodes * cfg.anneal_fraction))
+    best = [max(row) for row in q]
+    arg = [row.index(m) for row, m in zip(q, best)]
+    curve: list[tuple[int, float, float]] = []
+    truncated = 0
+    for ep in range(cfg.episodes):
+        eps = eps0 + eps_span * (ep / anneal if ep < anneal else 1.0)
+        total = 0.0
+        reached = False
+        cur = initial
+        if trap[cur]:
+            visits[cur][0] += max_steps
+            truncated += 1
+            curve.append((ep, total, eps))
+            continue
+        row, vrow, pairs = q[cur], visits[cur], rows[cur]
+        npairs = len(row)
+        for step in range(max_steps):
+            if npairs == 1:
+                k = 0
+            elif draw() < eps:
+                k = int(draw() * npairs)
+                if k == npairs:
+                    k = npairs - 1
+            else:
+                k = arg[cur]
+            cums, succs, accs = pairs[k]
+            b = bisect_right(cums, draw()) if cums else 0
+            nxt = succs[b]
+            m = best[nxt]
+            if accs[b]:
+                if draw() < divert:
+                    reached = True
+                    r = 1.0
+                    m = 0.0  # no bootstrap against the target
+                else:
+                    r = racc_cont
+                total += r
+            else:
+                r = 0.0
+            old = row[k]
+            new = old + (alpha0 / (1.0 + vrow[k] / decay)) * (r + m - old)
+            row[k] = new
+            vrow[k] += 1
+            a = arg[cur]
+            if k == a:
+                if new >= old or npairs == 1:
+                    best[cur] = new
+                else:
+                    best[cur] = top = max(row)
+                    arg[cur] = row.index(top)
+            elif new > best[cur] or (new == best[cur] and k < a):
+                best[cur] = new
+                arg[cur] = k
+            if reached:
+                break
+            if nxt != cur:
+                cur = nxt
+                if trap[cur]:
+                    visits[cur][0] += max_steps - 1 - step
                     break
-        else:
-            b = 0
-        if accs[b]:
-            if next(draws) < divert:
-                total += 1.0
-                nv = vrow[k]
-                row[k] += (alpha0 / (1.0 + nv / decay)) * (1.0 - row[k])
-                vrow[k] = nv + 1
-                return total, True
-            r = racc_cont
-            total += r
-        else:
-            r = 0.0
-        nxt = succs[b]
-        nrow = q[nxt]
-        m = nrow[0]
-        for i in range(1, len(nrow)):
-            if nrow[i] > m:
-                m = nrow[i]
-        nv = vrow[k]
-        row[k] += (alpha0 / (1.0 + nv / decay)) * (r + m - row[k])
-        vrow[k] = nv + 1
-        if nxt != cur:
-            cur = nxt
-            if trap[cur]:
-                visits[cur][0] += max_steps - 1 - step
-                return total, False
-            row = q[cur]
-            vrow = visits[cur]
-            pairs = rows[cur]
-            npairs = len(row)
-    return total, False
+                row, vrow, pairs = q[cur], visits[cur], rows[cur]
+                npairs = len(row)
+        truncated += not reached
+        curve.append((ep, total, eps))
+    return curve, truncated
 
 
 def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
-    """Run cfg.episodes epsilon-greedy episodes and return table, greedy
-    strategy, the per-episode learning curve and the truncation count."""
+    """Run cfg.episodes epsilon-greedy episodes, all in the one loop `_run`,
+    and return table, greedy strategy, the per-episode learning curve and
+    the truncation count."""
     sim = _sim(model)
     init = 0.0
     if cfg.optimistic:
         init = 1.0 if model.mode is Mode.REACH_TARGET else 1.0 / (1.0 - model.zeta)
     table = QTable.for_model(model, init)
-    stream = UniformStream(np.random.default_rng(cfg.seed))
-    curve: list[tuple[int, float, float]] = []
-    truncated = 0
-    for ep in range(cfg.episodes):
-        eps = epsilon_at(cfg, ep)
-        total, reached = _episode(sim, table.q, table.visits, eps, cfg, stream)
-        curve.append((ep, total, eps))
-        if not reached:
-            truncated += 1
+    curve, truncated = _run(sim, table, cfg)
     return TrainResult(table, table.greedy(), curve, truncated)

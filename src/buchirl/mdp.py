@@ -256,7 +256,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_mdp(path: str | Path) -> Mdp:
     try:
-        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise MdpFormatError(f"{path}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MdpFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:

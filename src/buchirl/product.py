@@ -127,11 +127,22 @@ class ProductMdp:
         s, q = self.states[i]
         return f"{self.mdp.states[s]}|q{q}"
 
+    @cached_property
+    def pair_names(self) -> tuple[str, ...]:
+        """Every pair's "action@qm" name, in pair order."""
+        actions = self.mdp.actions
+        return tuple(f"{actions[a]}@q{m}" for a, m in zip(self.action.tolist(), self.memory.tolist()))
+
     def pair_name(self, state: int, k: int) -> str:
         lo, hi = self.pair_start[state], self.pair_start[state + 1]
         if not 0 <= k < hi - lo:
             raise IndexError(f"state {state} has no pair {k}")
-        return f"{self.mdp.actions[self.action[lo + k]]}@q{self.memory[lo + k]}"
+        return self.pair_names[lo + k]
+
+    def chosen_pair_names(self, choice) -> list[str]:
+        """The name of the pair `choice` picks, per state."""
+        names = self.pair_names
+        return [names[lo + k] for lo, k in zip(self.pair_start.tolist(), choice)]
 
 
 def build_product(m: Mdp, a: Nba) -> ProductMdp:

@@ -243,7 +243,7 @@ def threshold_sweep(m: Mdp, a: Nba, grid: tuple[float, ...]) -> ThresholdReport:
         if f not in psats:
             psats[f] = float(policy_buchi_probability(p, f)[p.initial])
         psat = psats[f]
-        desc = ";".join(p.pair_name(st, f.choice[st]) for st in range(p.n_states))
+        desc = ";".join(p.chosen_pair_names(f.choice))
         rows.append(SweepRow(zeta, desc, psat, opt, psat >= opt - OPTIMAL_TOL))
     zeta0 = None
     for row in reversed(rows):

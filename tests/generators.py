@@ -81,15 +81,17 @@ def random_nondet_automaton(rng, max_states=3, accept_prob=0.3):
     return Nba(SYMBOLS, a.n_states, 0, tuple(trans), frozenset(accepting), None)
 
 
-def random_instance(rng, max_states=6, max_actions=3, max_aut=3):
-    """(mdp, automaton, product) with a deterministic automaton.
+def random_instance(rng, max_states=6, max_actions=3, max_aut=3, nondet=False):
+    """(mdp, automaton, product) with a deterministic automaton, or with a
+    nondeterministic one when `nondet`, whose states give an action one pair
+    per automaton successor.
 
     Dead ends can happen when an action's branches emit symbols the automaton
     maps to different successors; such draws are discarded and retried.
     """
     while True:
         m = random_mdp(rng, max_states, max_actions)
-        a = random_det_automaton(rng, max_aut)
+        a = (random_nondet_automaton if nondet else random_det_automaton)(rng, max_aut)
         try:
             return m, a, build_product(m, a)
         except DeadEndError:

@@ -3,10 +3,12 @@
 It reads the product's branches directly, draws every uniform with its own
 `Generator.random()` call and simulates every step, also the steps an
 episode spends in a zero-reward sink.  Its draw accounting is the contract
-that `learn._episode` documents: a state with one pair and a pair with one
+that `learn._run` documents: a state with one pair and a pair with one
 branch spend no draw; otherwise one draw decides greedy vs explore (and a
 second picks the explored pair), one picks the branch, and an accepting
-branch spends one on the diversion coin.
+branch spends one on the diversion coin.  It takes every maximum over the
+whole row and picks a branch by a left-to-right scan of the partial sums,
+so it also checks `learn._run`'s cached row maxima and its bisection.
 """
 
 from buchirl import Mode

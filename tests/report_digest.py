@@ -11,7 +11,8 @@ moved any report byte:
 
 The optional argument is the checkout whose `src/` the commands import
 (default: the one holding this file).  The inputs always come from this
-checkout: the corpus pairs, and the pool of the desk_sweep benchmark
+checkout: the corpus pairs (I2 x accept_g also under the learn_i2 benchmark
+workload's learn command), and the pool of the desk_sweep benchmark
 workload at seed 1 and the large_product MDP at seeds 1-3, both written by
 `perfbench/instances.generate`.  Every input is written to a scratch
 directory that is the working directory while the commands run, so the
@@ -41,7 +42,9 @@ CORPUS_COMMANDS = [
     ["product", "--export", "export.json"],
     ["product", "--export", "export.json", "--zeta", "0.9"],
 ] + [["solve", "--mode", mode, "--zeta", "0.9"] for mode in ("reach", "total", "biased")] + [
-    ["learn", "--mode", mode, "--zeta", "0.9", "--episodes", "3000"] for mode in ("reach", "total")
+    ["learn", "--mode", mode, "--zeta", "0.9", "--episodes", "3000", *extra]
+    for mode in ("reach", "total")
+    for extra in ([], ["--optimistic"], ["--curve", "export.json"])  # the curve: every episode's total and epsilon
 ]
 DESK_COMMANDS = [
     ["verify", "--zeta", "0.5", "--zeta", "0.9", "--zeta", "0.99"],
@@ -51,6 +54,10 @@ DESK_COMMANDS = [
 ] + [["solve", "--mode", mode, "--zeta", "0.99"] for mode in ("reach", "total", "biased")] + [
     ["learn", "--zeta", "0.9", "--episodes", "200", "--max-steps", "100"],
 ]
+
+
+# the learn_i2 benchmark workload's learn command, run on I2 x accept_g
+I2_COMMANDS = [["learn", "--zeta", "0.9", "--episodes", "50000", "--seed", "1"]]
 
 
 def large_commands(seed: int) -> list[list[str]]:
@@ -76,6 +83,7 @@ def write_inputs() -> list[tuple[list[str], list[list[str]]]]:
         for hoa in sorted(Path("corpus/hoa").glob("*.hoa")):
             extra = ["--trap-complete"] if hoa.stem == "incomplete_g" else []
             runs.append((["--mdp", str(mdp), "--hoa", str(hoa), *extra], CORPUS_COMMANDS))
+    runs.append((["--mdp", "corpus/mdp/i2.json", "--hoa", "corpus/hoa/accept_g.hoa"], I2_COMMANDS))
     inputs = [("desk_sweep", 1, DESK_COMMANDS)]
     inputs += [("large_product", seed, large_commands(seed)) for seed in (1, 2, 3)]
     for workload, seed, commands in inputs:

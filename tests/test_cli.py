@@ -144,6 +144,8 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys, text, message):
         assert captured.out == ""
         (line,) = captured.err.splitlines()  # one line, no traceback
         assert line.startswith("error: ") and message in line
+        if isinstance(text, bytes):  # not UTF-8: the line names the file
+            assert str(path) in line
 
 
 def test_non_utf8_automaton_is_a_parse_error(tmp_path, capsys):
@@ -158,6 +160,7 @@ def test_non_utf8_automaton_is_a_parse_error(tmp_path, capsys):
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "can't decode byte 0xff" in line
+        assert str(path) in line
 
 
 def test_usage_errors(capsys):

@@ -1,5 +1,6 @@
 """Tabular Q-learning: schedules, update targets, the draw contract, sanity."""
 
+import dataclasses
 import math
 import time
 
@@ -116,12 +117,10 @@ def test_never_has_nothing_to_learn(never_product):
 
 
 def run_greedy_episodes(model, table, cfg):
-    """`cfg.episodes` purely greedy episodes (epsilon 0) of the training loop
-    on a preset table."""
-    sim = buchirl.learn._sim(model)
-    stream = UniformStream(np.random.default_rng(0))
-    for _ in range(cfg.episodes):
-        buchirl.learn._episode(sim, table.q, table.visits, 0.0, cfg, stream)
+    """`cfg.episodes` purely greedy episodes of the training loop on a preset
+    table: epsilon0 = epsilon_final = 0 makes every episode's epsilon 0.0."""
+    greedy = dataclasses.replace(cfg, epsilon0=0.0, epsilon_final=0.0)
+    buchirl.learn._run(buchirl.learn._sim(model), table, greedy)
 
 
 def test_exact_initialization_is_stable(i2_product):
@@ -320,3 +319,28 @@ def test_trap_steps_are_booked_not_simulated(never_product):
     assert res.truncated == 20
     assert all(t == 0.0 for _, t, _ in res.curve)
 
+
+
+def test_train_matches_reference_on_wide_rows(monkeypatch):
+    # nondeterministic automata give states with three or more pairs, where
+    # ties, exploration among many pairs and rescans of a row's best entry
+    # all happen; optimistic tables start with every row tied
+    rng = np.random.default_rng(20240503)
+    products = []
+    while len(products) < 12:
+        _, _, p = random_instance(rng, nondet=True)
+        if max(np.diff(p.pair_start)) >= 3:
+            products.append(p)
+    wide_steps = 0
+    for i, p in enumerate(products):
+        wide = [s for s in range(p.n_states) if p.pair_start[s + 1] - p.pair_start[s] >= 3]
+        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
+            m = view(p, mode, 0.8)
+            for optimistic in (False, True):
+                cfg = LearnConfig(
+                    episodes=60, max_steps=2 + 4 * i, seed=i, optimistic=optimistic
+                )
+                ref = assert_matches_reference(m, cfg, monkeypatch)
+                wide_steps += sum(sum(ref.visits[s]) for s in wide)
+    print(f"{wide_steps} steps taken in states with three or more pairs")
+    assert wide_steps >= 1000

@@ -255,6 +255,8 @@ def test_pair_and_state_names(i2_product):
     assert i2_product.pair_name(0, 1) == "b@q0"
     with pytest.raises(IndexError):
         i2_product.pair_name(0, 2)  # s0 has two pairs; pair 2 would be sA's first
+    assert i2_product.pair_names == ("a@q0", "b@q0", "a@q0", "a@q0")
+    assert i2_product.chosen_pair_names((1, 0, 0)) == ["b@q0", "a@q0", "a@q0"]
     assert i2_product.state_name(2) == "sR|q0"
     assert i2_product.states.index((2, 0)) == 2
 
