@@ -17,10 +17,9 @@ from .automata import (
     is_deterministic,
     parse_hoa,
 )
-from .learn import LearnConfig, QTable, TrainResult, UniformStream, epsilon_at, train
+from .learn import LearnConfig, QTable, TrainResult, UniformStream, train
 from .mdp import (
     Diagnostic,
-    Edge,
     Mdp,
     MdpFormatError,
     dump_mdp,

@@ -125,6 +125,14 @@ _HEADERS = {"HOA", "States", "Start", "AP", "acc-name", "Acceptance", "GFM"}
 _EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*(?:\{([^{}]*)\})?")
 
 
+def _number(digits: str, lineno: int) -> int:
+    """`int` of a run of digits; one past Python's digit limit is a syntax error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise HoaSyntaxError(f"number of {len(digits)} digits is too long to read", lineno) from None
+
+
 def parse_hoa(text: str) -> Nba:
     """Parse the HOA v1 subset described in the module docstring."""
     lines = text.splitlines()
@@ -178,7 +186,7 @@ def parse_hoa(text: str) -> Nba:
             raise HoaSyntaxError(
                 f"{name} expects a nonnegative integer", at_line[name]
             )
-        return int(seen[name])
+        return _number(seen[name], at_line[name])
 
     n_states = header_int("States")
     if n_states < 1:
@@ -192,7 +200,7 @@ def parse_hoa(text: str) -> Nba:
     if m is None:
         raise HoaSyntaxError('AP expects a count then quoted names', at_line["AP"])
     names = re.findall(r"\"([^\"]*)\"", m.group(2))
-    if int(m.group(1)) != len(names):
+    if _number(m.group(1), at_line["AP"]) != len(names):
         raise HoaSyntaxError(
             f"AP count {m.group(1)} disagrees with {len(names)} names", at_line["AP"]
         )
@@ -242,7 +250,7 @@ def parse_hoa(text: str) -> Nba:
                     "transitions, put {0} on the accepting edges instead",
                     lineno,
                 )
-            q = int(m.group(1))
+            q = _number(m.group(1), lineno)
             if q >= n_states:
                 raise HoaSemanticError(f"state {q} not declared by States", lineno)
             if q in declared:
@@ -276,7 +284,7 @@ def parse_hoa(text: str) -> Nba:
                     lineno,
                     col=raw.index("[") + 2,
                 )
-            dst = int(dst_s)
+            dst = _number(dst_s, lineno)
             if dst >= n_states:
                 raise HoaSemanticError(f"destination state {dst} not declared", lineno)
             if marks is not None and marks.strip() != "0":
@@ -286,7 +294,7 @@ def parse_hoa(text: str) -> Nba:
                 )
             acc = marks is not None
             for p in parts:
-                s = int(p)
+                s = _number(p, lineno)
                 if s >= n_ap:
                     raise HoaSemanticError(f"proposition {s} out of range", lineno)
                 key = (cur, s, dst)

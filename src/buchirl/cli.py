@@ -7,8 +7,8 @@ null timing field.
 
 Exit codes: 0 ok, 2 usage (a numeric option out of its range included), 3
 unreadable or unparsable input (MDP JSON with a duplicate key or nested too
-deeply, an input that is not UTF-8, and a report or CSV that cannot be
-written included), 4 validation or construction failure, 5
+deeply, an input that is not UTF-8 or holds an integer too long to read, and
+a report or CSV that cannot be written included), 4 validation or construction failure, 5
 solver failure (the optimal solve's policy iteration past its round cap, a
 singular linear system, a sparse policy evaluation that misses its residual
 target, or the oracle's policy iteration not stabilized), 6 verification
@@ -36,7 +36,7 @@ from .automata import (
     parse_hoa,
 )
 from .learn import LearnConfig, train
-from .mdp import Edge, Mdp, MdpFormatError, dump_mdp, load_mdp, validate
+from .mdp import Mdp, MdpFormatError, dump_mdp, load_mdp, validate
 from .oracle import PolicyIterationError, buchi_value
 from .product import ProductError, ProductMdp, build_product
 from .shaping import Mode, PayoffSpec, augment
@@ -153,29 +153,30 @@ def _product_as_mdp(p: ProductMdp, zeta: float | None) -> Mdp:
     apart).
     """
     states = [p.state_name(i) for i in range(p.n_states)]
-    names, owner = p.pair_names, p.pair_state.tolist()
-    bounds = p.branch_start.tolist()
-    succ, symbol, accepting = p.succ.tolist(), p.symbol.tolist(), p.accepting.tolist()
-    if zeta is None:
-        probs, leak = p.prob.tolist(), [0.0] * p.n_pairs
-    else:
+    probs, leak = p.prob, np.zeros(p.n_pairs)
+    if zeta is not None:
         flat = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
-        probs, leak = flat.prob.tolist(), flat.leak.tolist()
-    leaks = max(leak) > 0.0  # some pair leaks into t
-    t = len(states)
-    actions = sorted(set(names) | ({"stop"} if leaks else set()))
+        probs, leak = flat.prob, flat.leak
+    leaking = np.flatnonzero(leak > 0.0)  # the pairs with an edge into t
+    actions = sorted(set(p.pair_names) | ({"stop"} if leaking.size else set()))
     where = {name: i for i, name in enumerate(actions)}
-    edges = []
-    for pid, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        st, act = owner[pid], where[names[pid]]
-        edges += [Edge(st, act, succ[b], probs[b], symbol[b]) for b in range(lo, hi)]
-        if leak[pid] > 0.0:
-            leak_sym = next(symbol[b] for b in range(lo, hi) if accepting[b])
-            edges.append(Edge(st, act, t, leak[pid], leak_sym))
-    if leaks:
+    pair_action = np.array([where[name] for name in p.pair_names], dtype=np.int64)
+    accepting = np.flatnonzero(p.accepting)
+    leak_symbol = p.symbol[accepting[np.searchsorted(accepting, p.branch_start[leaking])]]
+    owner = np.concatenate([p.branch_pair, leaking])
+    order = np.argsort(np.concatenate([2 * p.branch_pair, 2 * leaking + 1]), kind="stable")
+    t = len(states)
+    columns = [
+        p.pair_state[owner][order],
+        pair_action[owner][order],
+        np.append(p.succ, np.full(leaking.size, t))[order],
+        np.append(probs, leak[leaking])[order],
+        np.append(p.symbol, leak_symbol)[order],
+    ]
+    if leaking.size:
         states.append("t")
-        edges.append(Edge(t, where["stop"], t, 1.0, 0))
-    return Mdp(tuple(states), tuple(actions), p.mdp.symbols, p.initial, tuple(edges))
+        columns = [np.append(c, x) for c, x in zip(columns, (t, where["stop"], t, 1.0, 0))]
+    return Mdp(tuple(states), tuple(actions), p.mdp.symbols, p.initial, *columns)
 
 
 def cmd_validate(args) -> tuple[dict, int]:

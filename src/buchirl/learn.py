@@ -85,12 +85,6 @@ class LearnConfig:
             raise ValueError(f"anneal_fraction must be finite and at least 0, got {self.anneal_fraction!r}")
 
 
-def epsilon_at(cfg: LearnConfig, episode: int) -> float:
-    span = max(1, int(cfg.episodes * cfg.anneal_fraction))
-    t = min(1.0, episode / span)
-    return cfg.epsilon0 + (cfg.epsilon_final - cfg.epsilon0) * t
-
-
 @dataclass
 class QTable:
     """Estimates and visit counts per (product state, pair)."""
@@ -186,7 +180,8 @@ def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, fl
     q, visits = table.q, table.visits
     draw = UniformStream(np.random.default_rng(cfg.seed)).draws.__next__
     alpha0, decay, max_steps = cfg.alpha0, cfg.visit_decay, cfg.max_steps
-    eps0, eps_span = cfg.epsilon0, cfg.epsilon_final - cfg.epsilon0  # as in epsilon_at
+    # epsilon falls linearly from epsilon0 to epsilon_final over the first `anneal` episodes
+    eps0, eps_span = cfg.epsilon0, cfg.epsilon_final - cfg.epsilon0
     anneal = max(1, int(cfg.episodes * cfg.anneal_fraction))
     best = [max(row) for row in q]
     arg = [row.index(m) for row, m in zip(q, best)]

@@ -182,27 +182,30 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
             states.append(sq)
         return i
 
+    state_start, group_action, edge_start, edge = (c.tolist() for c in m.groups)
+    # the edge columns in group order, so each group is one slice
+    e_succ, e_prob, e_symbol = (c[edge].tolist() for c in (m.succ, m.prob, m.symbol))
     head = 0
     while head < len(states):
         s, q = states[head]
-        for act in m.available(s):
-            edges = m.branches(s, act)
-            if any(e.symbol is None for e in edges):
+        for k in range(state_start[s], state_start[s + 1]):
+            lo, hi = edge_start[k], edge_start[k + 1]
+            symbols = e_symbol[lo:hi]
+            if min(symbols) < 0:
                 raise ProductError(
-                    f"unlabelled edge at ({m.states[s]},{m.actions[act]}); "
+                    f"unlabelled edge at ({m.states[s]},{m.actions[group_action[k]]}); "
                     "validate the MDP first"
                 )
-            moves = [delta[q][e.symbol] for e in edges]
+            moves = [delta[q][x] for x in symbols]
             # a pair survives when every branch has a move to its q2; the
             # successors are numbered only once the pair is known to survive
             for q2 in sorted(set(moves[0]).intersection(*moves[1:])):
-                action.append(act)
+                action.append(group_action[k])
                 memory.append(q2)
-                for e in edges:
-                    succ.append(state_id((e.succ, q2)))
-                prob.extend(e.prob for e in edges)
-                symbol.extend(e.symbol for e in edges)
-                accepting.extend(move[q2] for move in moves)
+                succ.extend([state_id((t, q2)) for t in e_succ[lo:hi]])
+                prob.extend(e_prob[lo:hi])
+                symbol.extend(symbols)
+                accepting.extend([move[q2] for move in moves])
                 branch_start.append(len(succ))
         if len(action) == pair_start[-1]:
             raise DeadEndError(

@@ -69,10 +69,11 @@ def augment_reference(p, spec):
 def product_reference(m, a):
     """The reachable product as (states, pairs, gfm_caveat), built with tuples.
 
-    The tuple construction loop that the columns replaced: each pair's
-    branches are collected as `Branch` tuples and kept when every MDP
-    branch has a move to the pair's automaton successor; a successor state is
-    numbered only when its pair is kept.  Raises as `build_product` does.
+    The tuple construction loop that the columns replaced, reading each
+    (state, action)'s edges off `Mdp.groups`: each pair's branches are
+    collected as `Branch` tuples and kept when every MDP branch has a move
+    to the pair's automaton successor; a successor state is numbered only
+    when its pair is kept.  Raises as `build_product` does.
     """
     if set(m.symbols) != set(a.symbols):
         only_m = sorted(set(m.symbols) - set(a.symbols))
@@ -99,22 +100,26 @@ def product_reference(m, a):
             states.append(sq)
         return i
 
+    state_start, group_action, edge_start, edge = m.groups
+    rows = list(zip(m.succ.tolist(), m.prob.tolist(), m.symbol.tolist()))
+
     head = 0
     while head < len(states):
         s, q = states[head]
         plist: list[Pair] = []
-        for act in m.available(s):
-            edges = m.branches(s, act)
-            if any(e.symbol is None for e in edges):
+        for k in range(state_start[s], state_start[s + 1]):
+            act = int(group_action[k])
+            edges = [rows[i] for i in edge[edge_start[k]:edge_start[k + 1]]]
+            if any(x < 0 for _, _, x in edges):
                 raise ProductError(
                     f"unlabelled edge at ({m.states[s]},{m.actions[act]}); "
                     "validate the MDP first"
                 )
             for q2 in range(a.n_states):
                 marks: list[bool] = []
-                for e in edges:
+                for _, _, x in edges:
                     acc = None
-                    for r, f in a.moves(q, sym_map[e.symbol]):
+                    for r, f in a.moves(q, sym_map[x]):
                         if r == q2:
                             acc = f
                             break
@@ -125,8 +130,8 @@ def product_reference(m, a):
                 if marks:
                     # successors are numbered only once the pair survives
                     branches = tuple(
-                        Branch(state_id((e.succ, q2)), e.prob, e.symbol, acc)
-                        for e, acc in zip(edges, marks)
+                        Branch(state_id((t, q2)), pr, x, acc)
+                        for (t, pr, x), acc in zip(edges, marks)
                     )
                     plist.append(Pair(act, q2, branches))
         if not plist:

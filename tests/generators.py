@@ -9,9 +9,24 @@ floating point and downstream mass checks are exact.
 
 import math
 
-from buchirl import DeadEndError, Edge, Mdp, Nba, build_product
+from buchirl import DeadEndError, Mdp, Nba, build_product
 
 SYMBOLS = ("g", "n")
+
+
+def mdp_from_rows(states, actions, symbols, initial, rows):
+    """An `Mdp` from one (state, action, succ, prob, symbol) row per edge,
+    in order; a symbol of None (or -1) is a null label."""
+    columns = list(zip(*rows)) or [()] * 5
+    columns[4] = [-1 if x is None else x for x in columns[4]]
+    return Mdp(tuple(states), tuple(actions), tuple(symbols), initial, *columns)
+
+
+def edge_rows(m):
+    """The edges of `m` as (state, action, succ, prob, symbol) rows, in
+    order, with -1 for a null label."""
+    columns = (m.state, m.action, m.succ, m.prob, m.symbol)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def random_mdp(rng, max_states=6, max_actions=3):
@@ -38,8 +53,8 @@ def random_mdp(rng, max_states=6, max_actions=3):
             probs[-1] = 1.0 - math.fsum(probs[:-1])
             for t, pr in zip(succs, probs):
                 sym = int(rng.integers(len(SYMBOLS)))
-                edges.append(Edge(s, act, t, pr, sym))
-    return Mdp(states, actions, SYMBOLS, 0, tuple(edges))
+                edges.append((s, act, t, pr, sym))
+    return mdp_from_rows(states, actions, SYMBOLS, 0, edges)
 
 
 def random_det_automaton(rng, max_states=3, accept_prob=0.4):
@@ -122,7 +137,7 @@ def large_instance(rng, n_states=300):
     """
     names = tuple(f"s{i}" for i in range(n_states)) + ("sink",)
     sink = n_states
-    edges = [Edge(sink, 0, sink, 1.0, 1)]
+    edges = [(sink, 0, sink, 1.0, 1)]
     for s in range(n_states):
         for act in (0, 1):
             k = int(rng.integers(2, 4))
@@ -135,8 +150,8 @@ def large_instance(rng, n_states=300):
             probs = [w / sum(weights) for w in weights]
             probs[-1] = 1.0 - math.fsum(probs[:-1])
             sym = int(rng.integers(len(SYMBOLS)))
-            edges += [Edge(s, act, t, pr, sym) for t, pr in zip(succs, probs)]
-    m = Mdp(names, ("a0", "a1"), SYMBOLS, 0, tuple(edges))
+            edges += [(s, act, t, pr, sym) for t, pr in zip(succs, probs)]
+    m = mdp_from_rows(names, ("a0", "a1"), SYMBOLS, 0, edges)
     a = Nba(SYMBOLS, 2, 0, ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)), frozenset({0, 2}))
     return m, a, build_product(m, a)
 

@@ -14,7 +14,9 @@ The optional argument is the checkout whose `src/` the commands import
 checkout: the corpus pairs (I2 x accept_g also under the learn_i2 benchmark
 workload's learn command), and the pool of the desk_sweep benchmark
 workload at seed 1 and the large_product MDP at seeds 1-3, both written by
-`perfbench/instances.generate`.  Every input is written to a scratch
+`perfbench/instances.generate`.  `validate` runs on each corpus MDP alone
+and on every input pair, and once more on `DIAGNOSTICS_MDP`, which hits
+every diagnostic code.  Every input is written to a scratch
 directory that is the working directory while the commands run, so the
 paths inside the reports are relative and the digests are the same on every
 machine with the same numpy.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -34,7 +37,29 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
+# one MDP that draws every `validate` diagnostic, interleaved: per-edge
+# errors (edges 1, 2 and 4), per-state errors (s0, s2 with its two actions
+# given out of order, s3 and s4), then the unreachable warnings (lost, s3);
+# the initial state is not state 0
+DIAGNOSTICS_MDP = {
+    "states": ["lost", "s0", "s1", "s2", "s3", "s4"],
+    "actions": ["a", "b"],
+    "alphabet": ["g", "n"],
+    "initial": "s0",
+    "transitions": [
+        {"from": "s0", "action": "a", "to": "s1", "prob": 0.5, "label": "g"},
+        {"from": "s0", "action": "a", "to": "s2", "prob": 1.5, "label": "n"},
+        {"from": "s1", "action": "a", "to": "s1", "prob": 1.0, "label": None},
+        {"from": "s2", "action": "b", "to": "s0", "prob": 0.5, "label": "n"},
+        {"from": "s0", "action": "a", "to": "s1", "prob": 0.0, "label": None},
+        {"from": "s2", "action": "a", "to": "s4", "prob": 0.25, "label": "g"},
+        {"from": "lost", "action": "a", "to": "lost", "prob": 1.0, "label": "n"},
+        {"from": "s4", "action": "b", "to": "s4", "prob": 0.75, "label": "n"},
+    ],
+}
+
 CORPUS_COMMANDS = [
+    ["validate"],
     ["verify"],
     ["verify", "--tail-episodes", "2000"],
     ["sweep"],
@@ -47,6 +72,7 @@ CORPUS_COMMANDS = [
     for extra in ([], ["--optimistic"], ["--curve", "export.json"])  # the curve: every episode's total and epsilon
 ]
 DESK_COMMANDS = [
+    ["validate"],
     ["verify", "--zeta", "0.5", "--zeta", "0.9", "--zeta", "0.99"],
     ["sweep"],
     ["oracle"],
@@ -63,6 +89,7 @@ I2_COMMANDS = [["learn", "--zeta", "0.9", "--episodes", "50000", "--seed", "1"]]
 def large_commands(seed: int) -> list[list[str]]:
     s = str(seed)
     return [
+        ["validate"],
         ["verify", "--zeta", "0.99", "--policies", "2", "--seed", s],
         ["sweep"],
         ["oracle"],
@@ -78,8 +105,10 @@ def write_inputs() -> list[tuple[list[str], list[list[str]]]]:
     from instances import generate
 
     shutil.copytree(ROOT / "corpus", "corpus")
-    runs = []
+    Path("diagnostics.json").write_text(json.dumps(DIAGNOSTICS_MDP))
+    runs = [(["--mdp", "diagnostics.json"], [["validate"]])]
     for mdp in sorted(Path("corpus/mdp").glob("*.json")):
+        runs.append((["--mdp", str(mdp)], [["validate"]]))
         for hoa in sorted(Path("corpus/hoa").glob("*.hoa")):
             extra = ["--trap-complete"] if hoa.stem == "incomplete_g" else []
             runs.append((["--mdp", str(mdp), "--hoa", str(hoa), *extra], CORPUS_COMMANDS))

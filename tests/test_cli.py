@@ -12,9 +12,10 @@ from buchirl.cli import main
 from buchirl.verify import VerifyReport
 
 from conftest import CORPUS, ROOT
-from generators import large_instance, serialize_hoa
+from generators import edge_rows, large_instance, serialize_hoa
 
 I2 = str(CORPUS / "mdp" / "i2.json")
+I2_TEXT = (CORPUS / "mdp" / "i2.json").read_text()
 SELF_LOOP = str(CORPUS / "mdp" / "self_loop.json")
 ACCEPT_G = str(CORPUS / "hoa" / "accept_g.hoa")
 INCOMPLETE_G = str(CORPUS / "hoa" / "incomplete_g.hoa")
@@ -126,8 +127,11 @@ def test_unparsable_json_is_a_parse_error(tmp_path, capsys):
             "duplicate key 'prob'",
         ),
         (b'\xff{"states": ["s0"]}', "can't decode byte 0xff"),
+        # past the float range, and past Python's limit on the digits of an int
+        (I2_TEXT.replace('"prob": 1.0', '"prob": 1' + "0" * 400, 1), "prob must be a finite number"),
+        (I2_TEXT.replace('"prob": 1.0', '"prob": 1' + "0" * 5000, 1), "integer of 5001 digits"),
     ],
-    ids=["deep", "duplicate-top", "duplicate-edge", "not-utf-8"],
+    ids=["deep", "duplicate-top", "duplicate-edge", "not-utf-8", "prob-401-digits", "int-5001-digits"],
 )
 def test_malformed_json_is_a_parse_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -161,6 +165,27 @@ def test_non_utf8_automaton_is_a_parse_error(tmp_path, capsys):
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "can't decode byte 0xff" in line
         assert str(path) in line
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("States: 1", "States: 1" + "0" * 5000), ("[0] 0 {0}", "[0] 1" + "0" * 5000 + " {0}")],
+    ids=["states-5001-digits", "destination-5001-digits"],
+)
+def test_overlong_automaton_number_is_a_parse_error(tmp_path, capsys, old, new):
+    # a number past Python's limit on the digits of an int, in a header or
+    # on an edge, is unparsable input like any other
+    path = tmp_path / "long.hoa"
+    path.write_text((CORPUS / "hoa" / "accept_g.hoa").read_text().replace(old, new, 1))
+    for argv in (
+        ["validate", "--mdp", I2, "--hoa", str(path)],
+        ["solve", "--mdp", I2, "--hoa", str(path), "--zeta", "0.9"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: line ") and "5001 digits is too long" in line
 
 
 def test_usage_errors(capsys):
@@ -336,8 +361,7 @@ def test_product_export_leaked(tmp_path, capsys):
     assert not [d for d in validate_mdp(m) if d.severity == "error"]
     assert "t" in m.states
     by_key = {
-        (m.states[e.state], m.actions[e.action], m.states[e.succ]): e.prob
-        for e in m.edges
+        (m.states[s], m.actions[a], m.states[t]): pr for s, a, t, pr, _ in edge_rows(m)
     }
     assert abs(by_key[("s0|q0", "b@q0", "sR|q0")] - 0.9) <= 1e-12
     assert abs(by_key[("s0|q0", "b@q0", "t")] - 0.1) <= 1e-12
@@ -384,12 +408,12 @@ def test_product_export_leak_takes_first_accepting_label(tmp_path, capsys):
     assert code == 0
     m = load_mdp(out)
     assert not [d for d in validate_mdp(m) if d.severity == "error"]
-    leaks = [e for e in m.edges if m.states[e.succ] == "t" and m.states[e.state] != "t"]
+    leaks = [e for e in edge_rows(m) if m.states[e[2]] == "t" and m.states[e[0]] != "t"]
     assert len(leaks) == 1
-    (leak,) = leaks
-    assert (m.states[leak.state], m.actions[leak.action]) == ("s0|q0", "a@q0")
-    assert m.symbols[leak.symbol] == "h"
-    assert abs(leak.prob - (1 - 0.9) * (0.3 + 0.5)) <= 1e-15
+    ((s, a, _, pr, x),) = leaks
+    assert (m.states[s], m.actions[a]) == ("s0|q0", "a@q0")
+    assert m.symbols[x] == "h"
+    assert abs(pr - (1 - 0.9) * (0.3 + 0.5)) <= 1e-15
 
 
 def test_oracle_report(capsys):

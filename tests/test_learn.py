@@ -15,11 +15,10 @@ from buchirl import (
     QTable,
     UniformStream,
     augment,
-    epsilon_at,
     train,
 )
 from generators import random_instance
-from reference_learner import ReferenceLearner, trap_states
+from reference_learner import ReferenceLearner, epsilon, trap_states
 
 
 def view(product, mode, zeta):
@@ -63,14 +62,19 @@ def test_config_rejects_negative_counts(i2_product):
     assert res.truncated == 3 and res.table.visits[0] == [0, 0]
 
 
-def test_epsilon_schedule():
-    cfg = LearnConfig(episodes=100, epsilon0=0.3, epsilon_final=0.01, anneal_fraction=0.5)
-    assert epsilon_at(cfg, 0) == 0.3
-    assert abs(epsilon_at(cfg, 25) - 0.155) <= 1e-15
-    assert abs(epsilon_at(cfg, 50) - 0.01) <= 1e-15
-    assert abs(epsilon_at(cfg, 99) - 0.01) <= 1e-15
+def test_epsilon_schedule(i2_product):
+    # epsilon falls linearly to its floor over the first anneal_fraction of
+    # the episodes; the curve's third column is the epsilon each one ran with
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    cfg = LearnConfig(episodes=100, max_steps=5, epsilon0=0.3, epsilon_final=0.01, anneal_fraction=0.5)
+    eps = [c[2] for c in train(m, cfg).curve]
+    assert eps == [epsilon(cfg, ep) for ep in range(100)]
+    assert eps[0] == 0.3
+    assert abs(eps[25] - 0.155) <= 1e-15
+    assert abs(eps[50] - 0.01) <= 1e-15
+    assert abs(eps[99] - 0.01) <= 1e-15
     # a one-episode run never divides by zero
-    assert epsilon_at(LearnConfig(episodes=1), 0) == 0.3
+    assert train(m, LearnConfig(episodes=1, max_steps=5)).curve[0][2] == 0.3
 
 
 def test_qtable_shape_and_greedy(i2_product):
@@ -230,7 +234,7 @@ def test_learns_i2_policy(i2_product):
     assert len(res.curve) == 10_000
     for ep in (0, 4999, 9999):
         assert res.curve[ep][0] == ep
-        assert res.curve[ep][2] == epsilon_at(cfg, ep)
+        assert res.curve[ep][2] == epsilon(cfg, ep)
 
 
 def train_with_stream(model, cfg, monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from buchirl import (
-    Edge,
     Mdp,
     MdpFormatError,
     dump_mdp,
@@ -15,6 +14,9 @@ from buchirl import (
     mdp_to_json,
     validate_mdp,
 )
+
+from generators import mdp_from_rows
+from report_digest import DIAGNOSTICS_MDP
 
 
 def i2_data():
@@ -38,15 +40,42 @@ def test_load_corpus(i2):
     assert i2.actions == ("a", "b")
     assert i2.symbols == ("g", "n")
     assert i2.initial == 0
-    assert len(i2.edges) == 5
+    assert i2.state.tolist() == [0, 0, 0, 1, 2]
+    assert i2.action.tolist() == [0, 0, 1, 0, 0]
+    assert i2.succ.tolist() == [1, 2, 2, 1, 2]
+    assert i2.prob.tolist() == [0.5, 0.5, 1.0, 1.0, 1.0]
+    assert i2.symbol.tolist() == [1, 1, 0, 0, 1]
+    with pytest.raises(ValueError):
+        i2.prob[0] = 0.25  # the columns are read-only
 
 
-def test_branches_and_available(i2):
-    assert [e.succ for e in i2.branches(0, 0)] == [1, 2]
-    assert [e.prob for e in i2.branches(0, 0)] == [0.5, 0.5]
-    assert i2.branches(1, 1) == ()
-    assert i2.available(0) == (0, 1)
-    assert i2.available(1) == (0,)
+def test_groups(i2):
+    # s0 has groups a and b, sA and sR one group a each
+    state_start, action, edge_start, edge = i2.groups
+    assert state_start.tolist() == [0, 2, 3, 4]
+    assert action.tolist() == [0, 1, 0, 0]
+    assert edge_start.tolist() == [0, 2, 3, 4, 5]
+    assert edge.tolist() == [0, 1, 2, 3, 4]
+    assert i2.groups is i2.groups  # computed once per Mdp
+    with pytest.raises(ValueError):
+        edge[0] = 1  # and read-only
+
+
+def test_groups_sort_actions_and_keep_input_order():
+    # edges of one (state, action) interleaved with others and given out of
+    # action order; s1 has no edges and so no group
+    rows = [
+        (2, 1, 0, 0.5, 0),
+        (0, 1, 2, 1.0, 0),
+        (2, 0, 2, 1.0, 1),
+        (2, 1, 2, 0.25, None),
+        (0, 0, 0, 1.0, 1),
+        (2, 1, 1, 0.25, 1),
+    ]
+    groups = mdp_from_rows(("s0", "s1", "s2"), ("a", "b"), ("g", "n"), 0, rows).groups
+    assert [c.tolist() for c in groups] == [[0, 2, 2, 4], [0, 1, 0, 1], [0, 1, 2, 3, 6], [4, 1, 2, 0, 3, 5]]
+    groups = mdp_from_rows(("s",), ("a",), ("g",), 0, []).groups
+    assert [c.tolist() for c in groups] == [[0, 0], [], [0], []]
 
 
 def test_validate_corpus_clean(i2):
@@ -109,6 +138,26 @@ def test_validate_unreachable_is_warning():
     assert diags[0].code == "unreachable"
 
 
+def test_validate_pins_order_and_messages():
+    # per-edge errors in edge order (range, repeat, label for one edge), then
+    # per state in state order with actions ascending, then the warnings
+    got = [(d.severity, d.code, d.message) for d in validate_mdp(mdp_from_json(DIAGNOSTICS_MDP))]
+    assert got == [
+        ("error", "prob-range", "edge (s0,a,s2) has probability 1.5 outside (0,1]"),
+        ("error", "unlabelled-edge", "edge (s1,a,s1) has a null label"),
+        ("error", "prob-range", "edge (s0,a,s1) has probability 0.0 outside (0,1]"),
+        ("error", "duplicate-edge", "edge (s0,a,s1) appears twice"),
+        ("error", "unlabelled-edge", "edge (s0,a,s1) has a null label"),
+        ("error", "prob-sum", "probabilities for (s0,a) sum to 2.0"),
+        ("error", "prob-sum", "probabilities for (s2,a) sum to 0.25"),
+        ("error", "prob-sum", "probabilities for (s2,b) sum to 0.5"),
+        ("error", "no-actions", "state s3 has no actions"),
+        ("error", "prob-sum", "probabilities for (s4,b) sum to 0.75"),
+        ("warning", "unreachable", "state lost is unreachable"),
+        ("warning", "unreachable", "state s3 is unreachable"),
+    ]
+
+
 def test_from_json_shape_errors():
     with pytest.raises(MdpFormatError):
         mdp_from_json([])
@@ -169,18 +218,21 @@ def test_null_label_loads_but_flags():
     data = i2_data()
     data["transitions"][1]["label"] = None
     m = mdp_from_json(data)
-    assert m.edges[1].symbol is None
+    assert m.symbol.tolist() == [1, -1, 0, 0, 1]
     assert any(d.code == "unlabelled-edge" for d in validate_mdp(m))
 
 
 def test_json_round_trip(i2):
-    assert mdp_from_json(mdp_to_json(i2)) == i2
+    # array columns have no value equality, so compare the JSON of both
+    assert mdp_to_json(mdp_from_json(mdp_to_json(i2))) == mdp_to_json(i2)
+    m = mdp_from_json(DIAGNOSTICS_MDP)  # a null label, a repeated edge, bad masses
+    assert mdp_to_json(m) == DIAGNOSTICS_MDP
 
 
 def test_file_round_trip(tmp_path, i2):
     path = tmp_path / "copy.json"
     dump_mdp(i2, path)
-    assert load_mdp(path) == i2
+    assert mdp_to_json(load_mdp(path)) == mdp_to_json(i2)
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -191,15 +243,16 @@ def test_load_rejects_bad_json(tmp_path):
 
 
 def test_mdp_constructor_errors():
-    e = Edge(0, 0, 0, 1.0, 0)
+    def build(initial, *rows, states=("s",)):
+        return mdp_from_rows(states, ("a",), ("g",), initial, rows)
+
     with pytest.raises(ValueError):
-        Mdp((), ("a",), ("g",), 0, ())
+        build(0, states=())
     with pytest.raises(ValueError):
-        Mdp(("s",), ("a",), ("g",), 1, ())
-    with pytest.raises(ValueError):
-        Mdp(("s",), ("a",), ("g",), 0, (Edge(0, 0, 1, 1.0, 0),))
-    with pytest.raises(ValueError):
-        Mdp(("s",), ("a",), ("g",), 0, (Edge(0, 1, 0, 1.0, 0),))
-    with pytest.raises(ValueError):
-        Mdp(("s",), ("a",), ("g",), 0, (Edge(0, 0, 0, 1.0, 2),))
-    Mdp(("s",), ("a",), ("g",), 0, (e,))  # and the well-formed one is fine
+        build(1)
+    for bad in ((0, 0, 1, 1.0, 0), (0, 1, 0, 1.0, 0), (0, 0, 0, 1.0, 2), (-1, 0, 0, 1.0, 0)):
+        with pytest.raises(ValueError, match="unknown"):
+            build(0, bad)
+    with pytest.raises(ValueError, match="one length"):
+        Mdp(("s",), ("a",), ("g",), 0, [0], [0], [0], [1.0], [0, 0])
+    build(0, (0, 0, 0, 1.0, 0))  # and the well-formed one is fine

@@ -5,8 +5,6 @@ import pytest
 
 from buchirl import (
     DeadEndError,
-    Edge,
-    Mdp,
     Mode,
     Nba,
     PayoffSpec,
@@ -31,6 +29,7 @@ from bruteforce import (
 )
 from generators import (
     large_instance,
+    mdp_from_rows,
     random_det_automaton,
     random_instance,
     random_mdp,
@@ -152,17 +151,17 @@ def test_policy_probability_checks_strategy(i2_product):
 
 def test_value_invariant_under_state_renaming(accept_g):
     # same mdp as i2 with the state list rotated; only names move
-    m = Mdp(
+    m = mdp_from_rows(
         ("sR", "s0", "sA"),
         ("a", "b"),
         GN,
         1,
         (
-            Edge(1, 0, 2, 0.5, 1),
-            Edge(1, 0, 0, 0.5, 1),
-            Edge(1, 1, 0, 1.0, 0),
-            Edge(2, 0, 2, 1.0, 0),
-            Edge(0, 0, 0, 1.0, 1),
+            (1, 0, 2, 0.5, 1),
+            (1, 0, 0, 0.5, 1),
+            (1, 1, 0, 1.0, 0),
+            (2, 0, 2, 1.0, 0),
+            (0, 0, 0, 1.0, 1),
         ),
     )
     res = buchi_value(build_product(m, accept_g))
@@ -172,15 +171,15 @@ def test_value_invariant_under_state_renaming(accept_g):
 
 def test_strategy_switches_on_margin_to_lowest_index(accept_g):
     # s0 plays a, b or c; sA is the accepting loop, sR the rejecting sink
-    loops = (Edge(1, 0, 1, 1.0, 0), Edge(2, 0, 2, 1.0, 1))
+    loops = ((1, 0, 1, 1.0, 0), (2, 0, 2, 1.0, 1))
     names, acts = ("s0", "sA", "sR"), ("a", "b", "c")
     # a reaches sA surely, but its evaluation rounds to just below 1, where
     # b is worth exactly 1: a gap below the margin keeps a
-    slow = (Edge(0, 0, 1, 0.05, 1), Edge(0, 0, 0, 0.95, 1), Edge(0, 1, 1, 1.0, 1))
+    slow = ((0, 0, 1, 0.05, 1), (0, 0, 0, 0.95, 1), (0, 1, 1, 1.0, 1))
     # a loses; b and c both reach sA surely, so b, the lower index, wins
-    tie = (Edge(0, 0, 2, 1.0, 1), Edge(0, 1, 1, 1.0, 1), Edge(0, 2, 1, 1.0, 1))
+    tie = ((0, 0, 2, 1.0, 1), (0, 1, 1, 1.0, 1), (0, 2, 1, 1.0, 1))
     for edges, acts, want in ((slow, acts[:2], 0), (tie, acts, 1)):
-        res = buchi_value(build_product(Mdp(names, acts, GN, 0, edges + loops), accept_g))
+        res = buchi_value(build_product(mdp_from_rows(names, acts, GN, 0, edges + loops), accept_g))
         assert res.strategy.choice[0] == want
         assert abs(res.at_initial() - 1.0) <= 1e-12
 
@@ -274,7 +273,7 @@ def test_sure_states_need_no_solve(monkeypatch):
 def _chain_product(accept_g, edges):
     """The product of a one-action chain (states named by index) and GF g."""
     n = 1 + max(e[0] for e in edges)
-    m = Mdp(tuple(f"s{i}" for i in range(n)), ("a",), GN, 0, tuple(Edge(*e) for e in edges))
+    m = mdp_from_rows(tuple(f"s{i}" for i in range(n)), ("a",), GN, 0, edges)
     p = build_product(m, accept_g)
     return p, Strategy((0,) * p.n_states)
 

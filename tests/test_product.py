@@ -9,9 +9,7 @@ import pytest
 from buchirl import (
     AlphabetMismatchError,
     DeadEndError,
-    Edge,
     IncompleteAutomatonError,
-    Mdp,
     Mode,
     Nba,
     PayoffSpec,
@@ -28,7 +26,14 @@ from buchirl import (
 )
 
 from bruteforce import product_reference
-from generators import random_det_automaton, random_instance, random_mdp, random_nondet_automaton
+from generators import (
+    edge_rows,
+    mdp_from_rows,
+    random_det_automaton,
+    random_instance,
+    random_mdp,
+    random_nondet_automaton,
+)
 
 GN = ("g", "n")
 
@@ -88,7 +93,7 @@ def test_branch_probabilities_sum(i2_product):
 
 
 def test_alphabet_mismatch():
-    m = Mdp(("s",), ("a",), ("x", "y"), 0, (Edge(0, 0, 0, 1.0, 0),))
+    m = mdp_from_rows(("s",), ("a",), ("x", "y"), 0, ((0, 0, 0, 1.0, 0),))
     a = Nba(GN, 1, 0, ((0, 0, 0), (0, 1, 0)), frozenset({0}))
     with pytest.raises(AlphabetMismatchError) as exc:
         build_product(m, a)
@@ -112,7 +117,7 @@ def test_incomplete_rejected(i2, corpus):
 
 
 def test_unlabelled_edge_rejected(accept_g):
-    m = Mdp(("s",), ("a",), GN, 0, (Edge(0, 0, 0, 1.0, None),))
+    m = mdp_from_rows(("s",), ("a",), GN, 0, ((0, 0, 0, 1.0, None),))
     with pytest.raises(ProductError):
         build_product(m, accept_g)
 
@@ -123,16 +128,16 @@ def dead_end_instance():
     Action pairs must cover every branch with a single automaton successor,
     so (a, q0) and (a, q1) are both sub-stochastic and s0 ends up pairless.
     """
-    m = Mdp(
+    m = mdp_from_rows(
         ("s0", "s1", "s2"),
         ("a",),
         GN,
         0,
         (
-            Edge(0, 0, 1, 0.5, 0),
-            Edge(0, 0, 2, 0.5, 1),
-            Edge(1, 0, 1, 1.0, 0),
-            Edge(2, 0, 2, 1.0, 1),
+            (0, 0, 1, 0.5, 0),
+            (0, 0, 2, 0.5, 1),
+            (1, 0, 1, 1.0, 0),
+            (2, 0, 2, 1.0, 1),
         ),
     )
     a = Nba(
@@ -157,8 +162,8 @@ def test_action_dropped_but_state_survives():
     # the state keeps only that one, so a deterministic automaton can shrink
     # the available action set
     m, a = dead_end_instance()
-    edges = m.edges + (Edge(0, 1, 1, 1.0, 0),)
-    m2 = Mdp(m.states, ("a", "b"), GN, 0, edges)
+    edges = edge_rows(m) + [(0, 1, 1, 1.0, 0)]
+    m2 = mdp_from_rows(m.states, ("a", "b"), GN, 0, edges)
     p = build_product(m2, a)
     st = p.states.index((0, 0))
     assert [pair.action for pair in p.pairs[st]] == [1]
@@ -170,10 +175,10 @@ def test_dropped_pair_numbers_no_state():
     # itself splitting g and n, numbering it first used to end in a
     # DeadEndError for a state no run can reach
     m, a = dead_end_instance()
-    loops = m.edges + (Edge(0, 1, 0, 1.0, 0),)
-    split = loops[:2] + (Edge(1, 0, 1, 0.5, 0), Edge(1, 0, 2, 0.5, 1)) + loops[3:]
+    loops = edge_rows(m) + [(0, 1, 0, 1.0, 0)]
+    split = loops[:2] + [(1, 0, 1, 0.5, 0), (1, 0, 2, 0.5, 1)] + loops[3:]
     for edges in (loops, split):
-        p = build_product(Mdp(m.states, ("a", "b"), GN, 0, edges), a)
+        p = build_product(mdp_from_rows(m.states, ("a", "b"), GN, 0, edges), a)
         assert [p.state_name(i) for i in range(p.n_states)] == ["s0|q0"]
         assert p.succ.tolist() == [0]
 
@@ -238,12 +243,12 @@ def test_random_strategy_valid(i2_product):
 
 def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):
     # reachability restriction is value-invariant at the initial state
-    padded = Mdp(
+    padded = mdp_from_rows(
         i2.states + ("junk",),
         i2.actions,
         i2.symbols,
         i2.initial,
-        i2.edges + (Edge(3, 0, 3, 1.0, 0),),
+        edge_rows(i2) + [(3, 0, 3, 1.0, 0)],
     )
     spec = PayoffSpec(Mode.TOTAL_REWARD, 0.9)
     v1 = solve_optimal(augment(build_product(i2, accept_g), spec))

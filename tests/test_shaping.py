@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from buchirl import (
-    Edge,
-    Mdp,
     Mode,
     PayoffSpec,
     Strategy,
@@ -20,7 +18,7 @@ from buchirl import (
 )
 
 from bruteforce import augment_reference, policy_value_bruteforce
-from generators import large_instance, random_instance
+from generators import large_instance, mdp_from_rows, random_instance
 
 
 def pair_rows(m, st, k):
@@ -180,9 +178,9 @@ def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
     # ten branches of 0.1 sum to 0.9999999999999999, which a draw just below 1
     # exceeds; the sampler must then take the last branch (the only g one)
     states = tuple(f"s{i}" for i in range(10))
-    edges = [Edge(0, 0, i, 0.1, 0 if i == 9 else 1) for i in range(10)]
-    edges += [Edge(i, 0, i, 1.0, 1) for i in range(1, 10)]
-    p = build_product(Mdp(states, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
+    edges = [(0, 0, i, 0.1, 0 if i == 9 else 1) for i in range(10)]
+    edges += [(i, 0, i, 1.0, 1) for i in range(1, 10)]
+    p = build_product(mdp_from_rows(states, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
     m = augment(p, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
 
     class AlmostOne:
@@ -264,7 +262,7 @@ class Recording:
 def chain_model(accept_g, edges, n_states, mode):
     """One-action MDP on s0 .. s(n-1) under GF g, in one view at zeta 0.5."""
     states = tuple(f"s{i}" for i in range(n_states))
-    p = build_product(Mdp(states, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
+    p = build_product(mdp_from_rows(states, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
     return augment(p, PayoffSpec(mode, 0.5)), Strategy((0,) * p.n_states)
 
 
@@ -296,8 +294,8 @@ def test_simulate_batch_skips_a_zero_reward_cycle(accept_g):
     # s0 sends half the episodes into the cycle s1 <-> s2, which never earns,
     # and half onto the accepting loop at s3; s1 is product state 1, and the
     # first branch of s0, which draws below 0.5 take
-    edges = [Edge(0, 0, 1, 0.5, 1), Edge(0, 0, 3, 0.5, 0), Edge(1, 0, 2, 1.0, 1)]
-    edges += [Edge(2, 0, 1, 1.0, 1), Edge(3, 0, 3, 1.0, 0)]
+    edges = [(0, 0, 1, 0.5, 1), (0, 0, 3, 0.5, 0), (1, 0, 2, 1.0, 1)]
+    edges += [(2, 0, 1, 1.0, 1), (3, 0, 3, 1.0, 0)]
     m, _ = chain_model(accept_g, edges, 4, Mode.TOTAL_REWARD)
     assert m.product.succ[0] == 1 and m.flat.reward[0] == 0.0
     out = sample_views(accept_g, edges, 4, 3, 500, 40)
@@ -319,8 +317,8 @@ def test_simulate_batch_skips_a_zero_reward_cycle(accept_g):
 
 def test_simulate_batch_skips_a_trap_entered_after_accepting_steps(accept_g):
     # two accepting steps, then the cycle s2 -> {s2, s3}, s3 -> s2 without reward
-    edges = [Edge(0, 0, 1, 1.0, 0), Edge(1, 0, 2, 1.0, 0)]
-    edges += [Edge(2, 0, 2, 0.5, 1), Edge(2, 0, 3, 0.5, 1), Edge(3, 0, 2, 1.0, 1)]
+    edges = [(0, 0, 1, 1.0, 0), (1, 0, 2, 1.0, 0)]
+    edges += [(2, 0, 2, 0.5, 1), (2, 0, 3, 0.5, 1), (3, 0, 2, 1.0, 1)]
     out = sample_views(accept_g, edges, 4, 4, 500, 30)
     pay, reached, sizes = out[Mode.BIASED_DISCOUNT]
     assert not reached.any() and np.all(pay == 1.5) and sizes == [500, 500]

@@ -12,8 +12,6 @@ import pytest
 from buchirl import solvers
 from buchirl import (
     ConvergenceError,
-    Edge,
-    Mdp,
     Mode,
     PayoffSpec,
     Strategy,
@@ -30,6 +28,7 @@ from buchirl.verify import EQUALITY_TOL, IDENTITY_TOL
 from bruteforce import optimal_value_bruteforce, policy_value_bruteforce
 from generators import (
     large_instance,
+    mdp_from_rows,
     random_instance,
     small_instance,
 )
@@ -79,12 +78,12 @@ class TestCorpusValues:
 
 def test_greedy_breaks_exact_ties_low(accept_g):
     # two actions with identical branch tables produce identical backups
-    m = Mdp(
+    m = mdp_from_rows(
         ("s",),
         ("a", "b"),
         GN,
         0,
-        (Edge(0, 0, 0, 1.0, 0), Edge(0, 1, 0, 1.0, 0)),
+        ((0, 0, 0, 1.0, 0), (0, 1, 0, 1.0, 0)),
     )
     model = view(build_product(m, accept_g), Mode.TOTAL_REWARD, 0.9)
     v = solve_optimal(model)
@@ -92,18 +91,18 @@ def test_greedy_breaks_exact_ties_low(accept_g):
 
     # s0: a leaves for the g-free part, b and c tie at rank 1 and 2; s1 and s2
     # have fewer pairs than s0, every one worth exactly 0
-    m = Mdp(
+    m = mdp_from_rows(
         ("s0", "s1", "s2"),
         ("a", "b", "c"),
         GN,
         0,
         (
-            Edge(0, 0, 1, 1.0, 1),
-            Edge(0, 1, 0, 1.0, 0),
-            Edge(0, 2, 0, 1.0, 0),
-            Edge(1, 0, 2, 1.0, 1),
-            Edge(1, 1, 1, 1.0, 1),
-            Edge(2, 0, 2, 1.0, 1),
+            (0, 0, 1, 1.0, 1),
+            (0, 1, 0, 1.0, 0),
+            (0, 2, 0, 1.0, 0),
+            (1, 0, 2, 1.0, 1),
+            (1, 1, 1, 1.0, 1),
+            (2, 0, 2, 1.0, 1),
         ),
     )
     p = build_product(m, accept_g)
