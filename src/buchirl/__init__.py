@@ -58,6 +58,7 @@ from .shaping import (
 from .solvers import (
     ConvergenceError,
     ValueVector,
+    evaluate_policies,
     evaluate_policy,
     greedy_policy,
     solve_optimal,

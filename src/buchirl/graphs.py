@@ -1,10 +1,10 @@
 """The package's one graph search, over nodes 0..n-1 and per-node lists.
 
-It finds which states can still earn (`shaping.simulate_batch`,
-`solvers.evaluate_policy`) and, for the oracle, the states worth exactly 0
-or 1, the walk to an accepting anchor, and end and bottom components.  Pure
-Python over lists: most calls see graphs of at most 15 nodes, where array
-code costs more than it saves.
+It finds which states can still earn (`shaping.simulate_batch`, and
+`solvers.evaluate_policies` over a whole stack of strategies at once) and,
+for the oracle, the states worth exactly 0 or 1, the walk to an accepting
+anchor, and end and bottom components.  Pure Python over lists: most calls
+see graphs of at most 15 nodes, where array code costs more than it saves.
 """
 
 from __future__ import annotations

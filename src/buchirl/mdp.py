@@ -62,7 +62,12 @@ class Mdp:
         if not 0 <= self.initial < len(self.states):
             raise ValueError("initial state out of range")
         for name in ("state", "action", "succ", "prob", "symbol"):
-            col = np.array(getattr(self, name), dtype=np.float64 if name == "prob" else np.int64)
+            col = np.asarray(getattr(self, name))
+            # a cast would truncate a fractional index and parse a numeric string
+            kinds, what = ("iuf", "numbers") if name == "prob" else ("iu", "integers")
+            if col.size and col.dtype.kind not in kinds:
+                raise ValueError(f"edge column {name} must hold {what}, not {col.dtype}")
+            col = np.array(col, dtype=np.float64 if name == "prob" else np.int64)
             if col.shape != (len(self.state),):
                 raise ValueError("edge columns must be 1-D and of one length")
             col.flags.writeable = False  # a copy, so no caller can write it

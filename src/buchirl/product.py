@@ -102,12 +102,26 @@ class ProductMdp:
         """(n_branches,) int64: the pair each branch belongs to."""
         return _read_only(np.repeat(np.arange(self.n_pairs), np.diff(self.branch_start)))
 
+    @cached_property
+    def pair_count(self) -> np.ndarray:
+        """(n_states,) int64: how many pairs each state has."""
+        return _read_only(np.diff(self.pair_start))
+
+    @cached_property
+    def branch_count(self) -> np.ndarray:
+        """(n_pairs,) int64: how many branches each pair has."""
+        return _read_only(np.diff(self.branch_start))
+
     def select(self, choice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pair `choice` picks per state, then the state and the flat index
-        of each branch of those pairs, state by state in branch order."""
-        pid = self.pair_start[:-1] + np.asarray(choice, dtype=np.int64)
+        of each branch of those pairs, state by state in branch order.
+
+        A (k, n_states) `choice` stacks k strategies as k * n_states nodes,
+        node r * n_states + s being state s under row r; the pairs and the
+        rows of the branches then number those nodes."""
+        pid = (self.pair_start[:-1] + np.asarray(choice, dtype=np.int64)).ravel()
         lo = self.branch_start[pid]
-        row = np.repeat(np.arange(pid.size), self.branch_start[pid + 1] - lo)
+        row = np.repeat(np.arange(pid.size), self.branch_count[pid])
         within = np.arange(row.size) - np.searchsorted(row, row)  # rank in its pair
         return pid, row, lo[row] + within
 
@@ -233,15 +247,33 @@ class Strategy:
 
     choice: tuple[int, ...]
 
+    def rows(self) -> np.ndarray:
+        """The choice as a (1, n_states) int64 array, the batch form that
+        `check_choices` and `solvers.evaluate_policies` take; a pick that is
+        not an int64 integer raises ValueError rather than be cast."""
+        rows = np.array(self.choice, ndmin=2)
+        if rows.dtype != np.int64:
+            if rows.size and rows.dtype.kind not in "iu":
+                raise ValueError(f"strategy picks must be int64 integers, not {rows.dtype}")
+            rows = rows.astype(np.int64)
+        return rows
+
     def check(self, p: ProductMdp) -> None:
-        if len(self.choice) != p.n_states:
-            raise ValueError("strategy length does not match the product")
-        starts = p.pair_start.tolist()
-        for st, k in enumerate(self.choice):
-            if not 0 <= k < starts[st + 1] - starts[st]:
-                raise ValueError(f"strategy picks unavailable pair {k} at state {st}")
+        check_choices(p, self.rows())
+
+
+def check_choices(p: ProductMdp, choices: np.ndarray) -> None:
+    """Raise ValueError unless every row of the (k, n_states) int64 array
+    `choices` picks an available pair at every state; the message names the
+    first bad row's first bad state."""
+    if choices.ndim != 2 or choices.shape[1] != p.n_states:
+        raise ValueError("strategy length does not match the product")
+    bad = choices.view(np.uint64) >= p.pair_count  # a negative pick wraps to a huge one
+    if np.count_nonzero(bad):
+        row, st = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"strategy picks unavailable pair {choices[row, st]} at state {st}")
 
 
 def random_strategy(p: ProductMdp, rng) -> Strategy:
-    starts = p.pair_start.tolist()
-    return Strategy(tuple(int(rng.integers(hi - lo)) for lo, hi in zip(starts, starts[1:])))
+    """A uniform pair per state, in state order, from one `rng.integers` call."""
+    return Strategy(tuple(rng.integers(p.pair_count).tolist()))

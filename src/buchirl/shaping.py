@@ -36,7 +36,7 @@ keeps its payoff and its flag for good, so it leaves the batch.  The
 Q-learner skips traps too (see `learn`), with a narrower rule, a one-branch
 non-accepting self-loop, because a skipped learning step must also leave
 its table unchanged.  That set comes from `graphs.backward_levels`, the
-breadth-first search that also gives `solvers.evaluate_policy` its live
+breadth-first search that also gives `solvers.evaluate_policies` its live
 states.
 """
 

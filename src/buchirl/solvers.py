@@ -1,11 +1,11 @@
 """Exact solvers on augmented models.
 
-`solve_optimal` is policy iteration over `evaluate_policy`, the one exact
-evaluator.  It starts from a given strategy, or else from the myopic one
-(`greedy_policy` on all-zero values: the best immediate reward).  Each round
-evaluates the strategy exactly and gives every pair its one-step value under
-those values, with one bincount over the view's branches in branch
-order.  A state switches only where some pair beats its current pair by more
+`solve_optimal` is policy iteration over `evaluate_policy`, the one-row case
+of `evaluate_policies`, the one exact evaluator.  It starts from a given
+strategy, or else from the myopic one (`greedy_policy` on all-zero values:
+the best immediate reward).  Each round evaluates the strategy exactly and
+gives every pair its one-step value under those values, with one bincount
+over the view's branches in branch order.  A state switches only where some pair beats its current pair by more
 than SWITCH_TOL * max(1, |v|), and then to its lowest-index best pair; a
 round in which no state switches returns the values together with the
 strategy they belong to.  That strategy is PI's own: greedy on the exact
@@ -18,15 +18,26 @@ the biased view's backup coincides with the total view's coefficient for
 coefficient.  Past MAX_ROUNDS rounds, ConvergenceError is raised.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
-states that can reach a reward at all along the chosen branches, found by `graphs.backward_levels`, the backward search the payoff
-sampler also uses (everything else is exactly 0, and restricting also keeps
-the system nonsingular).  Up to DENSE_LIMIT such states the system is
-solved densely.  Above it, W stays a list of (row, col, w) entries (a few
-per row) and the system is solved by an in-repo BiCGSTAB whose mat-vec is
-one bincount, refined on the true residual, computed in twice the working
-precision, until that residual is within RESIDUAL_TOL * max(1, max|x|); a
-solve that does not get there raises ConvergenceError instead of returning
-a worse answer.  Only numpy is needed at run time.
+states that can reach a reward at all along the chosen branches, found by
+`graphs.backward_levels`, the backward search the payoff sampler also uses
+(everything else is exactly 0, and restricting also keeps the system
+nonsingular).  Up to DENSE_LIMIT such states the system is solved densely.
+Above it, W stays a list of (row, col, w) entries (a few per row) and the
+system is solved by an in-repo BiCGSTAB whose mat-vec is one bincount,
+refined on the true residual, computed in twice the working precision,
+until that residual is within RESIDUAL_TOL * max(1, max|x|); a solve that
+does not get there raises ConvergenceError instead of returning a worse
+answer.  Only numpy is needed at run time.
+
+`evaluate_policies` takes strategies on a batch axis, a (k, n_states) array
+of choices.  It stacks as many rows as fit in DENSE_LIMIT states in all (so
+a product above DENSE_LIMIT states goes one row at a time, and no stack
+holds a larger dense system than a single row may): one gather selects the
+stack's branches, one backward search over its rows as one chain finds
+every row's live set, and the rows whose live sets have one size m are
+solved by one `np.linalg.solve` over a (g, m, m) array.  That gufunc runs
+the same LAPACK call per system, so every row gets the values it gets
+alone, bit for bit.
 
 Every solver reads the view's columns (`AugmentedModel.flat`) beside the
 product's successors and offsets, which they run parallel to; the leak into
@@ -43,7 +54,7 @@ import numpy as np
 
 from .graphs import adjacency, backward_levels
 from .shaping import AugmentedModel
-from .product import ProductMdp, Strategy
+from .product import ProductMdp, Strategy, check_choices
 
 
 class ConvergenceError(RuntimeError):
@@ -70,7 +81,7 @@ class ValueVector:
     policy: Strategy | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        if np.count_nonzero(np.isfinite(self.values)) < self.values.size:
             raise ValueError("values must be finite")
 
     def at_initial(self) -> float:
@@ -139,40 +150,94 @@ def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
 
 
 def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
-    """Exact expected payoff of `f` per state, with `f` as the policy.
+    """Exact expected payoff of `f` per state, with `f` as the policy: the
+    one-row case of `evaluate_policies`."""
+    values, residual, iterations = evaluate_policies(model, f.rows())
+    return ValueVector(values[0], float(residual[0]), int(iterations[0]), f)
+
+
+def evaluate_policies(model: AugmentedModel, choices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact expected payoff per state of every row of the (k, n_states)
+    strategy array `choices`, as (values, residual, iterations): values is
+    (k, n_states), and residual and iterations hold, per row, what a
+    `ValueVector` from `evaluate_policy` holds.
 
     Each state's equation takes its chosen pair's `base` and, for every
     branch of that pair, the branch's weight on its successor; the leak
     into the target is part of `base` alone.  States that cannot reach a
     rewarding step have value exactly 0 and are fixed to it; the linear
     system is solved on the rest, directly up to DENSE_LIMIT live states and
-    by `_solve_sparse` above it.
+    by `_solve_sparse` above it.  The rows go in stacks of at most
+    DENSE_LIMIT states in all, or one row at a time above that; a stack's
+    rows whose live sets have one size are solved in one call, which gives
+    every row the values it gets alone.
     """
     p = model.product
-    f.check(p)
-    n = model.n_states
-    pid, row, br = p.select(f.choice)
+    choices = np.asarray(choices, dtype=np.int64)
+    check_choices(p, choices)
+    k, n = choices.shape
+    values = np.zeros((k, n))
+    residual = np.zeros(k)
+    iterations = np.zeros(k, dtype=np.int64)
+    per = max(1, DENSE_LIMIT // n)
+    for lo in range(0, k, per):
+        residual[lo], iterations[lo] = _evaluate_stack(model, choices[lo : lo + per], values[lo : lo + per])
+    if np.count_nonzero(np.isfinite(values)) < values.size:
+        raise ValueError("values must be finite")
+    return values, residual, iterations
+
+
+def _evaluate_stack(model: AugmentedModel, choices: np.ndarray, out: np.ndarray) -> tuple[float, int]:
+    """`evaluate_policies` on one stack of s rows, written into `out`;
+    returns the residual and passes of a sparse solve, (0.0, 0) if none ran.
+
+    The rows are one chain over s * n nodes (see `ProductMdp.select`), so
+    one backward search finds every row's live set.  The g systems of size
+    m sit in one (g*m, m) array: the live nodes of those g rows, in node
+    order, are positions 0 .. g*m-1, and the entry from position i to
+    position j goes to [i, j % m].
+    """
+    p = model.product
+    s, n = choices.shape
+    pid, row, br = p.select(choices)
     b, w, succ = model.flat.base[pid], model.flat.weight[br], p.succ[br]
-
-    # states that can reach a positive immediate reward along chosen branches
-    rev = adjacency(n, succ.tolist(), row.tolist())
-    live = np.array(backward_levels(np.flatnonzero(b > 0.0).tolist(), rev)) >= 0
-    idx = np.flatnonzero(live)
-    v = np.zeros(n)
-    if idx.size == 0:
-        return ValueVector(v, 0.0, 0, f)
-    on = live[row] & live[succ]
-    pos = -np.ones(n, dtype=np.int64)
-    pos[idx] = np.arange(idx.size)
-    row, col, w = pos[row[on]], pos[succ[on]], w[on]
-
-    if idx.size <= DENSE_LIMIT:
-        a = np.eye(idx.size)
-        np.subtract.at(a, (row, col), w)
-        v[idx] = np.linalg.solve(a, b[idx])
-        return ValueVector(v, 0.0, 0, f)
-    v[idx], residual, passes = _solve_sparse(row, col, w, b[idx])
-    return ValueVector(v, residual, passes, f)
+    if s > 1:
+        succ = succ + (row - row % n)  # the successor under the same row
+    # nodes that can reach a positive immediate reward along chosen branches
+    rev = adjacency(s * n, succ.tolist(), row.tolist())
+    live = np.array(backward_levels((b > 0.0).nonzero()[0].tolist(), rev)) >= 0
+    on = live[succ]  # an edge into a live node leaves a live one
+    row, col, w = row[on], succ[on], w[on]
+    nodes = live.nonzero()[0]
+    if s > 1:
+        size = live.reshape(s, n).sum(axis=1)
+        sizes = set(size.tolist())
+    else:
+        sizes = {nodes.size}
+    sizes.discard(0)
+    values = out.reshape(-1)
+    for m in sizes:
+        r, c, wm = row, col, w  # when every row with a live node has m of them
+        if len(sizes) > 1:
+            sel = live & np.repeat(size == m, n)
+            nodes, keep = sel.nonzero()[0], sel[row]
+            r, c, wm = row[keep], col[keep], w[keep]
+        i, j = r, c  # positions are node numbers when every node is live
+        if nodes.size < s * n:
+            pos = np.zeros(s * n, dtype=np.int64)
+            pos[nodes] = np.arange(nodes.size)
+            i, j = pos[r], pos[c]
+        if m > DENSE_LIMIT:  # then the stack is one row
+            values[nodes], residual, passes = _solve_sparse(i, j, wm, b[nodes])
+            return residual, passes
+        if nodes.size > m:
+            j = j % m  # the position within its own system
+        a = np.zeros((nodes.size, m))
+        a.reshape(-1, m * m)[:, :: m + 1] = 1.0  # each system's identity
+        np.subtract.at(a, (i, j), wm)
+        x = np.linalg.solve(a.reshape(-1, m, m), b[nodes].reshape(-1, m, 1))
+        values[nodes] = x.reshape(-1)
+    return 0.0, 0
 
 
 def _two_sum(a, b):

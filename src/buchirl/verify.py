@@ -19,8 +19,13 @@ the checks are, per bias zeta:
   Diverted steps still earn reward but do not count as survived, which is
   what the zeta^n bound is about.
 
-The reward side uses the solvers, the satisfaction side the component
-oracle; they share no numerics, which is the point of the comparison.
+The pool is a (k, n_states) array of choices, its random rows drawn by one
+`rng.integers` call over the pair counts per state.  Per zeta, each view
+makes one `evaluate_policies` call for the distinct strategies its solve did
+not return, and the checks run over the resulting (k, n_states) value
+arrays, a strategy drawn twice counting twice.  The reward side uses the
+solvers, the satisfaction side the component oracle; they share no
+numerics, which is the point of the comparison.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ import numpy as np
 from .automata import Nba
 from .mdp import Mdp
 from .oracle import buchi_value, policy_buchi_probability
-from .product import Strategy, build_product, random_strategy
+from .product import Strategy, build_product
 from .shaping import AugmentedModel, Mode, PayoffSpec, augment, simulate_batch
-from .solvers import evaluate_policy, solve_optimal
+from .solvers import ValueVector, evaluate_policies, solve_optimal
 
 TAIL_NS = (5, 10, 20)  # accepting-step counts the tail check looks at
 IDENTITY_TOL = 1e-8  # max |PReach - (1-zeta) ETotal|
@@ -120,7 +125,7 @@ def verify_instance(
     A strategy that a zeta's pool holds more than once is evaluated once
     per view and counted once per entry; in a view whose solve returned it,
     the solve's values are its values, since the solve's last round
-    evaluated it.  The oracle, whose answer does not depend on zeta, runs
+    evaluated it, and the view's one batched call takes the others.  The oracle, whose answer does not depend on zeta, runs
     once per distinct strategy of the instance.
     An empty `zetas` raises ValueError rather than pass with nothing
     checked, and so does a negative `n_random` or `tail_episodes` rather
@@ -139,7 +144,7 @@ def verify_instance(
     prob1_bad = 0
     checked = 0
     tails: list[TailCheck] = []
-    psats: dict[Strategy, np.ndarray] = {}  # the oracle's answer per strategy, for every zeta
+    psats: dict[tuple[int, ...], np.ndarray] = {}  # the oracle's answer per choice, for every zeta
     for zeta in zetas:
         cap = 1.0 / (1.0 - zeta)
         reach, total, biased = (
@@ -154,28 +159,29 @@ def verify_instance(
             equality_err, float(np.max(np.abs(v_total.values - v_biased.values)))
         )
         f_total = v_total.policy
-        pool = [f_total, v_reach.policy]
-        pool += [random_strategy(p, rng) for _ in range(n_random)]
-        solved = ((reach, v_reach), (total, v_total), (biased, v_biased))
+        draws = rng.integers(p.pair_count, size=(n_random, p.n_states))
         # a strategy drawn twice is evaluated once and counted twice
-        for f, count in Counter(pool).items():
-            pr, et, ed = (
-                v.values if v.policy == f else evaluate_policy(view, f).values
-                for view, v in solved
-            )
+        pool = Counter([f_total.choice, v_reach.policy.choice, *map(tuple, draws.tolist())])
+        choices = np.array(list(pool), dtype=np.int64)
+        copies = np.array(list(pool.values()))
+        pr, et, ed = (
+            _pool_values(view, v, choices)
+            for view, v in ((reach, v_reach), (total, v_total), (biased, v_biased))
+        )
+        for f in pool:
             if f not in psats:
-                psats[f] = policy_buchi_probability(p, f)
-            identity_err = max(identity_err, float(np.max(np.abs(pr - (1.0 - zeta) * et))))
-            bound_excess = max(
-                bound_excess,
-                float(np.max(et - cap, initial=0.0)),
-                float(np.max(-et, initial=0.0)),
-            )
-            equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
-            sat = psats[f] == 1.0
-            full = np.abs(et - cap) <= PROB1_TOL
-            prob1_bad += count * int(np.sum(sat != full))
-            checked += count
+                psats[f] = policy_buchi_probability(p, Strategy(f))
+        sat = np.array([psats[f] for f in pool]) == 1.0
+        identity_err = max(identity_err, float(np.max(np.abs(pr - (1.0 - zeta) * et))))
+        bound_excess = max(
+            bound_excess,
+            float(np.max(et - cap, initial=0.0)),
+            float(np.max(-et, initial=0.0)),
+        )
+        equality_err = max(equality_err, float(np.max(np.abs(et - ed))))
+        full = np.abs(et - cap) <= PROB1_TOL
+        prob1_bad += int(copies @ np.count_nonzero(sat != full, axis=1))
+        checked += int(copies.sum())
         if tail_episodes > 0:
             tails.append(tail_check(total, f_total, tail_episodes, seed=seed))
     identity_ok = identity_err <= IDENTITY_TOL
@@ -201,6 +207,16 @@ def verify_instance(
         lower_bound_only=p.gfm_caveat,
         passed=passed,
     )
+
+
+def _pool_values(model: AugmentedModel, solved: ValueVector, choices: np.ndarray) -> np.ndarray:
+    """Values of every row of `choices` in `model`: the solve's own values
+    for the strategy it returned, one `evaluate_policies` call for the rest."""
+    mine = (choices == solved.policy.choice).all(axis=1)
+    out = np.empty(choices.shape)
+    out[mine] = solved.values
+    out[~mine] = evaluate_policies(model, choices[~mine])[0]
+    return out
 
 
 @dataclass(frozen=True)

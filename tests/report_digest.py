@@ -74,6 +74,8 @@ CORPUS_COMMANDS = [
 DESK_COMMANDS = [
     ["validate"],
     ["verify", "--zeta", "0.5", "--zeta", "0.9", "--zeta", "0.99"],
+    ["verify", "--zeta", "0.9", "--policies", "0"],  # batches of the solved strategies alone, often empty
+    ["verify", "--zeta", "0.99", "--policies", "60", "--seed", "3"],  # a pool over several stacks
     ["sweep"],
     ["oracle"],
     ["product", "--export", "export.json", "--zeta", "0.9"],

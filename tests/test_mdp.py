@@ -256,3 +256,27 @@ def test_mdp_constructor_errors():
     with pytest.raises(ValueError, match="one length"):
         Mdp(("s",), ("a",), ("g",), 0, [0], [0], [0], [1.0], [0, 0])
     build(0, (0, 0, 0, 1.0, 0))  # and the well-formed one is fine
+
+
+def test_mdp_rejects_columns_a_cast_would_change():
+    # a fractional index would truncate and a numeric string would parse,
+    # loading another MDP than the one given
+    good = dict(state=[0], action=[0], succ=[0], prob=[1.0], symbol=[0])
+    for name, bad in (
+        ("state", [0.5]),
+        ("succ", [0.0]),
+        ("action", [True]),
+        ("symbol", ["0"]),
+        ("prob", ["0.5"]),
+        ("prob", [True]),
+        ("prob", [None]),
+    ):
+        with pytest.raises(ValueError, match=f"^edge column {name} must hold"):
+            Mdp(("s",), ("a",), ("g",), 0, **dict(good, **{name: bad}))
+    # an integer probability is a number; an MDP without edges takes the
+    # empty columns mdp_from_json passes, whatever their dtype
+    assert Mdp(("s",), ("a",), ("g",), 0, **dict(good, prob=[1])).prob.tolist() == [1.0]
+    m = Mdp(("s",), ("a",), ("g",), 0, (), (), (), (), ())
+    assert [c.dtype for c in (m.state, m.prob)] == [np.int64, np.float64] and m.state.size == 0
+    m = mdp_from_json({"states": ["s"], "actions": ["a"], "alphabet": ["g"], "initial": "s", "transitions": []})
+    assert m.succ.size == m.prob.size == 0

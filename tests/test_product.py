@@ -24,10 +24,12 @@ from buchirl import (
     random_strategy,
     solve_optimal,
 )
+from buchirl.product import check_choices
 
 from bruteforce import product_reference
 from generators import (
     edge_rows,
+    large_instance,
     mdp_from_rows,
     random_det_automaton,
     random_instance,
@@ -229,16 +231,47 @@ def test_nondet_product_resolves_choices(i2, corpus):
 def test_strategy_check(i2_product):
     Strategy((0, 0, 0)).check(i2_product)
     Strategy((1, 0, 0)).check(i2_product)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^strategy length does not match the product$"):
         Strategy((0, 0)).check(i2_product)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^strategy picks unavailable pair 2 at state 0$"):
         Strategy((2, 0, 0)).check(i2_product)
+    # the first bad state is named, and a negative pick is unavailable too
+    with pytest.raises(ValueError, match="^strategy picks unavailable pair -1 at state 1$"):
+        Strategy((0, -1, 5)).check(i2_product)
+    # a pick that is not an int64 integer is not cast to one
+    for bad in ((1.7, 0, 0), (0, 2**63, 0)):
+        with pytest.raises(ValueError, match="^strategy picks must be int64 integers"):
+            Strategy(bad).check(i2_product)
+    # in a batch, the first bad row's first bad state
+    with pytest.raises(ValueError, match="^strategy picks unavailable pair 1 at state 2$"):
+        check_choices(i2_product, np.array([(1, 0, 0), (0, 0, 1), (2, 0, 0)]))
+    with pytest.raises(ValueError, match="^strategy length does not match the product$"):
+        check_choices(i2_product, np.zeros(3, dtype=np.int64))
 
 
 def test_random_strategy_valid(i2_product):
     rng = np.random.default_rng(5)
     for _ in range(20):
         random_strategy(i2_product, rng).check(i2_product)
+
+
+def test_one_call_draws_like_one_call_per_state():
+    # random_strategy and verify's pool draw all states in one
+    # rng.integers call; they must give the strategies that one call per
+    # state gives, and leave the generator where those calls leave it
+    rng = np.random.default_rng(64)
+    products = [random_instance(rng)[2] for _ in range(12)]
+    products.append(large_instance(np.random.default_rng(40))[2])
+    counts = np.concatenate([p.pair_count for p in products])
+    assert counts.min() == 1 and counts.max() > 1  # one-pair states among others
+    for seed, p in enumerate(products):
+        per_state, one_call, pool = (np.random.default_rng(seed) for _ in range(3))
+        want = [
+            tuple(int(per_state.integers(c)) for c in p.pair_count.tolist()) for _ in range(5)
+        ]
+        assert [random_strategy(p, one_call).choice for _ in range(5)] == want
+        assert list(map(tuple, pool.integers(p.pair_count, size=(5, p.n_states)).tolist())) == want
+        assert per_state.random() == one_call.random() == pool.random()
 
 
 def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):

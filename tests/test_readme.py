@@ -14,4 +14,5 @@ def test_readme_library_sketch_runs(monkeypatch):
     exec(compile(code, "README.md", "exec"), ns)
     # the sketch's comment: the direct solve of v's strategy gives v's values
     assert ns["exact"].values.tobytes() == ns["v"].values.tobytes()
+    assert ns["values"][0].tobytes() == ns["v"].values.tobytes()
     assert ns["report"].passed

@@ -18,6 +18,7 @@ from buchirl import (
     ValueVector,
     augment,
     build_product,
+    evaluate_policies,
     evaluate_policy,
     greedy_policy,
     random_strategy,
@@ -188,6 +189,100 @@ def test_evaluate_against_bruteforce():
         assert np.max(np.abs(got.values - want)) <= 1e-10
 
 
+def assert_rows_match_single_calls(m, choices):
+    """Every row of one `evaluate_policies` call has, bit for bit, the
+    values, residual and passes of its own `evaluate_policy` call."""
+    values, residual, iterations = evaluate_policies(m, choices)
+    assert values.shape == choices.shape
+    assert residual.shape == iterations.shape == (len(choices),)
+    for row, v, r, passes in zip(choices.tolist(), values, residual.tolist(), iterations.tolist()):
+        one = evaluate_policy(m, Strategy(tuple(row)))
+        assert v.tobytes() == one.values.tobytes()
+        assert (r, passes) == (one.residual, one.iterations)
+    return values
+
+
+def test_evaluate_policies_matches_single_calls():
+    # random pools on small products, 60 rows each so that a pool spans
+    # several stacks of at most DENSE_LIMIT states
+    rng = np.random.default_rng(62)
+    mixed_sizes = mixed_zero = False
+    for _ in range(12):
+        _, _, p = random_instance(rng)
+        choices = rng.integers(p.pair_count, size=(60, p.n_states))
+        for mode in Mode:
+            for zeta in (0.5, 0.99):
+                values = assert_rows_match_single_calls(view(p, mode, zeta), choices)
+                live = np.count_nonzero(values, axis=1)  # a live state is worth more than 0
+                mixed_sizes |= len(set(live.tolist()) - {0}) > 1
+                mixed_zero |= 0 < np.count_nonzero(live) < len(live)
+    assert mixed_sizes and mixed_zero
+
+
+def test_evaluate_policies_stacks_within_dense_limit(monkeypatch):
+    # a stack holds rows up to DENSE_LIMIT states in all, one row when a
+    # single row is larger, and the stacks take the rows in order
+    stacks = []
+    whole = solvers._evaluate_stack
+
+    def spy(model, choices, out):
+        stacks.append(choices.copy())
+        return whole(model, choices, out)
+
+    monkeypatch.setattr(solvers, "_evaluate_stack", spy)
+    rng = np.random.default_rng(65)
+    _, _, small = random_instance(rng)
+    _, _, large = large_instance(rng)
+    for p, k in ((small, 3 * solvers.DENSE_LIMIT // small.n_states), (large, 3)):
+        stacks.clear()
+        choices = rng.integers(p.pair_count, size=(k, p.n_states))
+        evaluate_policies(view(p, Mode.TOTAL_REWARD, 0.9), choices)
+        assert np.array_equal(np.concatenate(stacks), choices)
+        most = max(1, solvers.DENSE_LIMIT // p.n_states)
+        assert [len(s) for s in stacks[:-1]] == [most] * (len(stacks) - 1) and len(stacks[-1]) <= most
+    assert len(stacks) == 3
+
+
+def test_evaluate_policies_edge_batches(never_product, i2_product, monkeypatch):
+    # no rows; rows that earn nothing anywhere; and one-row stacks above
+    # DENSE_LIMIT, dense and iterative rows mixed in one batch
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    values, residual, iterations = evaluate_policies(m, np.zeros((0, 3), dtype=np.int64))
+    assert values.shape == (0, 3) and residual.shape == iterations.shape == (0,)
+    values = assert_rows_match_single_calls(
+        view(never_product, Mode.TOTAL_REWARD, 0.9), np.zeros((4, 1), dtype=np.int64)
+    )
+    assert not values.any()
+    rng = np.random.default_rng(63)
+    _, _, p = random_instance(rng)
+    choices = rng.integers(p.pair_count, size=(20, p.n_states))
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "DENSE_LIMIT", 2)
+        for mode in Mode:
+            assert_rows_match_single_calls(view(p, mode, 0.9), choices)
+
+
+def test_evaluate_policies_on_the_sparse_path():
+    rng = np.random.default_rng(40)
+    _, _, p = large_instance(rng)
+    m = view(p, Mode.TOTAL_REWARD, 0.9)
+    choices = np.array([solve_optimal(m).policy.choice, *rng.integers(p.pair_count, size=(2, p.n_states))])
+    values = assert_rows_match_single_calls(m, choices)
+    _, _, iterations = evaluate_policies(m, choices)
+    assert np.all(np.count_nonzero(values, axis=1) > solvers.DENSE_LIMIT) and np.all(iterations > 0)
+
+
+def test_evaluate_policies_rejects_a_bad_row_like_a_single_call(i2_product):
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    for bad in ((0, 2, 0), (0, 0, -1), (3, 0, 0), (0, 0)):
+        choices = np.array([(1, 0, 0), bad, (0, 0, 0)]) if len(bad) == 3 else np.array([bad, bad])
+        with pytest.raises(ValueError) as batch:
+            evaluate_policies(m, choices)
+        with pytest.raises(ValueError) as single:
+            evaluate_policy(m, Strategy(bad))
+        assert str(batch.value) == str(single.value)
+
+
 def test_iterative_fallback_matches_dense(i2_product, monkeypatch):
     rng = np.random.default_rng(25)
     targets = [view(i2_product, Mode.TOTAL_REWARD, 0.9)]
@@ -299,12 +394,12 @@ dump_mdp(m, sys.argv[3])
 with open(sys.argv[4], "w") as out:
     out.write(serialize_hoa(a))
 passes = []
-evaluate = verify.evaluate_policy
-def spy(model, f):
-    v = evaluate(model, f)
-    passes.append(v.iterations)
-    return v
-verify.evaluate_policy = spy
+evaluate = verify.evaluate_policies
+def spy(model, choices):
+    values, residual, iterations = evaluate(model, choices)
+    passes.extend(iterations.tolist())
+    return values, residual, iterations
+verify.evaluate_policies = spy
 assert main(["verify", "--mdp", sys.argv[3], "--hoa", sys.argv[4]]) == 0
 assert max(passes) > 0, passes  # some evaluation ran above DENSE_LIMIT
 assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith("scipy"))

@@ -10,7 +10,7 @@ from buchirl import (
     Strategy,
     augment,
     build_product,
-    evaluate_policy,
+    evaluate_policies,
     load_mdp,
     parse_hoa,
     random_strategy,
@@ -102,33 +102,34 @@ def test_verify_biased_solve_starts_from_total_optimum(i2, accept_g, monkeypatch
 def test_verify_reads_the_solved_strategies_values(corpus_pairs, monkeypatch):
     # a solve's last round evaluated the strategy it returns, so verify
     # evaluates each distinct pool strategy once in every view but the ones
-    # whose solve returned it
+    # whose solve returned it, in one batched call per view per zeta
     solves, evals = [], []
 
     def spy_solve(model, start=None):
         solves.append(solve_optimal(model, start))
         return solves[-1]
 
-    def spy_evaluate(model, f):
-        evals.append((model.mode, model.zeta, f))
-        return evaluate_policy(model, f)
+    def spy_evaluate(model, choices):
+        evals.append((model.mode, model.zeta, [tuple(row) for row in np.asarray(choices).tolist()]))
+        return evaluate_policies(model, choices)
 
     monkeypatch.setattr(buchirl.verify, "solve_optimal", spy_solve)
-    monkeypatch.setattr(buchirl.verify, "evaluate_policy", spy_evaluate)
+    monkeypatch.setattr(buchirl.verify, "evaluate_policies", spy_evaluate)
     for m, a in corpus_pairs:
         for n_random in (0, 3):
             solves.clear()
             evals.clear()
             assert verify_instance(m, a, n_random=n_random, seed=2).passed
             p, rng = build_product(m, a), np.random.default_rng(2)
-            want = set()
+            want = []
             for k, zeta in enumerate((0.5, 0.9)):
                 v_reach, v_total, v_biased = solves[3 * k : 3 * k + 3]
                 pool = {v_total.policy, v_reach.policy}
                 pool |= {random_strategy(p, rng) for _ in range(n_random)}
                 for mode, v in zip(Mode, (v_reach, v_total, v_biased)):
-                    want |= {(mode, zeta, f) for f in pool if f != v.policy}
-            assert len(evals) == len(want) and set(evals) == want
+                    want.append((mode, zeta, {f.choice for f in pool if f != v.policy}))
+            assert [(mode, zeta, set(rows)) for mode, zeta, rows in evals] == want
+            assert all(len(set(rows)) == len(rows) for _, _, rows in evals)
 
 
 def test_verify_nondet_keeps_caveat(i2, corpus):
