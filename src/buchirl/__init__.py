@@ -46,7 +46,6 @@ from .product import (
     ProductMdp,
     Strategy,
     build_product,
-    random_strategy,
 )
 from .shaping import (
     AugmentedModel,

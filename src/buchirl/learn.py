@@ -6,14 +6,15 @@ Updates are undiscounted; the termination itself supplies the effective
 bias, so the fixpoint of the update is the expected payoff of the view.
 Against the target there is no bootstrap.
 
-One loop, `_run`, runs every episode of a `train` call, on tables that one
-builder, `_sim`, makes.  It caches each state's best value and best pair,
-so greedy choice and the bootstrap maximum cost O(1) instead of a scan of
-the row.  Randomness comes from a chunked uniform stream, one iterator that
-is bit-transparent to the underlying generator.  What each step draws is
-fixed (see `_run`), and `tests/reference_learner.py` holds a step-by-step
-learner that draws under the same contract, one `Generator.random()` call
-per uniform.
+One loop, `_run`, runs every episode of a `train` call, walking the
+product's columns: pair and branch offsets, successors, accepting marks and
+one column of partial branch sums within each pair.  It caches each state's
+best value and best pair, so greedy choice and the bootstrap maximum cost
+O(1) instead of a scan of the row.  Randomness comes from a chunked uniform
+stream, one iterator that is bit-transparent to the underlying generator.
+What each step draws is fixed (see `_run`), and
+`tests/reference_learner.py` holds a step-by-step learner that draws under
+the same contract, one `Generator.random()` call per uniform.
 
 An episode that falls into a trap is not simulated further.  A trap is a
 product state with one pair whose one branch is a non-accepting self-loop,
@@ -28,12 +29,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import NamedTuple
+from itertools import chain
 
 import numpy as np
 
-from .product import Strategy
+from .product import ProductMdp, Strategy
 from .shaping import AugmentedModel, Mode
 
 
@@ -56,6 +56,9 @@ class UniformStream:
         self.draws = chain(rng.random(self.CHUNK).tolist(), chain.from_iterable(refills))
 
 
+ANNEAL_FRACTION = 0.5  # epsilon reaches its floor this far into a run
+
+
 @dataclass(frozen=True)
 class LearnConfig:
     episodes: int = 50_000
@@ -64,7 +67,6 @@ class LearnConfig:
     visit_decay: float = 1000.0  # alpha = alpha0 / (1 + visits/visit_decay)
     epsilon0: float = 0.3
     epsilon_final: float = 0.01
-    anneal_fraction: float = 0.5  # epsilon reaches its floor this far in
     seed: int = 0
     optimistic: bool = False
 
@@ -81,8 +83,6 @@ class LearnConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:  # also false for NaN
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if not 0.0 <= self.anneal_fraction < math.inf:  # also false for NaN
-            raise ValueError(f"anneal_fraction must be finite and at least 0, got {self.anneal_fraction!r}")
 
 
 @dataclass
@@ -110,48 +110,30 @@ class TrainResult:
     truncated: int  # episodes that hit cfg.max_steps without reaching the target
 
 
-class _Sim(NamedTuple):
-    """What the episode loop reads of one view."""
+def _partial_sums(p: ProductMdp) -> np.ndarray:
+    """Per branch, the sum of its pair's probabilities up to and including
+    it.  Each pair's sums are added left to right, one rank at a time, so
+    they are bit for bit the running sums a scan of the pair makes."""
+    lo, count = p.branch_start[:-1], p.branch_count
+    order = np.argsort(-count, kind="stable")  # the pairs with more than r branches come first
+    lo, count = lo[order], count[order]
+    cum = p.prob.copy()
+    for r in range(1, int(count[0])):
+        at = lo[: np.searchsorted(-count, -r)] + r  # rank r of every pair that has one
+        cum[at] += cum[at - 1]
+    return cum
 
-    rows: list  # per state, per pair: (partial branch prob sums, successors, accepting)
-    trap: list[bool]  # per state: one pair, one branch, a non-accepting self-loop
-    initial: int
-    divert: float  # probability 1 - zeta that an accepting step diverts
-    racc_cont: float  # reward of an accepting step that does not divert
 
-
-def _sim(model: AugmentedModel) -> _Sim:
-    """The loop's tables for a reach or total view.
+def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, float, float]], int]:
+    """The one episode loop: runs cfg.episodes epsilon-greedy episodes of a
+    reach or total view on `table`, updating it in place; returns the curve
+    and the truncation count.
 
     Rejects the biased view, whose episodes never terminate and whose
-    returns the undiscounted update does not estimate.  The rows are sliced
-    from the product's branch columns; the partial sums run left to right as
-    the sampler scans them.  The diversion coin is not a branch of the rows
-    but a draw of its own, as the draw contract in `_run` (which
-    `tests/reference_learner.py` follows) spends it.
-    """
-    if model.mode is Mode.BIASED_DISCOUNT:
-        raise ValueError("learning runs on the leaked views (reach or total)")
-    p = model.product
-    succ, prob, acc = (c.tolist() for c in (p.succ, p.prob, p.accepting))
-    bounds = p.branch_start.tolist()
-    branch_rows = [
-        (list(accumulate(prob[lo : hi - 1])), succ[lo:hi], acc[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    starts = p.pair_start.tolist()
-    rows = [branch_rows[lo:hi] for lo, hi in zip(starts, starts[1:])]
-    trap = [
-        len(pairs) == 1 and not pairs[0][0] and pairs[0][1][0] == s and not pairs[0][2][0]
-        for s, pairs in enumerate(rows)
-    ]
-    racc_cont = 0.0 if model.mode is Mode.REACH_TARGET else 1.0
-    return _Sim(rows, trap, p.initial, 1.0 - model.zeta, racc_cont)
-
-
-def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, float, float]], int]:
-    """The one episode loop: runs cfg.episodes epsilon-greedy episodes on
-    `table`, updating it in place; returns the curve and the truncation count.
+    returns the undiscounted update does not estimate.  The loop walks the
+    product's columns: pair k of state s is `pair_start[s] + k`, and its
+    branches run from `first` to `last` of that pair.  The diversion coin is
+    not a branch but a draw of its own.
 
     Draw accounting: states with a single pair and pairs with a single branch
     spend no randomness; otherwise one uniform decides greedy vs explore (a
@@ -159,8 +141,9 @@ def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, fl
     branches spend one on the diversion coin.  Each draw is the next value
     of one `UniformStream` seeded with cfg.seed.  The branch is
     `bisect_right` of its draw on the pair's partial sums, which are
-    nondecreasing: the first branch whose partial sum exceeds the draw, or
-    the last.
+    nondecreasing, searched from `first` to `last`: the first branch whose
+    partial sum exceeds the draw, or the last, never a branch of the next
+    pair.
 
     Each state's best value (`best`) and lowest-index best pair (`arg`) are
     cached and read for greedy choice and for the bootstrap maximum, which
@@ -169,20 +152,32 @@ def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, fl
     rescans its row.  This is exact: `max` of floats is exact, and ties go
     to the lowest index, as in `QTable.greedy`.
 
-    Traps (`sim.trap[s]`, see `_Sim`) are skipped: an episode that starts
-    in one, or moves into one, adds its remaining steps to the trap's visit
-    count and ends as truncated.  This is exact.  A trap step draws nothing
-    and earns 0, and its update `row[0] += alpha * (0 + row[0] - row[0])`
-    adds 0.0 for finite alpha and row[0]; only trap steps update row[0], so
-    it keeps its initial value, finite in every `QTable.for_model` table.
+    Traps are skipped.  A trap is a state with one pair whose one branch is
+    a non-accepting self-loop: an episode that starts in one, or moves into
+    one, adds its remaining steps to the trap's visit count and ends as
+    truncated.  This is exact.  A trap step draws nothing and earns 0, and
+    its update `row[0] += alpha * (0 + row[0] - row[0])` adds 0.0 for finite
+    alpha and row[0]; only trap steps update row[0], so it keeps its initial
+    value, finite in every `QTable.for_model` table.
     """
-    rows, trap, initial, divert, racc_cont = sim
+    if model.mode is Mode.BIASED_DISCOUNT:
+        raise ValueError("learning runs on the leaked views (reach or total)")
+    p = model.product
+    head = p.pair_start[:-1]  # each state's first pair
+    only = p.branch_start[head]  # and that pair's first branch
+    trap = (p.pair_count == 1) & (p.branch_count[head] == 1)
+    trap = (trap & (p.succ[only] == np.arange(p.n_states)) & ~p.accepting[only]).tolist()
+    starts = p.pair_start.tolist()
+    first, last = p.branch_start[:-1].tolist(), (p.branch_start[1:] - 1).tolist()  # per pair
+    succ, accepting, cum = p.succ.tolist(), p.accepting.tolist(), _partial_sums(p).tolist()
+    divert = 1.0 - model.zeta  # probability that an accepting step diverts
+    racc_cont = 0.0 if model.mode is Mode.REACH_TARGET else 1.0  # reward of one that does not
     q, visits = table.q, table.visits
     draw = UniformStream(np.random.default_rng(cfg.seed)).draws.__next__
     alpha0, decay, max_steps = cfg.alpha0, cfg.visit_decay, cfg.max_steps
     # epsilon falls linearly from epsilon0 to epsilon_final over the first `anneal` episodes
     eps0, eps_span = cfg.epsilon0, cfg.epsilon_final - cfg.epsilon0
-    anneal = max(1, int(cfg.episodes * cfg.anneal_fraction))
+    anneal = max(1, int(cfg.episodes * ANNEAL_FRACTION))
     best = [max(row) for row in q]
     arg = [row.index(m) for row, m in zip(q, best)]
     curve: list[tuple[int, float, float]] = []
@@ -191,13 +186,13 @@ def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, fl
         eps = eps0 + eps_span * (ep / anneal if ep < anneal else 1.0)
         total = 0.0
         reached = False
-        cur = initial
+        cur = p.initial
         if trap[cur]:
             visits[cur][0] += max_steps
             truncated += 1
             curve.append((ep, total, eps))
             continue
-        row, vrow, pairs = q[cur], visits[cur], rows[cur]
+        row, vrow, base = q[cur], visits[cur], starts[cur]
         npairs = len(row)
         for step in range(max_steps):
             if npairs == 1:
@@ -208,11 +203,13 @@ def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, fl
                     k = npairs - 1
             else:
                 k = arg[cur]
-            cums, succs, accs = pairs[k]
-            b = bisect_right(cums, draw()) if cums else 0
-            nxt = succs[b]
+            pid = base + k
+            e = first[pid]
+            if e != last[pid]:
+                e = bisect_right(cum, draw(), e, last[pid])
+            nxt = succ[e]
             m = best[nxt]
-            if accs[b]:
+            if accepting[e]:
                 if draw() < divert:
                     reached = True
                     r = 1.0
@@ -243,7 +240,7 @@ def _run(sim: _Sim, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, fl
                 if trap[cur]:
                     visits[cur][0] += max_steps - 1 - step
                     break
-                row, vrow, pairs = q[cur], visits[cur], rows[cur]
+                row, vrow, base = q[cur], visits[cur], starts[cur]
                 npairs = len(row)
         truncated += not reached
         curve.append((ep, total, eps))
@@ -254,10 +251,9 @@ def train(model: AugmentedModel, cfg: LearnConfig) -> TrainResult:
     """Run cfg.episodes epsilon-greedy episodes, all in the one loop `_run`,
     and return table, greedy strategy, the per-episode learning curve and
     the truncation count."""
-    sim = _sim(model)
     init = 0.0
     if cfg.optimistic:
         init = 1.0 if model.mode is Mode.REACH_TARGET else 1.0 / (1.0 - model.zeta)
     table = QTable.for_model(model, init)
-    curve, truncated = _run(sim, table, cfg)
+    curve, truncated = _run(model, table, cfg)
     return TrainResult(table, table.greedy(), curve, truncated)

@@ -5,7 +5,9 @@ reachability, and per-strategy satisfaction from the bottom components of
 the induced chain.  Every chain is first settled by graph search: states
 that cannot reach the target are exactly 0, states that cannot reach a
 state worth 0 exactly 1, and a dense linear solve covers only the states
-left undecided.  The reward pipeline is numerically checked against these
+left undecided.  A strategy's chain is read from the product's columns
+(`ProductMdp.select`), and the searches and the linear system work on those
+branch arrays.  The reward pipeline is numerically checked against these
 answers, so nothing here may reuse the augmentation or the reward solvers:
 the linear systems are assembled separately on purpose.  Graph search is
 not numerics, and it is shared through `graphs` with the reward side.
@@ -51,6 +53,15 @@ class BuchiResult:
         return float(self.values[0])
 
 
+def _components(succ: list[list[int]]) -> np.ndarray:
+    """(n,) int64: the index of each node's strongly connected component."""
+    comp_of = [0] * len(succ)
+    for ci, comp in enumerate(strongly_connected_components(succ)):
+        for u in comp:
+            comp_of[u] = ci
+    return np.array(comp_of)
+
+
 def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     """Maximal end components, sorted by smallest member state.
 
@@ -64,12 +75,7 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         # a state without kept pairs has no edges, so it is a component of
         # its own, and every branch into it leaves its source's component
         edge = kept[branch_pair]
-        out = adjacency(n, source[edge].tolist(), p.succ[edge].tolist())
-        comp_list = [0] * n
-        for ci, comp in enumerate(strongly_connected_components(out)):
-            for u in comp:
-                comp_list[u] = ci
-        comp_of = np.array(comp_list)
+        comp_of = _components(adjacency(n, source[edge].tolist(), p.succ[edge].tolist()))
         leaves = comp_of[p.succ] != comp_of[source]
         keep = kept & ~np.logical_or.reduceat(leaves, bounds[:-1])
         if np.array_equal(keep, kept):
@@ -77,8 +83,9 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         kept = keep
 
     groups: dict[int, list[int]] = {}
-    for u in np.flatnonzero(np.logical_or.reduceat(kept, starts[:-1])).tolist():
-        groups.setdefault(comp_list[u], []).append(u)
+    alive = np.flatnonzero(np.logical_or.reduceat(kept, starts[:-1]))
+    for u, c in zip(alive.tolist(), comp_of[alive].tolist()):
+        groups.setdefault(c, []).append(u)
     starts, kept = starts.tolist(), kept.tolist()
     pair_acc = np.logical_or.reduceat(p.accepting, bounds[:-1]).tolist()
     mecs = []
@@ -90,64 +97,57 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     return tuple(mecs)
 
 
-def _chosen_branches(p: ProductMdp, choice) -> list[range]:
-    """Indices of the branches of the pair `choice` picks, per state."""
-    starts, bounds = p.pair_start.tolist(), p.branch_start.tolist()
-    return [range(bounds[starts[st] + k], bounds[starts[st] + k + 1]) for st, k in enumerate(choice)]
+def _chain_reach(p: ProductMdp, choice, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Reach probability of `ones` in the chain induced by `choice`."""
+    _, src, br = p.select(choice)
+    return _absorption(p, src, br, ones, zeros)
 
 
-def _chain_reach(
-    p: ProductMdp, choice: list[int], ones: frozenset[int], zeros: frozenset[int]
-) -> np.ndarray:
-    """Reach probability of `ones` in the chain induced by `choice`.
+def _absorption(p: ProductMdp, src: np.ndarray, br: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Reach probability of `ones` in the chain whose branches are the flat
+    indices `br`, from the states `src`, as `ProductMdp.select` gives them.
 
-    States in `ones` are worth 1, in `zeros` 0.  Two backward searches over
-    the chosen branches settle the rest by the graph alone: a free state
-    that cannot reach `ones` is worth exactly 0 (the live set is the rest),
-    and a live state that cannot reach a state worth 0 is worth exactly 1.
-    A dense solve runs only over the live states left undecided, with the
-    mass into states worth 1 on its right-hand side; fixing the 0s keeps
-    that system nonsingular.
+    States in `ones` are worth 1, in `zeros` 0; both are (n_states,) boolean
+    masks.  Two backward searches over the chosen branches settle the rest
+    by the graph alone: a free state that cannot reach `ones` is worth
+    exactly 0 (the live set is the rest), and a live state that cannot
+    reach a state worth 0 is worth exactly 1.  A dense solve runs only over
+    the live states left undecided, with the mass into states worth 1 on
+    its right-hand side; fixing the 0s keeps that system nonsingular.  Its
+    entries are summed in branch order.
     """
     n = p.n_states
-    chosen = _chosen_branches(p, choice)
-    succ, prob = p.succ.tolist(), p.prob.tolist()
-    free = [st for st in range(n) if st not in ones and st not in zeros]
-    rev: list[list[int]] = [[] for _ in range(n)]
-    hits: set[int] = set()  # free states one branch away from `ones`
-    for st in free:
-        for e in chosen[st]:
-            if succ[e] in ones:
-                hits.add(st)
-            elif succ[e] not in zeros:
-                rev[succ[e]].append(st)
-    live = {st for st, lv in enumerate(backward_levels(hits, rev)) if lv >= 0}
+    dst = p.succ[br]
+    free = ~(ones | zeros)
+    hits = src[free[src] & ones[dst]]  # free states one branch away from `ones`
+    if not hits.size:  # then no free state reaches `ones`
+        return ones.astype(float)
+    inner = free[src] & free[dst]
+    rev = adjacency(n, dst[inner].tolist(), src[inner].tolist())
+    live = np.array(backward_levels(hits.tolist(), rev)) >= 0
     # live states one branch away from a state worth 0, which is one in
     # `zeros` or a free state off the live set; the closure stays live
     # because every predecessor of a live state is live
-    doomed = {st for st in live if any(succ[e] not in ones and succ[e] not in live for e in chosen[st])}
-    unsure = backward_levels(doomed, rev)
-    sure = {st for st in live if unsure[st] < 0}
-    v = np.zeros(n)
-    for st in ones | sure:
-        v[st] = 1.0
-    order = sorted(live - sure)
-    if order:
-        pos = {st: i for i, st in enumerate(order)}
-        a = np.eye(len(order))
-        b = np.zeros(len(order))
-        for i, st in enumerate(order):
-            for e in chosen[st]:
-                j = pos.get(succ[e])
-                if j is not None:
-                    a[i, j] -= prob[e]
-                elif v[succ[e]] == 1.0:
-                    b[i] += prob[e]
-        v[np.array(order)] = np.linalg.solve(a, b)
+    doomed = src[live[src] & ~ones[dst] & ~live[dst]]
+    sure = live & (np.array(backward_levels(doomed.tolist(), rev)) < 0)
+    v = (ones | sure).astype(float)
+    undecided = live & ~sure
+    order = np.flatnonzero(undecided)
+    if order.size:
+        pos = np.full(n, -1)
+        pos[order] = np.arange(order.size)
+        rows = undecided[src]
+        i, j, w = pos[src[rows]], pos[dst[rows]], p.prob[br[rows]]
+        inside = j >= 0
+        a = np.eye(order.size)
+        np.subtract.at(a, (i[inside], j[inside]), w[inside])
+        to_one = ~inside & (v[dst[rows]] == 1.0)
+        b = np.bincount(i[to_one], weights=w[to_one], minlength=order.size)
+        v[order] = np.linalg.solve(a, b)
     return v
 
 
-def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list[int]]:
+def _max_reach(p: ProductMdp, targets: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Exact maximal reach probability by policy iteration.
 
     Evaluation always takes the least solution (zeros fixed off the live
@@ -157,10 +157,9 @@ def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list
     """
     n, starts, pair_state = p.n_states, p.pair_start[:-1], p.pair_state
     pair_ids = np.arange(p.n_pairs)
-    free = np.ones(n, dtype=bool)
-    free[list(targets)] = False
+    free, none = ~targets, np.zeros(n, dtype=bool)
     choice = [0] * n
-    v = _chain_reach(p, choice, targets, frozenset())
+    v = _chain_reach(p, choice, targets, none)
     for _ in range(10_000):
         q = np.bincount(p.branch_pair, weights=p.prob * v[p.succ], minlength=p.n_pairs)
         best = np.maximum.reduceat(q, starts)
@@ -171,7 +170,7 @@ def _max_reach(p: ProductMdp, targets: frozenset[int]) -> tuple[np.ndarray, list
             return v, choice
         for st in np.flatnonzero(switch).tolist():
             choice[st] = int(first[st])
-        v = _chain_reach(p, choice, targets, frozenset())
+        v = _chain_reach(p, choice, targets, none)
     raise PolicyIterationError("max-reach policy iteration failed to stabilize")
 
 
@@ -185,8 +184,9 @@ def buchi_value(p: ProductMdp) -> BuchiResult:
     """
     mecs = mec_decomposition(p)
     acc_ids = tuple(i for i, ec in enumerate(mecs) if ec.accepting)
-    u_states = frozenset(st for i in acc_ids for st in mecs[i].states)
-    if not u_states:
+    u_states = np.zeros(p.n_states, dtype=bool)
+    u_states[[st for i in acc_ids for st in mecs[i].states]] = True
+    if not u_states.any():
         values = np.zeros(p.n_states)
         choice = [0] * p.n_states
         return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
@@ -243,14 +243,11 @@ def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:
     left undecided.
     """
     f.check(p)
-    chosen = _chosen_branches(p, f.choice)
-    succ, accepting = p.succ.tolist(), p.accepting.tolist()
-    out = [succ[r.start : r.stop] for r in chosen]
-    win: set[int] = set()
-    lose: set[int] = set()
-    for comp in strongly_connected_components(out):
-        members = set(comp)
-        if all(t in members for u in comp for t in out[u]):  # bottom
-            acc = any(accepting[e] for u in comp for e in chosen[u])
-            (win if acc else lose).update(comp)
-    return _chain_reach(p, list(f.choice), frozenset(win), frozenset(lose))
+    _, src, br = p.select(f.choice)
+    dst = p.succ[br]
+    comp_of = _components(adjacency(p.n_states, src.tolist(), dst.tolist()))
+    cs, n = comp_of[src], p.n_states  # at most n components
+    bottom = (np.bincount(cs[cs != comp_of[dst]], minlength=n) == 0)[comp_of]
+    accepting = np.bincount(cs[p.accepting[br]], minlength=n)[comp_of] > 0
+    win, lose = bottom & accepting, bottom & ~accepting
+    return _absorption(p, src, br, win, lose)

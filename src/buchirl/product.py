@@ -273,7 +273,3 @@ def check_choices(p: ProductMdp, choices: np.ndarray) -> None:
         row, st = np.argwhere(bad)[0].tolist()
         raise ValueError(f"strategy picks unavailable pair {choices[row, st]} at state {st}")
 
-
-def random_strategy(p: ProductMdp, rng) -> Strategy:
-    """A uniform pair per state, in state order, from one `rng.integers` call."""
-    return Strategy(tuple(rng.integers(p.pair_count).tolist()))

@@ -1,6 +1,8 @@
 """Random instances for the property tests: desk-scale ones, and one size
-of a few hundred product states for the sparse policy solver; and the HOA
-text of an automaton, for tests that hand one to the parser or the CLI.
+of a few hundred product states for the sparse policy solver; gambler's
+ruin, whose Buchi value has a closed form; a uniformly random strategy; and
+the HOA text of an automaton, for tests that hand one to the parser or the
+CLI.
 
 Branch probabilities are integer weights over a common denominator with the
 last branch taking the exact remainder, so every distribution sums to 1.0 in
@@ -9,7 +11,7 @@ floating point and downstream mass checks are exact.
 
 import math
 
-from buchirl import DeadEndError, Mdp, Nba, build_product
+from buchirl import DeadEndError, Mdp, Nba, Strategy, build_product
 
 SYMBOLS = ("g", "n")
 
@@ -113,6 +115,11 @@ def random_instance(rng, max_states=6, max_actions=3, max_aut=3, nondet=False):
             continue
 
 
+def random_strategy(p, rng) -> Strategy:
+    """A uniform pair per state, in state order, from one `rng.integers` call."""
+    return Strategy(tuple(rng.integers(p.pair_count).tolist()))
+
+
 def small_instance(rng, max_product_states=5):
     """Instance whose reachable product has at most max_product_states states.
 
@@ -154,6 +161,31 @@ def large_instance(rng, n_states=300):
     m = mdp_from_rows(names, ("a0", "a1"), SYMBOLS, 0, edges)
     a = Nba(SYMBOLS, 2, 0, ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)), frozenset({0, 2}))
     return m, a, build_product(m, a)
+
+
+def gamblers_ruin(rng, n, win):
+    """Gambler's ruin on capitals 0..n as an MDP, starting at n // 2.
+
+    One action bets a stake of 1: the capital goes up with probability
+    `win` and down with probability 1 - win, emitting n either way.  The
+    goal n has a g-loop and ruin 0 an n-loop, so with `accept_g.hoa` the
+    Buchi value is the probability of reaching n.  State "c{i}" holds
+    capital i; the seed shuffles the order of the states and of each
+    state's two branches, and so the product's numbering.
+    """
+    g, nn = SYMBOLS.index("g"), SYMBOLS.index("n")
+    order = [int(i) for i in rng.permutation(n + 1)]
+    at = {c: k for k, c in enumerate(order)}  # state index of capital c
+    edges = []
+    for c in order:
+        if c in (0, n):
+            edges.append((at[c], 0, at[c], 1.0, g if c == n else nn))
+            continue
+        branches = [(at[c + 1], win), (at[c - 1], 1.0 - win)]
+        if rng.random() < 0.5:
+            branches.reverse()
+        edges += [(at[c], 0, t, pr, nn) for t, pr in branches]
+    return mdp_from_rows(tuple(f"c{c}" for c in order), ("bet",), SYMBOLS, at[n // 2], edges)
 
 
 def serialize_hoa(a: Nba) -> str:

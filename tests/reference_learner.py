@@ -12,10 +12,11 @@ so it also checks `learn._run`'s cached row maxima and its bisection.
 """
 
 from buchirl import Mode
+from buchirl.learn import ANNEAL_FRACTION
 
 
 def epsilon(cfg, episode):
-    span = max(1, int(cfg.episodes * cfg.anneal_fraction))
+    span = max(1, int(cfg.episodes * ANNEAL_FRACTION))
     t = min(1.0, episode / span)
     return cfg.epsilon0 + (cfg.epsilon_final - cfg.epsilon0) * t
 

@@ -567,9 +567,19 @@ def test_commands_never_read_the_tuple_view(monkeypatch, tmp_path, capsys):
         raise AssertionError("ProductMdp.pairs was read")
 
     monkeypatch.setattr(ProductMdp, "pairs", property(no_tuples))
+    export = str(tmp_path / "export.json")
+    commands = (
+        ["verify"],
+        ["sweep"],
+        ["oracle"],
+        ["product", "--export", export],
+        ["product", "--export", export, "--zeta", "0.9"],
+        ["solve", "--zeta", "0.9"],
+        ["learn", "--zeta", "0.9", "--episodes", "50", "--max-steps", "50"],
+    )
     for files in (["--mdp", I2, "--hoa", ACCEPT_G], ["--mdp", str(mdp), "--hoa", str(hoa)]):
-        for command in ("verify", "sweep", "oracle"):
-            assert main([command, *files]) == 0, command
+        for command in commands:
+            assert main([command[0], *files, *command[1:]]) == 0, command
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Tabular Q-learning: schedules, update targets, the draw contract, sanity."""
 
 import dataclasses
+import itertools
 import math
 import time
 
@@ -17,7 +18,7 @@ from buchirl import (
     augment,
     train,
 )
-from generators import random_instance
+from generators import mdp_from_rows, random_det_automaton, random_instance
 from reference_learner import ReferenceLearner, epsilon, trap_states
 
 
@@ -30,7 +31,7 @@ def test_rejects_biased_view(i2_product):
     with pytest.raises(ValueError):
         train(m, LearnConfig(episodes=1))
     with pytest.raises(ValueError):
-        buchirl.learn._sim(m)
+        buchirl.learn._run(m, QTable.for_model(m), LearnConfig(episodes=1))
 
 
 def test_config_rejects_unusable_step_sizes():
@@ -43,12 +44,9 @@ def test_config_rejects_unusable_step_sizes():
         for bad in (1.7, -0.5, 1.0 + 1e-12, -math.inf, math.inf, math.nan):
             with pytest.raises(ValueError, match=field):
                 LearnConfig(**{field: bad})
-    for bad in (-2.0, -1e-12, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="anneal_fraction"):
-            LearnConfig(anneal_fraction=bad)
     # the ends of each range are usable
-    LearnConfig(epsilon0=1.0, epsilon_final=0.0, anneal_fraction=0.0)
-    LearnConfig(epsilon0=0.0, epsilon_final=1.0, anneal_fraction=3.0)
+    LearnConfig(epsilon0=1.0, epsilon_final=0.0)
+    LearnConfig(epsilon0=0.0, epsilon_final=1.0)
 
 
 def test_config_rejects_negative_counts(i2_product):
@@ -63,10 +61,11 @@ def test_config_rejects_negative_counts(i2_product):
 
 
 def test_epsilon_schedule(i2_product):
-    # epsilon falls linearly to its floor over the first anneal_fraction of
+    # epsilon falls linearly to its floor over the first ANNEAL_FRACTION of
     # the episodes; the curve's third column is the epsilon each one ran with
+    assert buchirl.learn.ANNEAL_FRACTION == 0.5
     m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
-    cfg = LearnConfig(episodes=100, max_steps=5, epsilon0=0.3, epsilon_final=0.01, anneal_fraction=0.5)
+    cfg = LearnConfig(episodes=100, max_steps=5, epsilon0=0.3, epsilon_final=0.01)
     eps = [c[2] for c in train(m, cfg).curve]
     assert eps == [epsilon(cfg, ep) for ep in range(100)]
     assert eps[0] == 0.3
@@ -124,7 +123,7 @@ def run_greedy_episodes(model, table, cfg):
     """`cfg.episodes` purely greedy episodes of the training loop on a preset
     table: epsilon0 = epsilon_final = 0 makes every episode's epsilon 0.0."""
     greedy = dataclasses.replace(cfg, epsilon0=0.0, epsilon_final=0.0)
-    buchirl.learn._run(buchirl.learn._sim(model), table, greedy)
+    buchirl.learn._run(model, table, greedy)
 
 
 def test_exact_initialization_is_stable(i2_product):
@@ -221,7 +220,6 @@ def test_learns_i2_policy(i2_product):
         seed=0,
         epsilon0=0.5,
         epsilon_final=0.2,
-        anneal_fraction=1.0,
     )
     res = train(m, cfg)
     assert res.strategy.choice[0] == 0
@@ -235,6 +233,56 @@ def test_learns_i2_policy(i2_product):
     for ep in (0, 4999, 9999):
         assert res.curve[ep][0] == ep
         assert res.curve[ep][2] == epsilon(cfg, ep)
+
+
+def test_partial_sums_add_left_to_right():
+    # the branch column the loop bisects holds, within each pair, the
+    # running sums a left-to-right scan makes, bit for bit; pairs of 1 to 12
+    # branches, so that every rank is summed with pairs of other sizes
+    rng = np.random.default_rng(12)
+    rows = []
+    for s in range(13):
+        for act in range(2):
+            succs = rng.choice(13, size=int(rng.integers(1, 13)), replace=False).tolist()
+            weights = rng.integers(1, 9, size=len(succs))
+            probs = (weights / weights.sum()).tolist()
+            sym = int(rng.integers(2))  # one symbol per action, so no pair is dropped
+            rows += [(s, act, t, pr, sym) for t, pr in zip(succs, probs)]
+    names = tuple(f"s{i}" for i in range(13))
+    m = mdp_from_rows(names, ("a", "b"), ("g", "n"), 0, rows)
+    for p in (buchirl.build_product(m, random_det_automaton(rng)) for _ in range(5)):
+        want = [x for plist in p.pairs for pair in plist for x in itertools.accumulate(b.prob for b in pair.branches)]
+        assert buchirl.learn._partial_sums(p).tolist() == want
+
+
+def test_rounding_slack_goes_to_the_pairs_last_branch(accept_g, monkeypatch):
+    # s0's first pair has ten branches of 0.1, whose partial sums end at
+    # 0.9999999999999999, and its second pair follows it in the flat
+    # columns with one branch into `spill`.  Every draw is the largest
+    # float below 1: the branch draw exceeds every partial sum the search
+    # reads, so it takes the pair's last branch, never the next pair's first
+    top = np.nextafter(1.0, 0.0).item()
+    assert sum([0.1] * 10) == top
+    names = ("s0", *(f"t{i}" for i in range(10)), "spill")
+    rows = [(0, 0, 1 + i, 0.1, 0 if i == 9 else 1) for i in range(10)]
+    rows += [(0, 1, 11, 1.0, 1)]
+    rows += [(1 + i, 0, 0, 1.0, 1) for i in range(10)] + [(11, 0, 11, 1.0, 1)]
+    p = buchirl.build_product(mdp_from_rows(names, ("a", "b"), ("g", "n"), 0, rows), accept_g)
+    assert p.pair_count[0] == 2 and p.branch_count[:2].tolist() == [10, 1]
+    m = view(p, Mode.TOTAL_REWARD, 0.9)
+    cfg = LearnConfig(episodes=20, max_steps=30, seed=0)
+
+    class Pinned(UniformStream):
+        def __init__(self, rng):
+            self.rng, self.draws = rng, itertools.repeat(top)
+
+    monkeypatch.setattr(buchirl.learn, "UniformStream", Pinned)
+    res = train(m, cfg)
+    ref = ReferenceLearner(m, cfg, type("PinnedRng", (), {"random": lambda self: top})())
+    curve, truncated = ref.train()
+    assert (res.table.q, res.table.visits, res.curve, res.truncated) == (ref.q, ref.visits, curve, truncated)
+    visited = {p.state_name(s).split("|")[0] for s, v in enumerate(res.table.visits) if sum(v)}
+    assert visited == {"s0", "t9"}
 
 
 def train_with_stream(model, cfg, monkeypatch):

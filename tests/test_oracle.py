@@ -1,4 +1,7 @@
-"""End components and Buchi values against hand cases and exhaustive search."""
+"""End components and Buchi values against hand cases, exhaustive search
+and closed forms."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +15,10 @@ from buchirl import (
     augment,
     build_product,
     buchi_value,
+    evaluate_policy,
     mec_decomposition,
     parse_hoa,
     policy_buchi_probability,
-    random_strategy,
     solve_optimal,
 )
 
@@ -28,12 +31,14 @@ from bruteforce import (
     policy_sat_bruteforce,
 )
 from generators import (
+    gamblers_ruin,
     large_instance,
     mdp_from_rows,
     random_det_automaton,
     random_instance,
     random_mdp,
     random_nondet_automaton,
+    random_strategy,
     small_instance,
 )
 
@@ -300,3 +305,33 @@ def test_state_with_a_path_to_a_doomed_free_state_is_not_sure(accept_g):
     p, f = _chain_product(accept_g, edges)
     values = policy_buchi_probability(p, f)
     assert {p.states[i][0]: x for i, x in enumerate(values.tolist())} == {0: 0.5, 1: 1.0, 2: 0.0, 3: 0.0}
+
+
+RUIN_TOL = 1e-12  # relative; the dense paths measured at most 7.6e-14 at n = 256
+
+
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("win", [0.5, 0.499, 0.4])
+def test_gamblers_ruin_matches_closed_form(accept_g, monkeypatch, n, win):
+    # every interior capital is worth strictly between 0 and 1, so the
+    # oracle's chain solve has n - 1 unknowns; the reference is exact in
+    # fractions, from the float probabilities the MDP carries
+    m = gamblers_ruin(np.random.default_rng(n), n, win)
+    up, down = (Fraction(x) for x in (win, 1.0 - win))
+    assert up + down == 1  # so the ratio form below is the exact value
+    r, i = down / up, n // 2
+    exact = Fraction(i, n) if r == 1 else (r**i - 1) / (r**n - 1)
+    p = build_product(m, accept_g)
+    assert p.n_states == n + 1
+    sizes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(b)) or solve(a, b))
+    psat = buchi_value(p).at_initial()
+    assert sizes and set(sizes) == {n - 1}
+    monkeypatch.undo()
+    zeta = 0.9
+    total = solve_optimal(augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta)))
+    reach = evaluate_policy(augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)), total.policy)
+    sat = policy_buchi_probability(p, total.policy)[0]
+    for got in (psat, sat, reach.at_initial(), (1 - zeta) * total.at_initial()):
+        assert abs(Fraction(got) - exact) <= RUIN_TOL * exact

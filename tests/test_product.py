@@ -21,7 +21,6 @@ from buchirl import (
     is_deterministic,
     load_mdp,
     parse_hoa,
-    random_strategy,
     solve_optimal,
 )
 from buchirl.product import check_choices
@@ -249,15 +248,9 @@ def test_strategy_check(i2_product):
         check_choices(i2_product, np.zeros(3, dtype=np.int64))
 
 
-def test_random_strategy_valid(i2_product):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        random_strategy(i2_product, rng).check(i2_product)
-
-
 def test_one_call_draws_like_one_call_per_state():
-    # random_strategy and verify's pool draw all states in one
-    # rng.integers call; they must give the strategies that one call per
+    # verify's pool draws all states of all its strategies in one
+    # rng.integers call; it must give the strategies that one call per
     # state gives, and leave the generator where those calls leave it
     rng = np.random.default_rng(64)
     products = [random_instance(rng)[2] for _ in range(12)]
@@ -265,13 +258,12 @@ def test_one_call_draws_like_one_call_per_state():
     counts = np.concatenate([p.pair_count for p in products])
     assert counts.min() == 1 and counts.max() > 1  # one-pair states among others
     for seed, p in enumerate(products):
-        per_state, one_call, pool = (np.random.default_rng(seed) for _ in range(3))
+        per_state, pool = (np.random.default_rng(seed) for _ in range(2))
         want = [
             tuple(int(per_state.integers(c)) for c in p.pair_count.tolist()) for _ in range(5)
         ]
-        assert [random_strategy(p, one_call).choice for _ in range(5)] == want
         assert list(map(tuple, pool.integers(p.pair_count, size=(5, p.n_states)).tolist())) == want
-        assert per_state.random() == one_call.random() == pool.random()
+        assert per_state.random() == pool.random()
 
 
 def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):

@@ -12,13 +12,12 @@ from buchirl import (
     augment,
     build_product,
     evaluate_policy,
-    random_strategy,
     simulate_batch,
     solve_optimal,
 )
 
 from bruteforce import augment_reference, policy_value_bruteforce
-from generators import large_instance, mdp_from_rows, random_instance
+from generators import large_instance, mdp_from_rows, random_instance, random_strategy
 
 
 def pair_rows(m, st, k):

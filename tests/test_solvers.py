@@ -21,7 +21,6 @@ from buchirl import (
     evaluate_policies,
     evaluate_policy,
     greedy_policy,
-    random_strategy,
     solve_optimal,
 )
 from buchirl.verify import EQUALITY_TOL, IDENTITY_TOL
@@ -31,6 +30,7 @@ from generators import (
     large_instance,
     mdp_from_rows,
     random_instance,
+    random_strategy,
     small_instance,
 )
 

@@ -13,14 +13,13 @@ from buchirl import (
     evaluate_policies,
     load_mdp,
     parse_hoa,
-    random_strategy,
     solve_optimal,
     tail_check,
     threshold_sweep,
     verify_instance,
 )
 
-from generators import random_instance
+from generators import random_instance, random_strategy
 
 GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
