@@ -8,11 +8,12 @@ Against the target there is no bootstrap.
 
 One loop, `_run`, runs every episode of a `train` call, walking the
 product's columns: pair and branch offsets, successors, accepting marks and
-one column of partial branch sums within each pair.  It caches each state's
-best value and best pair, so greedy choice and the bootstrap maximum cost
-O(1) instead of a scan of the row.  Randomness comes from a chunked uniform
-stream, one iterator that is bit-transparent to the underlying generator.
-What each step draws is fixed (see `_run`), and
+one column of partial branch sums within each pair (`product.partial_sums`,
+bisected as `shaping.simulate_batch` does), and it pays the view's `reward`.
+It caches each state's best value and best pair, so greedy choice and the
+bootstrap maximum cost O(1) instead of a scan of the row.  Randomness comes
+from a chunked uniform stream, one iterator that is bit-transparent to the
+underlying generator.  What each step draws is fixed (see `_run`), and
 `tests/reference_learner.py` holds a step-by-step learner that draws under
 the same contract, one `Generator.random()` call per uniform.
 
@@ -33,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .product import ProductMdp, Strategy
+from .product import Strategy, partial_sums
 from .shaping import AugmentedModel, Mode
 
 
@@ -110,20 +111,6 @@ class TrainResult:
     truncated: int  # episodes that hit cfg.max_steps without reaching the target
 
 
-def _partial_sums(p: ProductMdp) -> np.ndarray:
-    """Per branch, the sum of its pair's probabilities up to and including
-    it.  Each pair's sums are added left to right, one rank at a time, so
-    they are bit for bit the running sums a scan of the pair makes."""
-    lo, count = p.branch_start[:-1], p.branch_count
-    order = np.argsort(-count, kind="stable")  # the pairs with more than r branches come first
-    lo, count = lo[order], count[order]
-    cum = p.prob.copy()
-    for r in range(1, int(count[0])):
-        at = lo[: np.searchsorted(-count, -r)] + r  # rank r of every pair that has one
-        cum[at] += cum[at - 1]
-    return cum
-
-
 def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[tuple[int, float, float]], int]:
     """The one episode loop: runs cfg.episodes epsilon-greedy episodes of a
     reach or total view on `table`, updating it in place; returns the curve
@@ -133,7 +120,8 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
     returns the undiscounted update does not estimate.  The loop walks the
     product's columns: pair k of state s is `pair_start[s] + k`, and its
     branches run from `first` to `last` of that pair.  The diversion coin is
-    not a branch but a draw of its own.
+    not a branch but a draw of its own; an accepting step that diverts pays
+    1, and one that does not pays the view's `reward` of its branch.
 
     Draw accounting: states with a single pair and pairs with a single branch
     spend no randomness; otherwise one uniform decides greedy vs explore (a
@@ -169,9 +157,9 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
     trap = (trap & (p.succ[only] == np.arange(p.n_states)) & ~p.accepting[only]).tolist()
     starts = p.pair_start.tolist()
     first, last = p.branch_start[:-1].tolist(), (p.branch_start[1:] - 1).tolist()  # per pair
-    succ, accepting, cum = p.succ.tolist(), p.accepting.tolist(), _partial_sums(p).tolist()
+    succ, accepting, cum = p.succ.tolist(), p.accepting.tolist(), partial_sums(p, p.prob).tolist()
+    reward = model.flat.reward.tolist()  # what an accepting step that does not divert pays
     divert = 1.0 - model.zeta  # probability that an accepting step diverts
-    racc_cont = 0.0 if model.mode is Mode.REACH_TARGET else 1.0  # reward of one that does not
     q, visits = table.q, table.visits
     draw = UniformStream(np.random.default_rng(cfg.seed)).draws.__next__
     alpha0, decay, max_steps = cfg.alpha0, cfg.visit_decay, cfg.max_steps
@@ -215,7 +203,7 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
                     r = 1.0
                     m = 0.0  # no bootstrap against the target
                 else:
-                    r = racc_cont
+                    r = reward[e]
                 total += r
             else:
                 r = 0.0

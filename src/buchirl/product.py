@@ -236,6 +236,21 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
     return ProductMdp(m, a, tuple(states), *map(_read_only, columns), caveat)
 
 
+def partial_sums(p: ProductMdp, prob: np.ndarray) -> np.ndarray:
+    """Per branch, the sum of the branch column `prob` over its pair up to
+    and including it.  Each pair's sums are added left to right, one rank
+    at a time, so they are bit for bit the running sums a scan of the pair
+    makes.  The learner passes `p.prob`, the sampler a view's `flat.prob`."""
+    lo, count = p.branch_start[:-1], p.branch_count
+    order = np.argsort(-count, kind="stable")  # the pairs with more than r branches come first
+    lo, count = lo[order], count[order]
+    cum = np.array(prob, dtype=np.float64)
+    for r in range(1, int(count[0])):
+        at = lo[: np.searchsorted(-count, -r)] + r  # rank r of every pair that has one
+        cum[at] += cum[at - 1]
+    return cum
+
+
 def _read_only(col: np.ndarray) -> np.ndarray:
     col.flags.writeable = False  # payoff views share some of them
     return col

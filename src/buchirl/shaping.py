@@ -29,8 +29,10 @@ t, worth 0 and absorbing, has no row.  `augment` builds the table with array
 operations over the product's branch columns.  The solvers,
 `simulate_batch` and the product export all read it.
 
-`simulate_batch` samples payoffs under a positional strategy and moves, and
-draws uniforms for, only the episodes that can still earn.  An episode in a
+`simulate_batch` samples payoffs under a positional strategy, picking
+branches by the learner's rule on `product.partial_sums` of the view's
+`prob`, and moves, and draws uniforms for, only the episodes that can still
+earn.  An episode in a
 state from which the strategy's branches reach no reward and no target
 keeps its payoff and its flag for good, so it leaves the batch.  The
 Q-learner skips traps too (see `learn`), with a narrower rule, a one-branch
@@ -50,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import adjacency, backward_levels
-from .product import ProductMdp, Strategy
+from .product import ProductMdp, Strategy, partial_sums
 
 
 class Mode(enum.Enum):
@@ -88,7 +90,6 @@ class PayoffSpec:
 class AugmentedModel:
     product: ProductMdp
     spec: PayoffSpec
-    target: int | None  # = n_states for the leaked views, None for biased
     flat: FlatBranches
 
     @property
@@ -112,10 +113,9 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     # in the reach view only the arrival at t pays; surviving accepting steps do not
     reward = np.zeros(acc.size) if spec.mode is Mode.REACH_TARGET else acc.astype(np.float64)
     leak = np.zeros(p.n_pairs)
-    if spec.mode is Mode.BIASED_DISCOUNT:
-        target, prob = None, raw_prob
-    else:
-        target, prob = p.n_states, scaled
+    leaked = spec.mode is not Mode.BIASED_DISCOUNT
+    prob = scaled if leaked else raw_prob
+    if leaked:
         # each pair's leak is a running sum over its accepting branches, in branch order
         np.add.at(leak, p.branch_pair[acc], raw_prob[acc] * (1.0 - zeta))
         mass = np.add.reduceat(prob, lo) + leak - np.add.reduceat(raw_prob, lo)
@@ -123,14 +123,14 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     pr = prob * reward
     base = np.add.reduceat(pr, lo)
     nonzero = np.add.reduceat(pr != 0.0, lo, dtype=np.int64)
-    if target is not None:  # the step into t pays 1, one more term of the sum
+    if leaked:  # the step into t pays 1, one more term of the sum
         base += leak
         nonzero += leak != 0.0
     # a sum of at most two nonzero terms is rounded once, just as math.fsum rounds it
     multi = np.flatnonzero(nonzero > 2).tolist()
     terms, bounds, tails = pr.tolist(), p.branch_start.tolist(), leak[multi].tolist()
     base[multi] = [math.fsum(terms[bounds[k] : bounds[k + 1]] + [x]) for k, x in zip(multi, tails)]
-    return AugmentedModel(p, spec, target, FlatBranches(prob, scaled, reward, base, leak))
+    return AugmentedModel(p, spec, FlatBranches(prob, scaled, reward, base, leak))
 
 
 def simulate_batch(
@@ -145,7 +145,9 @@ def simulate_batch(
     Episodes still moving at max_steps are truncated, which can only lose
     payoff that was still to come, so the mean payoff estimates the
     strategy's expected payoff over max_steps steps.  Sampling takes one
-    uniform per step over the chosen pair's branches followed by its leak.
+    uniform per step over the chosen pair's branches followed by its leak:
+    `bisect_right` on the pair's partial sums up to its last branch, or one
+    place further, the step into t, for a pair that leaks.
 
     Only the episodes that can still earn move: those in a state from which
     `f`'s branches lead to a rewarded branch or to a pair that leaks into
@@ -165,33 +167,19 @@ def simulate_batch(
     f.check(p)
     n = model.n_states
     pid, row, idx = p.select(f.choice)
-    lo = p.branch_start[pid]
-    col = idx - lo[row]
-    to = p.succ[idx]
-    # one row per state: its chosen branches, then the step into t where it leaks
-    leak = flat.leak[pid]
-    leaks = np.flatnonzero(leak > 0.0)
-    width = p.branch_start[pid + 1] - lo
-    last = width - 1 + (leak > 0.0)
-    shape = (n, int(last.max()) + 1)
-    prob = np.zeros(shape)
-    succ = np.zeros(shape, dtype=np.int64)
-    rew = np.zeros(shape)
-    prob[row, col] = flat.prob[idx]
-    succ[row, col] = to
-    rew[row, col] = flat.reward[idx]
-    sentinel = n  # the target's index in the leaked views; absorbing
-    at = width[leaks]
-    prob[leaks, at] = leak[leaks]
-    succ[leaks, at] = sentinel
-    rew[leaks, at] = 1.0
-    cum = np.cumsum(prob, axis=1)  # adds along each row in branch order
-    cum[np.arange(shape[1]) >= last[:, None]] = np.inf  # rounding slack falls into the last column
+    leaks = flat.leak[pid] > 0.0
+    # per state, the chosen pair's branches run from lo to top - 1; a draw
+    # that lands on top, one past a leaking pair's last branch, steps into t
+    cum = partial_sums(p, flat.prob)
+    lo, top = p.branch_start[pid], p.branch_start[pid + 1]
+    hi = top - 1 + leaks
+    depth = int((hi - lo).max()).bit_length()
     # the states from which an episode can still earn or reach the target,
     # then False for the target itself, where an episode stops moving too
-    seeds = np.flatnonzero(rew.max(axis=1) > 0.0).tolist()
-    rev = adjacency(n, to.tolist(), row.tolist())
-    earn = np.append(np.array(backward_levels(seeds, rev)) >= 0, False)
+    seeds = leaks.copy()
+    seeds[row[flat.reward[idx] > 0.0]] = True
+    rev = adjacency(n, p.succ[idx].tolist(), row.tolist())
+    earn = np.append(np.array(backward_levels(np.flatnonzero(seeds).tolist(), rev)) >= 0, False)
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta
@@ -205,15 +193,20 @@ def simulate_batch(
         if moving.size == 0:
             break
         u = rng.random(moving.size)
-        k = (u[:, None] >= cum[here]).sum(axis=1)
-        r = rew[here, k]
+        a, b, end = lo[here], hi[here], top[here]
+        for _ in range(depth):  # bisect_right(cum, u, a, b), one round for every episode
+            mid = (a + b) >> 1
+            right = (mid < b) & (cum.take(mid, mode="clip") <= u)
+            a, b = np.where(right, mid + 1, a), np.where(right, b, mid)
+        into = a == end
+        r = np.where(into, 1.0, flat.reward.take(a, mode="clip"))
         if biased:
             pay[moving] += disc[moving] * r
             disc[moving] *= np.where(r > 0.0, zeta, 1.0)
         else:
             pay[moving] += r
-        nxt = succ[here, k]
-        reached[moving[nxt == sentinel]] = True
+        nxt = np.where(into, n, p.succ.take(a, mode="clip"))
+        reached[moving[into]] = True
         go = earn[nxt]
         moving, here = moving[go], nxt[go]
     return pay, reached

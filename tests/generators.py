@@ -1,8 +1,8 @@
-"""Random instances for the property tests: desk-scale ones, and one size
-of a few hundred product states for the sparse policy solver; gambler's
-ruin, whose Buchi value has a closed form; a uniformly random strategy; and
-the HOA text of an automaton, for tests that hand one to the parser or the
-CLI.
+"""Random instances for the property tests: desk-scale ones, one with pairs
+of 1 to 12 branches, and one size of a few hundred product states for the
+sparse policy solver; gambler's ruin, whose Buchi value has a closed form;
+a uniformly random strategy; and the HOA text of an automaton, for tests
+that hand one to the parser or the CLI.
 
 Branch probabilities are integer weights over a common denominator with the
 last branch taking the exact remainder, so every distribution sums to 1.0 in
@@ -113,6 +113,22 @@ def random_instance(rng, max_states=6, max_actions=3, max_aut=3, nondet=False):
             return m, a, build_product(m, a)
         except DeadEndError:
             continue
+
+
+def branchy_mdp(rng, n=13):
+    """A two-action MDP on n states whose actions have 1 to n - 1 branches
+    to distinct successors, with one symbol per action, so every product
+    keeps every pair and its pairs have 1 to n - 1 branches."""
+    rows = []
+    for s in range(n):
+        for act in range(2):
+            succs = rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()
+            weights = rng.integers(1, 9, size=len(succs))
+            probs = (weights / weights.sum()).tolist()
+            probs[-1] = 1.0 - math.fsum(probs[:-1])
+            sym = int(rng.integers(len(SYMBOLS)))
+            rows += [(s, act, t, pr, sym) for t, pr in zip(succs, probs)]
+    return mdp_from_rows(tuple(f"s{i}" for i in range(n)), ("a", "b"), SYMBOLS, 0, rows)
 
 
 def random_strategy(p, rng) -> Strategy:

@@ -12,7 +12,7 @@ moved any report byte:
 The optional argument is the checkout whose `src/` the commands import
 (default: the one holding this file).  The inputs always come from this
 checkout: the corpus pairs (I2 x accept_g also under the learn_i2 benchmark
-workload's learn command), and the pool of the desk_sweep benchmark
+workload's learn and tail-check commands), and the pool of the desk_sweep benchmark
 workload at seed 1 and the large_product MDP at seeds 1-3, both written by
 `perfbench/instances.generate`.  `validate` runs on each corpus MDP alone
 and on every input pair, and once more on `DIAGNOSTICS_MDP`, which hits
@@ -76,6 +76,7 @@ DESK_COMMANDS = [
     ["verify", "--zeta", "0.5", "--zeta", "0.9", "--zeta", "0.99"],
     ["verify", "--zeta", "0.9", "--policies", "0"],  # batches of the solved strategies alone, often empty
     ["verify", "--zeta", "0.99", "--policies", "60", "--seed", "3"],  # a pool over several stacks
+    ["verify", "--zeta", "0.9", "--tail-episodes", "500"],
     ["sweep"],
     ["oracle"],
     ["product", "--export", "export.json", "--zeta", "0.9"],
@@ -84,8 +85,11 @@ DESK_COMMANDS = [
 ]
 
 
-# the learn_i2 benchmark workload's learn command, run on I2 x accept_g
-I2_COMMANDS = [["learn", "--zeta", "0.9", "--episodes", "50000", "--seed", "1"]]
+# the learn_i2 benchmark workload's learn and tail-check commands, run on I2 x accept_g
+I2_COMMANDS = [
+    ["learn", "--zeta", "0.9", "--episodes", "50000", "--seed", "1"],
+    ["verify", "--zeta", "0.9", "--tail-episodes", "100000", "--seed", "1"],
+]
 
 
 def large_commands(seed: int) -> list[list[str]]:
@@ -93,6 +97,8 @@ def large_commands(seed: int) -> list[list[str]]:
     return [
         ["validate"],
         ["verify", "--zeta", "0.99", "--policies", "2", "--seed", s],
+        # sampled tails over pairs of up to 4 branches, and pairs that leak
+        ["verify", "--zeta", "0.99", "--policies", "2", "--tail-episodes", "2000", "--seed", s],
         ["sweep"],
         ["oracle"],
         ["solve", "--zeta", "0.999"],  # above the dense limit: the sparse solve

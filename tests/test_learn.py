@@ -18,7 +18,7 @@ from buchirl import (
     augment,
     train,
 )
-from generators import mdp_from_rows, random_det_automaton, random_instance
+from generators import mdp_from_rows, random_instance
 from reference_learner import ReferenceLearner, epsilon, trap_states
 
 
@@ -233,26 +233,6 @@ def test_learns_i2_policy(i2_product):
     for ep in (0, 4999, 9999):
         assert res.curve[ep][0] == ep
         assert res.curve[ep][2] == epsilon(cfg, ep)
-
-
-def test_partial_sums_add_left_to_right():
-    # the branch column the loop bisects holds, within each pair, the
-    # running sums a left-to-right scan makes, bit for bit; pairs of 1 to 12
-    # branches, so that every rank is summed with pairs of other sizes
-    rng = np.random.default_rng(12)
-    rows = []
-    for s in range(13):
-        for act in range(2):
-            succs = rng.choice(13, size=int(rng.integers(1, 13)), replace=False).tolist()
-            weights = rng.integers(1, 9, size=len(succs))
-            probs = (weights / weights.sum()).tolist()
-            sym = int(rng.integers(2))  # one symbol per action, so no pair is dropped
-            rows += [(s, act, t, pr, sym) for t, pr in zip(succs, probs)]
-    names = tuple(f"s{i}" for i in range(13))
-    m = mdp_from_rows(names, ("a", "b"), ("g", "n"), 0, rows)
-    for p in (buchirl.build_product(m, random_det_automaton(rng)) for _ in range(5)):
-        want = [x for plist in p.pairs for pair in plist for x in itertools.accumulate(b.prob for b in pair.branches)]
-        assert buchirl.learn._partial_sums(p).tolist() == want
 
 
 def test_rounding_slack_goes_to_the_pairs_last_branch(accept_g, monkeypatch):

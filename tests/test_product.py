@@ -23,10 +23,11 @@ from buchirl import (
     parse_hoa,
     solve_optimal,
 )
-from buchirl.product import check_choices
+from buchirl.product import check_choices, partial_sums
 
 from bruteforce import product_reference
 from generators import (
+    branchy_mdp,
     edge_rows,
     large_instance,
     mdp_from_rows,
@@ -264,6 +265,21 @@ def test_one_call_draws_like_one_call_per_state():
         ]
         assert list(map(tuple, pool.integers(p.pair_count, size=(5, p.n_states)).tolist())) == want
         assert per_state.random() == pool.random()
+
+
+def test_partial_sums_add_left_to_right():
+    # the branch column the learner and the sampler bisect holds, within
+    # each pair, the running sums a left-to-right scan makes, bit for bit:
+    # of the product's probabilities and of a view's scaled ones; pairs of
+    # 1 to 12 branches, so that every rank is summed with pairs of other sizes
+    rng = np.random.default_rng(12)
+    m = branchy_mdp(rng)
+    for p in (build_product(m, random_det_automaton(rng)) for _ in range(5)):
+        views = [augment(p, PayoffSpec(Mode.TOTAL_REWARD, z)).flat.prob for z in (0.3, 0.99)]
+        bounds = p.branch_start.tolist()
+        for prob in [p.prob, *views]:
+            want = [x for lo, hi in zip(bounds, bounds[1:]) for x in accumulate(prob[lo:hi].tolist())]
+            assert partial_sums(p, prob).tolist() == want
 
 
 def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):

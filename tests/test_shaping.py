@@ -1,6 +1,9 @@
 """Augmentation tables, realized payoffs and the payoff sampler."""
 
 import math
+import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,10 +17,18 @@ from buchirl import (
     evaluate_policy,
     simulate_batch,
     solve_optimal,
+    tail_check,
 )
 
 from bruteforce import augment_reference, policy_value_bruteforce
-from generators import large_instance, mdp_from_rows, random_instance, random_strategy
+from generators import (
+    branchy_mdp,
+    large_instance,
+    mdp_from_rows,
+    random_det_automaton,
+    random_instance,
+    random_strategy,
+)
 
 
 def pair_rows(m, st, k):
@@ -56,7 +67,6 @@ class TestAugmentTables:
 
     def test_total(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
-        assert m.target == 3
         assert table(m) == [
             [
                 [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
@@ -70,7 +80,6 @@ class TestAugmentTables:
 
     def test_reach(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.REACH_TARGET, 0.5))
-        assert m.target == 3
         # same dynamics as total, but only the leak into t pays
         assert table(m) == [
             [
@@ -85,7 +94,6 @@ class TestAugmentTables:
 
     def test_biased(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
-        assert m.target is None
         # raw dynamics; accepting branches keep prob 1x but back up at zeta
         assert table(m) == [
             [
@@ -101,7 +109,6 @@ class TestAugmentTables:
     def test_self_loop_leak(self, self_loop_product):
         # one accepting self-loop keeps 0.9 and leaks 1 - 0.9 into t, which pays 1
         m = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-        assert m.target == 1
         assert table(m) == [[[(0, 0.9, 0.9, 1.0)]]]
         assert m.flat.leak.tolist() == [1.0 - 0.9]
         assert m.flat.base.tolist() == [0.9 + (1.0 - 0.9)]
@@ -189,6 +196,22 @@ def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
     f = Strategy((0,) * p.n_states)
     pay, reached = simulate_batch(m, f, AlmostOne(), 3, 5)
     assert pay.tolist() == [1.0] * 3 and not reached.any()
+    # in the total view that pair leaks, and a draw above its last partial
+    # sum steps into t, which pays 1
+    m = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
+    pay, reached = simulate_batch(m, f, AlmostOne(), 3, 5)
+    assert pay.tolist() == [1.0] * 3 and reached.all()
+    # a pair that does not leak keeps the draw on its own last branch, into
+    # the accepting loop at t9, and never hands it to the next pair, s0's
+    # second, whose one branch goes to the dead loop at `spill`
+    names = ("s0", *(f"t{i}" for i in range(10)), "spill")
+    edges = [(0, 0, 1 + i, 0.1, 1) for i in range(10)] + [(0, 1, 11, 1.0, 1)]
+    edges += [(1 + i, 0, 1 + i, 1.0, 0 if i == 9 else 1) for i in range(10)] + [(11, 0, 11, 1.0, 1)]
+    p = build_product(mdp_from_rows(names, ("a", "b"), ("g", "n"), 0, tuple(edges)), accept_g)
+    assert p.branch_count[:2].tolist() == [10, 1] and p.succ[10] == p.states.index((11, 0))
+    m = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
+    pay, reached = simulate_batch(m, Strategy((0,) * p.n_states), AlmostOne(), 3, 5)
+    assert pay.tolist() == [1.0] * 3 and reached.all()
 
 
 def test_simulate_batch_against_reach_probability(i2_product):
@@ -337,3 +360,100 @@ def test_simulate_batch_biased_never_reaches(never_product):
         rng = Recording(8)
         pay, reached = simulate_batch(m, Strategy((0,)), rng, 100, 50)
         assert not reached.any() and not pay.any() and rng.sizes == []
+
+
+def simulate_reference(m, f, rng, episodes, max_steps):
+    """`simulate_batch`'s draw contract, one episode at a time.
+
+    Each step draws `rng.random(k)` for the k moving episodes, in episode
+    order.  An episode picks `bisect_right` of its draw over the running
+    sums of its pair's view probabilities followed by the pair's leak, if
+    it has one, searching all but the last entry, which takes the rest; the
+    leak's entry is the step into t.  An episode moves while it is in a
+    state that can still earn, found by a plain fixpoint.
+    """
+    p, flat = m.product, m.flat
+    rows = []  # per state: running sums, successors and rewards of its chosen pair, leak last
+    for st, k in enumerate(f.choice):
+        pid = p.pair_start[st] + k
+        lo, hi = p.branch_start[pid], p.branch_start[pid + 1]
+        prob, succ, rew = flat.prob[lo:hi].tolist(), p.succ[lo:hi].tolist(), flat.reward[lo:hi].tolist()
+        if flat.leak[pid] > 0.0:
+            prob, succ, rew = prob + [flat.leak[pid].item()], succ + [None], rew + [1.0]
+        rows.append((list(accumulate(prob)), succ, rew))
+    earn = [max(rew) > 0.0 for _, _, rew in rows]
+    grew = True
+    while grew:
+        grew = False
+        for st, (_, succ, _) in enumerate(rows):
+            if not earn[st] and any(t is None or earn[t] for t in succ):
+                earn[st] = grew = True
+    biased = m.mode is Mode.BIASED_DISCOUNT
+    pay, disc, reached = [0.0] * episodes, [1.0] * episodes, [False] * episodes
+    moving = [(i, p.initial) for i in range(episodes)] if earn[p.initial] else []
+    for _ in range(max_steps):
+        if not moving:
+            break
+        still = []
+        for (i, st), u in zip(moving, rng.random(len(moving)).tolist()):
+            cum, succ, rew = rows[st]
+            j = bisect_right(cum, u, 0, len(cum) - 1)
+            if biased:
+                pay[i] += disc[i] * rew[j]
+                disc[i] *= m.zeta if rew[j] > 0.0 else 1.0
+            else:
+                pay[i] += rew[j]
+            if succ[j] is None:
+                reached[i] = True
+            elif earn[succ[j]]:
+                still.append((i, succ[j]))
+        moving = still
+    return np.array(pay), np.array(reached)
+
+
+def test_simulate_batch_matches_step_by_step_reference():
+    # payoffs, flags and the generator's state bit for bit, in every view,
+    # on products whose pairs have 1 to 12 branches and leak or not
+    rng = np.random.default_rng(27)
+    products = [random_instance(rng)[2] for _ in range(8)]
+    products.append(large_instance(rng)[2])
+    products += [build_product(branchy_mdp(rng), random_det_automaton(rng)) for _ in range(2)]
+    assert max(p.branch_count.max() for p in products) >= 10
+    reached_any = paid_any = 0
+    for i, p in enumerate(products):
+        for mode in Mode:
+            for zeta in (0.3, 0.9, 0.99):
+                m = augment(p, PayoffSpec(mode, zeta))
+                pool = [solve_optimal(m).policy] + [random_strategy(p, rng) for _ in range(2)]
+                for f in pool:
+                    got_rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+                    got = simulate_batch(m, f, got_rng, 100, 40)
+                    want = simulate_reference(m, f, want_rng, 100, 40)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (i, mode, zeta)
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    reached_any += got[1].any()
+                    paid_any += got[0].any()
+    assert reached_any > 20 and paid_any > 40
+
+
+def test_tail_check_memory_stays_linear_in_a_wide_pair(accept_g):
+    # one pair of 3,000 branches beside 2,999 one-branch states: the sampler
+    # must not give every state a row as wide as the widest pair
+    n = 3000
+    names = tuple(f"s{i}" for i in range(n))
+    probs = [1.0 / n] * n
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    edges = [(0, 0, t, pr, 1) for t, pr in enumerate(probs)]
+    edges += [(s, 0, 0, 1.0, 0) for s in range(1, n)]
+    p = build_product(mdp_from_rows(names, ("a",), ("g", "n"), 0, tuple(edges)), accept_g)
+    assert p.n_states == n and p.branch_count.max() == n
+    m = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
+    tracemalloc.start()
+    try:
+        check = tail_check(m, Strategy((0,) * n), 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.ok and check.empirical[0] > 0.0
+    assert peak < 50 * 2**20, peak
