@@ -58,6 +58,7 @@ class UniformStream:
 
 
 ANNEAL_FRACTION = 0.5  # epsilon reaches its floor this far into a run
+VISIT_DECAY = 1000.0  # alpha = alpha0 / (1 + visits/VISIT_DECAY)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class LearnConfig:
     episodes: int = 50_000
     max_steps: int = 1000
     alpha0: float = 1.0
-    visit_decay: float = 1000.0  # alpha = alpha0 / (1 + visits/visit_decay)
     epsilon0: float = 0.3
     epsilon_final: float = 0.01
     seed: int = 0
@@ -76,10 +76,8 @@ class LearnConfig:
             v = getattr(self, name)
             if v < 0:
                 raise ValueError(f"{name} must be at least 0, got {v}")
-        for name in ("alpha0", "visit_decay"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0.0):
+            raise ValueError(f"alpha0 must be finite and positive, got {self.alpha0!r}")
         for name in ("epsilon0", "epsilon_final"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:  # also false for NaN
@@ -162,7 +160,7 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
     divert = 1.0 - model.zeta  # probability that an accepting step diverts
     q, visits = table.q, table.visits
     draw = UniformStream(np.random.default_rng(cfg.seed)).draws.__next__
-    alpha0, decay, max_steps = cfg.alpha0, cfg.visit_decay, cfg.max_steps
+    alpha0, decay, max_steps = cfg.alpha0, VISIT_DECAY, cfg.max_steps
     # epsilon falls linearly from epsilon0 to epsilon_final over the first `anneal` episodes
     eps0, eps_span = cfg.epsilon0, cfg.epsilon_final - cfg.epsilon0
     anneal = max(1, int(cfg.episodes * ANNEAL_FRACTION))

@@ -20,7 +20,6 @@ value of the underlying MDP; results carry that caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -34,11 +33,11 @@ class PolicyIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EndComponent:
-    """Closed strongly connected sub-MDP: states plus the retained pairs."""
+    """Closed strongly connected sub-MDP.  A member's pairs in it, its kept
+    pairs, are exactly those whose branches all stay among `states`."""
 
     states: tuple[int, ...]
-    retained: tuple[tuple[int, ...], ...]  # pair indices, aligned with states
-    accepting: bool
+    accepting: bool  # some kept pair has an accepting branch
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,10 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     alive = np.flatnonzero(np.logical_or.reduceat(kept, starts[:-1]))
     for u, c in zip(alive.tolist(), comp_of[alive].tolist()):
         groups.setdefault(c, []).append(u)
-    starts, kept = starts.tolist(), kept.tolist()
-    pair_acc = np.logical_or.reduceat(p.accepting, bounds[:-1]).tolist()
-    mecs = []
-    for members in groups.values():  # first seen = smallest member first
-        pairs = [[k for k in range(starts[u], starts[u + 1]) if kept[k]] for u in members]
-        retained = tuple(tuple(k - starts[u] for k in ks) for u, ks in zip(members, pairs))
-        acc = any(pair_acc[k] for ks in pairs for k in ks)
-        mecs.append(EndComponent(tuple(members), retained, acc))
-    return tuple(mecs)
+    fire = kept & np.logical_or.reduceat(p.accepting, bounds[:-1])
+    accepting = set(comp_of[p.pair_state[fire]].tolist())
+    # first seen = smallest member first
+    return tuple(EndComponent(tuple(members), c in accepting) for c, members in groups.items())
 
 
 def _chain_reach(p: ProductMdp, choice, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
@@ -147,29 +141,25 @@ def _absorption(p: ProductMdp, src: np.ndarray, br: np.ndarray, ones: np.ndarray
     return v
 
 
-def _max_reach(p: ProductMdp, targets: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Exact maximal reach probability by policy iteration.
+def _max_reach(p: ProductMdp, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact maximal reach probability by policy iteration, with the
+    strategy as an (n_states,) int64 array of pair ranks.
 
     Evaluation always takes the least solution (zeros fixed off the live
     set), and switches need a strict margin, so the iteration cannot cycle
     through equal-valued policies.  Among the best pairs of a state the
     lowest index wins.
     """
-    n, starts, pair_state = p.n_states, p.pair_start[:-1], p.pair_state
-    pair_ids = np.arange(p.n_pairs)
-    free, none = ~targets, np.zeros(n, dtype=bool)
-    choice = [0] * n
+    free, none = ~targets, np.zeros(p.n_states, dtype=bool)
+    choice = np.zeros(p.n_states, dtype=np.int64)
     v = _chain_reach(p, choice, targets, none)
     for _ in range(10_000):
         q = np.bincount(p.branch_pair, weights=p.prob * v[p.succ], minlength=p.n_pairs)
-        best = np.maximum.reduceat(q, starts)
-        first = np.minimum.reduceat(np.where(q == best[pair_state], pair_ids, p.n_pairs), starts)
-        first -= starts
+        best, first = p.first_best(q)
         switch = free & (best > v + 1e-12) & (first != choice)
         if not switch.any():
             return v, choice
-        for st in np.flatnonzero(switch).tolist():
-            choice[st] = int(first[st])
+        choice[switch] = first[switch]
         v = _chain_reach(p, choice, targets, none)
     raise PolicyIterationError("max-reach policy iteration failed to stabilize")
 
@@ -181,56 +171,42 @@ def buchi_value(p: ProductMdp) -> BuchiResult:
     component.  The returned strategy realizes the value: outside accepting
     components it maximizes reachability, inside one it walks toward the
     source of one accepting branch and fires it.
+
+    All accepting components are anchored in one pass.  A member's kept
+    pairs are those whose branches all stay in its component, and each
+    component's anchor is its lowest-index kept pair with an accepting
+    branch.  One backward search from every anchor state over the kept
+    branches gives each member its distance to its own anchor, since no
+    kept branch leaves its component.  The anchor state fires the anchor
+    pair, and every other member takes its lowest kept pair with a branch
+    one level closer.  The walk stays inside the component, the anchor
+    state is visited again and again, and each visit crosses the accepting
+    branch with fixed positive probability.
     """
     mecs = mec_decomposition(p)
     acc_ids = tuple(i for i, ec in enumerate(mecs) if ec.accepting)
-    u_states = np.zeros(p.n_states, dtype=bool)
-    u_states[[st for i in acc_ids for st in mecs[i].states]] = True
-    if not u_states.any():
-        values = np.zeros(p.n_states)
-        choice = [0] * p.n_states
-        return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
-    values, choice = _max_reach(p, u_states)
-    for i in acc_ids:
-        _anchor_component(p, mecs[i], choice)
-    return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
+    if not acc_ids:
+        return BuchiResult(np.zeros(p.n_states), Strategy((0,) * p.n_states), mecs, acc_ids, p.gfm_caveat)
+    comp = np.full(p.n_states, -1)  # the accepting component of each state, or -1
+    members = [st for i in acc_ids for st in mecs[i].states]
+    comp[members] = np.repeat(acc_ids, [len(mecs[i].states) for i in acc_ids])
+    values, choice = _max_reach(p, comp >= 0)
 
-
-def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> None:
-    """Overwrite `choice` inside `ec` so some accepting branch recurs forever.
-
-    Picks the first accepting branch as an anchor, points every other member
-    along retained pairs that step closer to the anchor state, and fires the
-    anchor pair there.  The walk stays inside the component, the anchor state
-    is then visited again and again, and each visit crosses the accepting
-    branch with fixed positive probability.  "First" follows the order of
-    `ec`: member by member, retained pair by retained pair.
-    """
-    members = np.array(ec.states, dtype=np.int64)
-    counts = [len(kept) for kept in ec.retained]
-    owner = np.repeat(np.arange(members.size), counts)  # member position of each retained pair
-    ranks = np.fromiter(chain.from_iterable(ec.retained), dtype=np.int64, count=owner.size)
-    pid = p.pair_start[members][owner] + ranks
-    lo = p.branch_start[pid]
-    size = p.branch_start[pid + 1] - lo
-    at = np.cumsum(size) - size  # where each retained pair's branches start in `br`
-    br = np.arange(at[-1] + size[-1]) + np.repeat(lo - at, size)
-    hits = np.flatnonzero(np.logical_or.reduceat(p.accepting[br], at))
-    assert hits.size, "accepting component without accepting branch"
-    anchor = hits[0]
-    # a retained pair never leaves `ec`, so every successor is a member
-    order = np.argsort(members)
-    src = np.repeat(owner, size)
-    dst = order[np.searchsorted(members, p.succ[br], sorter=order)]
-    dist = np.array(backward_levels([int(owner[anchor])], adjacency(members.size, dst.tolist(), src.tolist())))
-    assert dist.min() >= 0, "end component not strongly connected"
-    steps = np.flatnonzero(np.logical_or.reduceat(dist[dst] == dist[src] - 1, at))
-    _, first = np.unique(owner[steps], return_index=True)  # each member's first such pair
-    picks = steps[first]
-    picks = picks[owner[picks] != owner[anchor]]
-    for u, k in zip(members[owner[picks]].tolist(), ranks[picks].tolist()):
-        choice[u] = k
-    choice[ec.states[owner[anchor]]] = int(ranks[anchor])
+    bounds, source, pair_comp = p.branch_start[:-1], p.pair_state[p.branch_pair], comp[p.pair_state]
+    kept = (pair_comp >= 0) & np.logical_and.reduceat(comp[p.succ] == comp[source], bounds)
+    fire = np.flatnonzero(kept & np.logical_or.reduceat(p.accepting, bounds))
+    _, first = np.unique(pair_comp[fire], return_index=True)  # each component's lowest
+    anchors = fire[first]
+    assert anchors.size == len(acc_ids), "accepting component without accepting branch"
+    edge = kept[p.branch_pair]
+    rev = adjacency(p.n_states, p.succ[edge].tolist(), source[edge].tolist())
+    dist = np.array(backward_levels(p.pair_state[anchors].tolist(), rev))
+    assert dist[members].min() >= 0, "end component not strongly connected"
+    closer = kept & np.logical_or.reduceat(dist[p.succ] == dist[source] - 1, bounds)
+    walk = dist > 0  # members away from their anchor state
+    choice[walk] = p.first_best(closer.astype(float))[1][walk]
+    choice[p.pair_state[anchors]] = anchors - p.pair_start[p.pair_state[anchors]]
+    return BuchiResult(values, Strategy(tuple(choice.tolist())), mecs, acc_ids, p.gfm_caveat)
 
 
 def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:

@@ -112,6 +112,14 @@ class ProductMdp:
         """(n_pairs,) int64: how many branches each pair has."""
         return _read_only(np.diff(self.branch_start))
 
+    def first_best(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per state, the max of the pair column `q` over its pairs, and the
+        rank of its lowest-index pair that attains it."""
+        starts = self.pair_start[:-1]
+        best = np.maximum.reduceat(q, starts)
+        first = np.minimum.reduceat(np.where(q == best[self.pair_state], np.arange(q.size), q.size), starts)
+        return best, first - starts
+
     def select(self, choice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pair `choice` picks per state, then the state and the flat index
         of each branch of those pairs, state by state in branch order.
@@ -263,28 +271,28 @@ class Strategy:
     choice: tuple[int, ...]
 
     def rows(self) -> np.ndarray:
-        """The choice as a (1, n_states) int64 array, the batch form that
-        `check_choices` and `solvers.evaluate_policies` take; a pick that is
-        not an int64 integer raises ValueError rather than be cast."""
-        rows = np.array(self.choice, ndmin=2)
-        if rows.dtype != np.int64:
-            if rows.size and rows.dtype.kind not in "iu":
-                raise ValueError(f"strategy picks must be int64 integers, not {rows.dtype}")
-            rows = rows.astype(np.int64)
-        return rows
+        """The choice as a (1, n_states) array, the batch form that
+        `check_choices` and `solvers.evaluate_policies` take."""
+        return np.array(self.choice, ndmin=2)
 
     def check(self, p: ProductMdp) -> None:
         check_choices(p, self.rows())
 
 
-def check_choices(p: ProductMdp, choices: np.ndarray) -> None:
-    """Raise ValueError unless every row of the (k, n_states) int64 array
-    `choices` picks an available pair at every state; the message names the
-    first bad row's first bad state."""
+def check_choices(p: ProductMdp, choices) -> np.ndarray:
+    """The (k, n_states) strategy array `choices` as int64, once checked.
+
+    Raise ValueError unless every pick is an integer, and every row picks an
+    available pair at every state; the message names the first bad row's
+    first bad state.  A float or bool pick raises rather than be cast."""
+    choices = np.asarray(choices)
+    if choices.size and choices.dtype.kind not in "iu":
+        raise ValueError(f"strategy picks must be int64 integers, not {choices.dtype}")
+    choices = choices.astype(np.int64, copy=False)
     if choices.ndim != 2 or choices.shape[1] != p.n_states:
         raise ValueError("strategy length does not match the product")
     bad = choices.view(np.uint64) >= p.pair_count  # a negative pick wraps to a huge one
     if np.count_nonzero(bad):
         row, st = np.argwhere(bad)[0].tolist()
         raise ValueError(f"strategy picks unavailable pair {choices[row, st]} at state {st}")
-
+    return choices

@@ -54,7 +54,7 @@ import numpy as np
 
 from .graphs import adjacency, backward_levels
 from .shaping import AugmentedModel
-from .product import ProductMdp, Strategy, check_choices
+from .product import Strategy, check_choices
 
 
 class ConvergenceError(RuntimeError):
@@ -114,13 +114,6 @@ def _pair_values(model: AugmentedModel, v: np.ndarray) -> np.ndarray:
     return flat.base + np.bincount(p.branch_pair, weights=ahead, minlength=p.n_pairs)
 
 
-def _first_best(p: ProductMdp, q: np.ndarray) -> np.ndarray:
-    """Per state, the rank of its first pair that attains the state's max of q."""
-    starts = p.pair_start[:-1]
-    best = np.maximum.reduceat(q, starts)[p.pair_state]
-    return np.minimum.reduceat(np.where(q == best, np.arange(q.size), q.size), starts) - starts
-
-
 def solve_optimal(model: AugmentedModel, start: Strategy | None = None) -> ValueVector:
     """Policy iteration from `start`, or else from the myopic strategy.
 
@@ -139,14 +132,15 @@ def solve_optimal(model: AugmentedModel, start: Strategy | None = None) -> Value
         switch = gain > SWITCH_TOL * np.maximum(1.0, np.abs(v.values))
         if not switch.any():
             return replace(v, iterations=rounds)
-        choice[switch] = _first_best(p, q)[switch]
+        choice[switch] = p.first_best(q)[1][switch]
         f = Strategy(tuple(choice.tolist()))
     raise ConvergenceError("policy iteration did not stabilize", float(gain.max()), MAX_ROUNDS)
 
 
 def greedy_policy(model: AugmentedModel, v: np.ndarray) -> Strategy:
     """The pair with the best one-step value per state, lowest index on ties."""
-    return Strategy(tuple(_first_best(model.product, _pair_values(model, v)).tolist()))
+    _, first = model.product.first_best(_pair_values(model, v))
+    return Strategy(tuple(first.tolist()))
 
 
 def evaluate_policy(model: AugmentedModel, f: Strategy) -> ValueVector:
@@ -173,8 +167,7 @@ def evaluate_policies(model: AugmentedModel, choices) -> tuple[np.ndarray, np.nd
     every row the values it gets alone.
     """
     p = model.product
-    choices = np.asarray(choices, dtype=np.int64)
-    check_choices(p, choices)
+    choices = check_choices(p, choices)
     k, n = choices.shape
     values = np.zeros((k, n))
     residual = np.zeros(k)

@@ -151,7 +151,8 @@ def oracle_reference(p, strategies=()):
 
     Returns `buchi_value(p)` and `policy_buchi_probability(p, f)` for each
     strategy, computed by the functions below, which are the oracle's former
-    loops over `p.pairs`, kept verbatim.
+    loops over `p.pairs`, kept verbatim but for the retained pairs, which
+    travel beside the components rather than in them.
     """
     return buchi_value(p), [policy_buchi_probability(p, f) for f in strategies]
 
@@ -164,8 +165,9 @@ def _components(n, succ):
     return list(nx.strongly_connected_components(g))
 
 
-def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
-    """Maximal end components, sorted by smallest member state.
+def mec_decomposition(p: ProductMdp):
+    """Maximal end components, sorted by smallest member state, and aligned
+    with them, the retained pair indices of each member.
 
     Iteratively drops pairs whose branches leave the current strongly
     connected component and states left without pairs, until stable.
@@ -215,18 +217,18 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     for u in range(n):
         if alive[u]:
             groups.setdefault(comp_of[u], []).append(u)
-    mecs = []
+    mecs, kept = [], []
     for members in sorted(groups.values(), key=min):
         members.sort()
-        kept = tuple(tuple(retained[u]) for u in members)
+        kept.append(tuple(tuple(retained[u]) for u in members))
         acc = any(
             br.accepting
             for u in members
             for k in retained[u]
             for br in p.pairs[u][k].branches
         )
-        mecs.append(EndComponent(tuple(members), kept, acc))
-    return tuple(mecs)
+        mecs.append(EndComponent(tuple(members), acc))
+    return tuple(mecs), tuple(kept)
 
 
 def _chain_reach(
@@ -310,7 +312,7 @@ def buchi_value(p: ProductMdp) -> BuchiResult:
     components it maximizes reachability, inside one it walks toward the
     source of one accepting branch and fires it.
     """
-    mecs = mec_decomposition(p)
+    mecs, kept = mec_decomposition(p)
     acc_ids = tuple(i for i, ec in enumerate(mecs) if ec.accepting)
     u_states = frozenset(st for i in acc_ids for st in mecs[i].states)
     if not u_states:
@@ -319,12 +321,11 @@ def buchi_value(p: ProductMdp) -> BuchiResult:
         return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
     values, choice = _max_reach(p, u_states)
     for i in acc_ids:
-        ec = mecs[i]
-        _anchor_component(p, ec, choice)
+        _anchor_component(p, mecs[i], kept[i], choice)
     return BuchiResult(values, Strategy(tuple(choice)), mecs, acc_ids, p.gfm_caveat)
 
 
-def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> None:
+def _anchor_component(p: ProductMdp, ec: EndComponent, kept, choice: list[int]) -> None:
     """Overwrite `choice` inside `ec` so some accepting branch recurs forever.
 
     Picks the first accepting branch as an anchor, points every other member
@@ -333,7 +334,7 @@ def _anchor_component(p: ProductMdp, ec: EndComponent, choice: list[int]) -> Non
     is then visited again and again, and each visit crosses the accepting
     branch with fixed positive probability.
     """
-    retained = dict(zip(ec.states, ec.retained))
+    retained = dict(zip(ec.states, kept))
     anchor = None
     for u in ec.states:
         for k in retained[u]:

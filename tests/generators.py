@@ -1,7 +1,8 @@
 """Random instances for the property tests: desk-scale ones, one with pairs
 of 1 to 12 branches, and one size of a few hundred product states for the
-sparse policy solver; gambler's ruin, whose Buchi value has a closed form;
-a uniformly random strategy; and the HOA text of an automaton, for tests
+sparse policy solver; a chain of many one-state end components for the
+oracle; gambler's ruin, whose Buchi value has a closed form; a uniformly
+random strategy; and the HOA text of an automaton, for tests
 that hand one to the parser or the CLI.
 
 Branch probabilities are integer weights over a common denominator with the
@@ -202,6 +203,24 @@ def gamblers_ruin(rng, n, win):
             branches.reverse()
         edges += [(at[c], 0, t, pr, nn) for t, pr in branches]
     return mdp_from_rows(tuple(f"c{c}" for c in order), ("bet",), SYMBOLS, at[n // 2], edges)
+
+
+def many_mecs(rng, n):
+    """A chain s0 .. s(n-1) of one-state end components.
+
+    Each state has a self-loop action and an action that moves on to the
+    next state; the last state's moves back onto itself.  The seed draws
+    the symbol of every edge and which of actions a and b is the loop, so
+    the loop is pair 0 at some states and pair 1 at others.  With
+    `accept_g.hoa` each state with a g-loop is an accepting end component of
+    its own, about half of them.
+    """
+    rows = []
+    for s in range(n):
+        loop = int(rng.integers(2))
+        sym_loop, sym_on = (int(x) for x in rng.integers(len(SYMBOLS), size=2))
+        rows += [(s, loop, s, 1.0, sym_loop), (s, 1 - loop, min(s + 1, n - 1), 1.0, sym_on)]
+    return mdp_from_rows(tuple(f"s{i}" for i in range(n)), ("a", "b"), SYMBOLS, 0, rows)
 
 
 def serialize_hoa(a: Nba) -> str:

@@ -12,7 +12,7 @@ so it also checks `learn._run`'s cached row maxima and its bisection.
 """
 
 from buchirl import Mode
-from buchirl.learn import ANNEAL_FRACTION
+from buchirl.learn import ANNEAL_FRACTION, VISIT_DECAY
 
 
 def epsilon(cfg, episode):
@@ -54,7 +54,7 @@ class ReferenceLearner:
 
     def update(self, s, k, target):
         n = self.visits[s][k]
-        alpha = self.cfg.alpha0 / (1.0 + n / self.cfg.visit_decay)
+        alpha = self.cfg.alpha0 / (1.0 + n / VISIT_DECAY)
         self.q[s][k] += alpha * (target - self.q[s][k])
         self.visits[s][k] = n + 1
 

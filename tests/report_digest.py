@@ -16,7 +16,8 @@ workload's learn and tail-check commands), and the pool of the desk_sweep benchm
 workload at seed 1 and the large_product MDP at seeds 1-3, both written by
 `perfbench/instances.generate`.  `validate` runs on each corpus MDP alone
 and on every input pair, and once more on `DIAGNOSTICS_MDP`, which hits
-every diagnostic code.  Every input is written to a scratch
+every diagnostic code.  `MANY_MECS_MDP` with `accept_g.hoa` runs
+`validate`, `oracle`, `sweep` and a `verify`.  Every input is written to a scratch
 directory that is the working directory while the commands run, so the
 paths inside the reports are relative and the digests are the same on every
 machine with the same numpy.
@@ -57,6 +58,40 @@ DIAGNOSTICS_MDP = {
         {"from": "s4", "action": "b", "to": "s4", "prob": 0.75, "label": "n"},
     ],
 }
+
+# one MDP of several end components side by side, for the oracle's anchoring:
+# accepting ones of one state ({c0}, {c5}) and of two ({c2, c3} with two
+# accepting pairs, {c6, c7} whose walk and anchor are second pairs),
+# rejecting ones ({c1}, {c4}, the sink), and a risky step from c4
+MANY_MECS_MDP = {
+    "states": ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "sink"],
+    "actions": ["a", "b"],
+    "alphabet": ["g", "n"],
+    "initial": "c0",
+    "transitions": [
+        {"from": "c0", "action": "a", "to": "c1", "prob": 1.0, "label": "n"},
+        {"from": "c0", "action": "b", "to": "c0", "prob": 1.0, "label": "g"},
+        {"from": "c1", "action": "a", "to": "c1", "prob": 1.0, "label": "n"},
+        {"from": "c1", "action": "b", "to": "c2", "prob": 1.0, "label": "g"},
+        {"from": "c2", "action": "a", "to": "c3", "prob": 1.0, "label": "n"},
+        {"from": "c2", "action": "b", "to": "c2", "prob": 1.0, "label": "g"},
+        {"from": "c3", "action": "a", "to": "c2", "prob": 1.0, "label": "g"},
+        {"from": "c3", "action": "b", "to": "c4", "prob": 0.5, "label": "n"},
+        {"from": "c3", "action": "b", "to": "c3", "prob": 0.5, "label": "n"},
+        {"from": "c4", "action": "a", "to": "c5", "prob": 0.5, "label": "n"},
+        {"from": "c4", "action": "a", "to": "sink", "prob": 0.5, "label": "n"},
+        {"from": "c4", "action": "b", "to": "c4", "prob": 1.0, "label": "n"},
+        {"from": "c5", "action": "a", "to": "c6", "prob": 1.0, "label": "g"},
+        {"from": "c5", "action": "b", "to": "c5", "prob": 1.0, "label": "g"},
+        {"from": "c6", "action": "a", "to": "c6", "prob": 1.0, "label": "n"},
+        {"from": "c6", "action": "b", "to": "c7", "prob": 1.0, "label": "n"},
+        {"from": "c7", "action": "a", "to": "c7", "prob": 1.0, "label": "n"},
+        {"from": "c7", "action": "b", "to": "c6", "prob": 0.5, "label": "g"},
+        {"from": "c7", "action": "b", "to": "c7", "prob": 0.5, "label": "g"},
+        {"from": "sink", "action": "a", "to": "sink", "prob": 1.0, "label": "n"},
+    ],
+}
+MANY_MECS_COMMANDS = [["validate"], ["oracle"], ["sweep"], ["verify", "--zeta", "0.9", "--policies", "2"]]
 
 CORPUS_COMMANDS = [
     ["validate"],
@@ -114,7 +149,9 @@ def write_inputs() -> list[tuple[list[str], list[list[str]]]]:
 
     shutil.copytree(ROOT / "corpus", "corpus")
     Path("diagnostics.json").write_text(json.dumps(DIAGNOSTICS_MDP))
+    Path("many_mecs.json").write_text(json.dumps(MANY_MECS_MDP))
     runs = [(["--mdp", "diagnostics.json"], [["validate"]])]
+    runs.append((["--mdp", "many_mecs.json", "--hoa", "corpus/hoa/accept_g.hoa"], MANY_MECS_COMMANDS))
     for mdp in sorted(Path("corpus/mdp").glob("*.json")):
         runs.append((["--mdp", str(mdp)], [["validate"]]))
         for hoa in sorted(Path("corpus/hoa").glob("*.hoa")):

@@ -35,11 +35,10 @@ def test_rejects_biased_view(i2_product):
 
 
 def test_config_rejects_unusable_step_sizes():
-    for field in ("alpha0", "visit_decay"):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match=field):
-                LearnConfig(**{field: bad})
-    LearnConfig(alpha0=1e-6, visit_decay=1e-3)  # small but usable
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha0"):
+            LearnConfig(alpha0=bad)
+    LearnConfig(alpha0=1e-6)  # small but usable
     for field in ("epsilon0", "epsilon_final"):
         for bad in (1.7, -0.5, 1.0 + 1e-12, -math.inf, math.inf, math.nan):
             with pytest.raises(ValueError, match=field):

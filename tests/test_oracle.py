@@ -33,6 +33,7 @@ from bruteforce import (
 from generators import (
     gamblers_ruin,
     large_instance,
+    many_mecs,
     mdp_from_rows,
     random_det_automaton,
     random_instance,
@@ -49,7 +50,6 @@ def test_self_loop_mec(self_loop_product):
     (ec,) = mec_decomposition(self_loop_product)
     assert ec.states == (0,)
     assert ec.accepting
-    assert dict(zip(ec.states, ec.retained))[0] == (0,)
 
 
 def test_never_mec(never_product):
@@ -78,11 +78,13 @@ def test_mecs_against_bruteforce():
             assert is_end_component(p, members)
             assert not members & seen  # pairwise disjoint
             seen |= members
+            # a member's pairs in the component are those that stay inside it
             acc = any(
                 br.accepting
-                for st, kept in zip(ec.states, ec.retained)
-                for k in kept
-                for br in p.pairs[st][k].branches
+                for st in ec.states
+                for pair in p.pairs[st]
+                if all(b.succ in members for b in pair.branches)
+                for br in pair.branches
             )
             assert ec.accepting == acc
         # maximality: every end component sits inside some mec
@@ -221,7 +223,7 @@ def test_values_are_probabilities():
         res.strategy.check(p)
 
 
-def test_oracle_matches_reference(corpus_products):
+def test_oracle_matches_reference(accept_g, corpus_products):
     # the column oracle against its former tuple walk, which solved every
     # live state densely: strategy and components exactly; values and policy
     # satisfaction within 1e-15, with the 0/1 sets exact, since the graph
@@ -237,7 +239,9 @@ def test_oracle_matches_reference(corpus_products):
                 continue
             built += 1
     products.append(large_instance(np.random.default_rng(1))[2])
-    assert len(products) == 12 + 40 + 1
+    # hundreds of one-state components, accepting or not, side by side
+    products += [build_product(many_mecs(np.random.default_rng(n), n), accept_g) for n in (300, 301)]
+    assert len(products) == 12 + 40 + 1 + 2
     for p in products:
         total = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
         pool = [solve_optimal(total).policy]

@@ -283,6 +283,23 @@ def test_evaluate_policies_rejects_a_bad_row_like_a_single_call(i2_product):
         assert str(batch.value) == str(single.value)
 
 
+def test_evaluate_policies_casts_no_pick(i2_product):
+    # a float or bool pick raises as it does in a Strategy, rather than be
+    # truncated to some pair; narrower integer rows give the int64 values
+    m = view(i2_product, Mode.TOTAL_REWARD, 0.9)
+    for bad in ([[0.9, 0, 0]], [[True, False, False]]):
+        with pytest.raises(ValueError, match="^strategy picks must be int64 integers") as batch:
+            evaluate_policies(m, np.array(bad))
+        with pytest.raises(ValueError) as single:
+            evaluate_policy(m, Strategy(tuple(bad[0])))
+        assert str(batch.value) == str(single.value)
+    rows = np.array([(0, 0, 0), (1, 0, 0)])
+    want = evaluate_policies(m, rows)
+    for dtype in (np.int32, np.uint8):
+        got = evaluate_policies(m, rows.astype(dtype))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_iterative_fallback_matches_dense(i2_product, monkeypatch):
     rng = np.random.default_rng(25)
     targets = [view(i2_product, Mode.TOTAL_REWARD, 0.9)]
