@@ -156,7 +156,7 @@ def _product_as_mdp(p: ProductMdp, zeta: float | None) -> Mdp:
     probs, leak = p.prob, np.zeros(p.n_pairs)
     if zeta is not None:
         flat = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta)).flat
-        probs, leak = flat.prob, flat.leak
+        probs, leak = flat.weight, flat.leak
     leaking = np.flatnonzero(leak > 0.0)  # the pairs with an edge into t
     actions = sorted(set(p.pair_names) | ({"stop"} if leaking.size else set()))
     where = {name: i for i, name in enumerate(actions)}

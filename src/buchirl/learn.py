@@ -1,15 +1,16 @@
 """Tabular Q-learning on the leaked payoff views.
 
-Episodes run on the augmented dynamics: accepting steps divert to the target
-with probability (1-zeta), and an episode ends there (or at the step cap).
-Updates are undiscounted; the termination itself supplies the effective
-bias, so the fixpoint of the update is the expected payoff of the view.
-Against the target there is no bootstrap.
+Episodes run on the leaked dynamics, one step as `shaping.simulate_batch`
+takes it: a branch drawn from the product's `prob`, then a coin that
+diverts an accepting branch to the target with probability (1-zeta); an
+episode ends there (or at the step cap).  Updates are undiscounted; the
+termination itself supplies the effective bias, so the fixpoint of the
+update is the expected payoff of the view.  Against the target there is no
+bootstrap.
 
 One loop, `_run`, runs every episode of a `train` call, walking the
 product's columns: pair and branch offsets, successors, accepting marks and
-one column of partial branch sums within each pair (`product.partial_sums`,
-bisected as `shaping.simulate_batch` does), and it pays the view's `reward`.
+`ProductMdp.partial_sums`, and it pays the view's `reward`.
 It caches each state's best value and best pair, so greedy choice and the
 bootstrap maximum cost O(1) instead of a scan of the row.  Randomness comes
 from a chunked uniform stream, one iterator that is bit-transparent to the
@@ -34,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .product import Strategy, partial_sums
+from .product import Strategy
 from .shaping import AugmentedModel, Mode
 
 
@@ -155,7 +156,7 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
     trap = (trap & (p.succ[only] == np.arange(p.n_states)) & ~p.accepting[only]).tolist()
     starts = p.pair_start.tolist()
     first, last = p.branch_start[:-1].tolist(), (p.branch_start[1:] - 1).tolist()  # per pair
-    succ, accepting, cum = p.succ.tolist(), p.accepting.tolist(), partial_sums(p, p.prob).tolist()
+    succ, accepting, cum = p.succ.tolist(), p.accepting.tolist(), p.partial_sums.tolist()
     reward = model.flat.reward.tolist()  # what an accepting step that does not divert pays
     divert = 1.0 - model.zeta  # probability that an accepting step diverts
     q, visits = table.q, table.visits

@@ -112,6 +112,22 @@ class ProductMdp:
         """(n_pairs,) int64: how many branches each pair has."""
         return _read_only(np.diff(self.branch_start))
 
+    @cached_property
+    def partial_sums(self) -> np.ndarray:
+        """(n_branches,) float64: per branch, the sum of `prob` over its pair
+        up to and including it.  Each pair's sums are added left to right,
+        one rank at a time, so they are bit for bit the running sums a scan
+        of the pair makes.  The learner and `shaping.simulate_batch` bisect
+        them."""
+        lo, count = self.branch_start[:-1], self.branch_count
+        order = np.argsort(-count, kind="stable")  # the pairs with more than r branches come first
+        lo, count = lo[order], count[order]
+        cum = self.prob.copy()
+        for r in range(1, int(count[0])):
+            at = lo[: np.searchsorted(-count, -r)] + r  # rank r of every pair that has one
+            cum[at] += cum[at - 1]
+        return _read_only(cum)
+
     def first_best(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per state, the max of the pair column `q` over its pairs, and the
         rank of its lowest-index pair that attains it."""
@@ -244,21 +260,6 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
     return ProductMdp(m, a, tuple(states), *map(_read_only, columns), caveat)
 
 
-def partial_sums(p: ProductMdp, prob: np.ndarray) -> np.ndarray:
-    """Per branch, the sum of the branch column `prob` over its pair up to
-    and including it.  Each pair's sums are added left to right, one rank
-    at a time, so they are bit for bit the running sums a scan of the pair
-    makes.  The learner passes `p.prob`, the sampler a view's `flat.prob`."""
-    lo, count = p.branch_start[:-1], p.branch_count
-    order = np.argsort(-count, kind="stable")  # the pairs with more than r branches come first
-    lo, count = lo[order], count[order]
-    cum = np.array(prob, dtype=np.float64)
-    for r in range(1, int(count[0])):
-        at = lo[: np.searchsorted(-count, -r)] + r  # rank r of every pair that has one
-        cum[at] += cum[at - 1]
-    return cum
-
-
 def _read_only(col: np.ndarray) -> np.ndarray:
     col.flags.writeable = False  # payoff views share some of them
     return col
@@ -285,14 +286,14 @@ def check_choices(p: ProductMdp, choices) -> np.ndarray:
     Raise ValueError unless every pick is an integer, and every row picks an
     available pair at every state; the message names the first bad row's
     first bad state.  A float or bool pick raises rather than be cast."""
-    choices = np.asarray(choices)
-    if choices.size and choices.dtype.kind not in "iu":
-        raise ValueError(f"strategy picks must be int64 integers, not {choices.dtype}")
-    choices = choices.astype(np.int64, copy=False)
+    picks = np.asarray(choices)
+    if picks.size and picks.dtype.kind not in "iu":
+        raise ValueError(f"strategy picks must be int64 integers, not {picks.dtype}")
+    choices = picks.astype(np.int64, copy=False)
     if choices.ndim != 2 or choices.shape[1] != p.n_states:
         raise ValueError("strategy length does not match the product")
     bad = choices.view(np.uint64) >= p.pair_count  # a negative pick wraps to a huge one
     if np.count_nonzero(bad):
         row, st = np.argwhere(bad)[0].tolist()
-        raise ValueError(f"strategy picks unavailable pair {choices[row, st]} at state {st}")
+        raise ValueError(f"strategy picks unavailable pair {picks[row, st]} at state {st}")
     return choices

@@ -14,32 +14,24 @@ Three views share one construction.  Fix a bias 0 < zeta < 1:
 
 Surviving an accepting step in the leaked dynamics has probability zeta,
 which is the same zeta the biased view charges after a reward, so the total
-and biased Bellman backups coincide coefficient for coefficient.  Branches
-therefore carry both the simulation probability and the backup weight on the
-successor value.
+and biased Bellman backups coincide coefficient for coefficient: a branch's
+`weight` is its probability, times zeta if it is accepting.  In the leaked
+views that is also its probability in the view's dynamics; the biased view
+keeps the product's `prob`.
 
 A view is one `FlatBranches` table, `AugmentedModel.flat`, whose columns run
-parallel to the product's own: one entry per product branch, reweighted for
-the view, and one per product pair.  The leaked views divert each pair's
-accepting mass (1-zeta) into t, and that diversion is the per-pair column
-`leak`, not a branch, in the same way the learner draws it as a coin of its
-own (see `learn`).  Successors and offsets are read from the product
-(`succ`, `branch_start`, `pair_start`, `branch_pair`, `ProductMdp.select`);
-t, worth 0 and absorbing, has no row.  `augment` builds the table with array
-operations over the product's branch columns.  The solvers,
-`simulate_batch` and the product export all read it.
+parallel to the product's own: one entry per product branch and one per
+product pair.  The leak into t is the per-pair column `leak`, not a branch;
+t, worth 0 and absorbing, has no row.  Successors and offsets are read from
+the product.  The solvers, `simulate_batch` and the product export all read
+the table.
 
-`simulate_batch` samples payoffs under a positional strategy, picking
-branches by the learner's rule on `product.partial_sums` of the view's
-`prob`, and moves, and draws uniforms for, only the episodes that can still
-earn.  An episode in a
-state from which the strategy's branches reach no reward and no target
-keeps its payoff and its flag for good, so it leaves the batch.  The
-Q-learner skips traps too (see `learn`), with a narrower rule, a one-branch
-non-accepting self-loop, because a skipped learning step must also leave
-its table unchanged.  That set comes from `graphs.backward_levels`, the
-breadth-first search that also gives `solvers.evaluate_policies` its live
-states.
+There is one leaked step, shared by `simulate_batch` and the learner (see
+`learn`): pick a branch of the pair from the product's `prob`, then divert
+an accepting branch into t with probability 1 - zeta.  `simulate_batch`
+moves only the episodes that can still earn; an episode in a state from
+which the strategy's branches reach no positive `base` keeps its payoff and
+its flag for good, so it leaves the batch.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import adjacency, backward_levels
-from .product import ProductMdp, Strategy, partial_sums
+from .product import ProductMdp, Strategy
 
 
 class Mode(enum.Enum):
@@ -66,10 +58,10 @@ class FlatBranches(NamedTuple):
 
     Branch k of the view is branch k of the product (successor
     `product.succ[k]`), and pair k is product pair k.  `leak` is the mass a
-    pair diverts into t, which pays 1; it is all zeros in the biased view.
+    pair diverts into t, which pays 1; it is all zeros in the biased view,
+    whose discount after branch k is `weight[k] / product.prob[k]`.
     """
 
-    prob: np.ndarray    # (n_branches,) simulation probability
     weight: np.ndarray  # (n_branches,) coefficient of the successor value in the backup
     reward: np.ndarray  # (n_branches,)
     base: np.ndarray    # (n_pairs,) expected immediate reward, the leak's included
@@ -114,7 +106,7 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     reward = np.zeros(acc.size) if spec.mode is Mode.REACH_TARGET else acc.astype(np.float64)
     leak = np.zeros(p.n_pairs)
     leaked = spec.mode is not Mode.BIASED_DISCOUNT
-    prob = scaled if leaked else raw_prob
+    prob = scaled if leaked else raw_prob  # each branch's mass in the view's dynamics
     if leaked:
         # each pair's leak is a running sum over its accepting branches, in branch order
         np.add.at(leak, p.branch_pair[acc], raw_prob[acc] * (1.0 - zeta))
@@ -130,7 +122,7 @@ def augment(p: ProductMdp, spec: PayoffSpec) -> AugmentedModel:
     multi = np.flatnonzero(nonzero > 2).tolist()
     terms, bounds, tails = pr.tolist(), p.branch_start.tolist(), leak[multi].tolist()
     base[multi] = [math.fsum(terms[bounds[k] : bounds[k + 1]] + [x]) for k, x in zip(multi, tails)]
-    return AugmentedModel(p, spec, FlatBranches(prob, scaled, reward, base, leak))
+    return AugmentedModel(p, spec, FlatBranches(scaled, reward, base, leak))
 
 
 def simulate_batch(
@@ -144,20 +136,23 @@ def simulate_batch(
 
     Episodes still moving at max_steps are truncated, which can only lose
     payoff that was still to come, so the mean payoff estimates the
-    strategy's expected payoff over max_steps steps.  Sampling takes one
-    uniform per step over the chosen pair's branches followed by its leak:
-    `bisect_right` on the pair's partial sums up to its last branch, or one
-    place further, the step into t, for a pair that leaks.
+    strategy's expected payoff over max_steps steps.  A step takes the
+    learner's rule: the branch is `bisect_right` of a uniform on the chosen
+    pair's `ProductMdp.partial_sums`, bounded by the pair, and in the leaked
+    views an accepting branch then diverts into t, paying 1, when a second
+    uniform, its coin, is below 1 - zeta.
 
     Only the episodes that can still earn move: those in a state from which
-    `f`'s branches lead to a rewarded branch or to a pair that leaks into
-    the target.  A backward search finds those states over every branch of
-    the chosen pairs, whatever its probability, since rounding slack can
-    pick any last branch.  Any other episode earns nothing and never
-    reaches the target, so its payoff and flag are final, and it stops, as
-    does an episode that reaches the target.  Each step draws
-    `rng.random(m)` for the m moving episodes, in episode order, and the
-    loop ends early when none is left.
+    `f`'s branches lead to a pair with a positive `base`.  A backward search
+    finds those states over every branch of the chosen pairs, whatever its
+    probability, since rounding slack can pick any last branch.  Any other
+    episode earns nothing and never reaches the target, so its payoff and
+    flag are final, and it stops, as does an episode that reaches the
+    target.  For the m moving episodes, in episode order, each step of a
+    leaked view draws `rng.random((2, m))`, whose row 0 picks the branches
+    and whose row 1 holds the coins, read on accepting branches only; a step
+    of the biased view draws `rng.random(m)`.  The loop ends early when no
+    episode is left.
     A negative `episodes` or `max_steps` raises ValueError.
     """
     for name, count in (("episodes", episodes), ("max_steps", max_steps)):
@@ -167,19 +162,13 @@ def simulate_batch(
     f.check(p)
     n = model.n_states
     pid, row, idx = p.select(f.choice)
-    leaks = flat.leak[pid] > 0.0
-    # per state, the chosen pair's branches run from lo to top - 1; a draw
-    # that lands on top, one past a leaking pair's last branch, steps into t
-    cum = partial_sums(p, flat.prob)
-    lo, top = p.branch_start[pid], p.branch_start[pid + 1]
-    hi = top - 1 + leaks
+    cum, lo, hi = p.partial_sums, p.branch_start[pid], p.branch_start[pid + 1] - 1  # per state
     depth = int((hi - lo).max()).bit_length()
     # the states from which an episode can still earn or reach the target,
     # then False for the target itself, where an episode stops moving too
-    seeds = leaks.copy()
-    seeds[row[flat.reward[idx] > 0.0]] = True
     rev = adjacency(n, p.succ[idx].tolist(), row.tolist())
-    earn = np.append(np.array(backward_levels(np.flatnonzero(seeds).tolist(), rev)) >= 0, False)
+    seeds = np.flatnonzero(flat.base[pid] > 0.0).tolist()
+    earn = np.append(np.array(backward_levels(seeds, rev)) >= 0, False)
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta
@@ -192,21 +181,24 @@ def simulate_batch(
     for _ in range(max_steps):
         if moving.size == 0:
             break
-        u = rng.random(moving.size)
-        a, b, end = lo[here], hi[here], top[here]
+        if biased:
+            u = rng.random(moving.size)
+        else:
+            u, coin = rng.random((2, moving.size))
+        a, b = lo[here], hi[here]
         for _ in range(depth):  # bisect_right(cum, u, a, b), one round for every episode
             mid = (a + b) >> 1
-            right = (mid < b) & (cum.take(mid, mode="clip") <= u)
+            right = (mid < b) & (cum[mid] <= u)
             a, b = np.where(right, mid + 1, a), np.where(right, b, mid)
-        into = a == end
-        r = np.where(into, 1.0, flat.reward.take(a, mode="clip"))
+        r, nxt = flat.reward[a], p.succ[a]
         if biased:
             pay[moving] += disc[moving] * r
             disc[moving] *= np.where(r > 0.0, zeta, 1.0)
         else:
-            pay[moving] += r
-        nxt = np.where(into, n, p.succ.take(a, mode="clip"))
-        reached[moving[into]] = True
+            into = p.accepting[a] & (coin < 1.0 - zeta)
+            pay[moving] += np.where(into, 1.0, r)
+            nxt = np.where(into, n, nxt)
+            reached[moving[into]] = True
         go = earn[nxt]
         moving, here = moving[go], nxt[go]
     return pay, reached

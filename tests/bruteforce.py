@@ -39,7 +39,9 @@ def augment_reference(p, spec):
     Each pair keeps its raw branches in order, reweighted for the view.  In
     the leaked views the pair's accepting branches also add (1-zeta) of
     their mass to its leak into the target, summed with `+=`, and the leak
-    pays 1.  Rows are (prob, weight, reward) per branch and (base, leak) per
+    pays 1.  A branch's mass in the view's dynamics, zeta-scaled in the
+    leaked views and the product's own in the biased one, weighs its reward
+    in `base`.  Rows are (weight, reward) per branch and (base, leak) per
     pair, laid out as a `FlatBranches` table.
     """
     zeta = spec.zeta
@@ -52,18 +54,18 @@ def augment_reference(p, spec):
             terms = []
             for b in pair.branches:
                 if not b.accepting:
-                    row = (b.prob, b.prob, 0.0)
+                    mass, row = b.prob, (b.prob, 0.0)
                 elif leaked:
-                    row = (b.prob * zeta, b.prob * zeta, r_cont)
+                    mass, row = b.prob * zeta, (b.prob * zeta, r_cont)
                     leak_mass += b.prob * (1.0 - zeta)
                 else:
-                    row = (b.prob, b.prob * zeta, 1.0)
+                    mass, row = b.prob, (b.prob * zeta, 1.0)
                 rows.append(row)
-                terms.append(row[0] * row[2])
+                terms.append(mass * row[1])
             base.append(math.fsum(terms + [leak_mass]))
             leak.append(leak_mass)
-    prob, weight, reward = (np.array(c) for c in zip(*rows))
-    return FlatBranches(prob, weight, reward, np.array(base), np.array(leak))
+    weight, reward = (np.array(c) for c in zip(*rows))
+    return FlatBranches(weight, reward, np.array(base), np.array(leak))
 
 
 def product_reference(m, a):
@@ -508,7 +510,9 @@ def policy_value_bruteforce(model, choice, tol=0.0, sweeps=200_000):
     """
     n = model.n_states
     p, flat = model.product, model.flat
-    cols = (p.succ, flat.prob, flat.weight, flat.reward)
+    # the branch masses of the view's dynamics: zeta-scaled where it leaks
+    prob = p.prob if model.mode is Mode.BIASED_DISCOUNT else flat.weight
+    cols = (p.succ, prob, flat.weight, flat.reward)
     chosen = []
     for st in range(n):
         pid = p.pair_start[st] + choice[st]

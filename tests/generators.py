@@ -1,7 +1,8 @@
 """Random instances for the property tests: desk-scale ones, one with pairs
 of 1 to 12 branches, and one size of a few hundred product states for the
 sparse policy solver; a chain of many one-state end components for the
-oracle; gambler's ruin, whose Buchi value has a closed form; a uniformly
+oracle; gambler's ruin and red-and-black, whose Buchi values have closed
+forms; a uniformly
 random strategy; and the HOA text of an automaton, for tests
 that hand one to the parser or the CLI.
 
@@ -203,6 +204,34 @@ def gamblers_ruin(rng, n, win):
             branches.reverse()
         edges += [(at[c], 0, t, pr, nn) for t, pr in branches]
     return mdp_from_rows(tuple(f"c{c}" for c in order), ("bet",), SYMBOLS, at[n // 2], edges)
+
+
+def red_and_black(rng, n, win):
+    """Red-and-black on capitals 0..n as an MDP, starting at 23n // 64.
+
+    At capital i, action "b{k}" bets a stake of k, for k from 1 to
+    min(i, n - i): the capital goes up by k with probability `win` and down
+    by k with probability 1 - win, emitting n either way.  The goal n has a
+    g-loop and ruin 0 an n-loop, so with `accept_g.hoa` the Buchi value is
+    the best probability of reaching n, which bold play attains for
+    win < 1/2.  State "c{i}" holds capital i; the seed shuffles the order
+    of the states and of each bet's two branches, like `gamblers_ruin`.
+    """
+    g, nn = SYMBOLS.index("g"), SYMBOLS.index("n")
+    order = [int(i) for i in rng.permutation(n + 1)]
+    at = {c: k for k, c in enumerate(order)}  # state index of capital c
+    edges = []
+    for c in order:
+        if c in (0, n):
+            edges.append((at[c], 0, at[c], 1.0, g if c == n else nn))
+            continue
+        for stake in range(1, min(c, n - c) + 1):
+            branches = [(at[c + stake], win), (at[c - stake], 1.0 - win)]
+            if rng.random() < 0.5:
+                branches.reverse()
+            edges += [(at[c], stake - 1, t, pr, nn) for t, pr in branches]
+    actions = tuple(f"b{k}" for k in range(1, n // 2 + 1))
+    return mdp_from_rows(tuple(f"c{c}" for c in order), actions, SYMBOLS, at[23 * n // 64], edges)
 
 
 def many_mecs(rng, n):

@@ -1,6 +1,7 @@
 """End components and Buchi values against hand cases, exhaustive search
 and closed forms."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from buchirl import (
     mec_decomposition,
     parse_hoa,
     policy_buchi_probability,
+    simulate_batch,
     solve_optimal,
 )
 
@@ -40,6 +42,7 @@ from generators import (
     random_mdp,
     random_nondet_automaton,
     random_strategy,
+    red_and_black,
     small_instance,
 )
 
@@ -339,3 +342,39 @@ def test_gamblers_ruin_matches_closed_form(accept_g, monkeypatch, n, win):
     sat = policy_buchi_probability(p, total.policy)[0]
     for got in (psat, sat, reach.at_initial(), (1 - zeta) * total.at_initial()):
         assert abs(Fraction(got) - exact) <= RUIN_TOL * exact
+
+
+def bold_play_value(x, up, down):
+    """Bold play's chance of doubling up to 1 from capital x, a dyadic
+    fraction: V(x) = up V(2x) for x <= 1/2, and up + down V(2x - 1) above."""
+    if x in (0, 1):
+        return Fraction(x)
+    if x <= Fraction(1, 2):
+        return up * bold_play_value(2 * x, up, down)
+    return up + down * bold_play_value(2 * x - 1, up, down)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_red_and_black_matches_bold_play(accept_g, n):
+    # below even odds bold play is optimal (Dubins & Savage), and many
+    # strategies tie with it; the reference is exact in fractions, from the
+    # float probabilities the MDP carries
+    win = 0.4
+    up, down = Fraction(win), Fraction(1.0 - win)
+    assert up + down == 1  # so bold play's recursion gives the exact value
+    exact = bold_play_value(Fraction(23, 64), up, down)
+    p = build_product(red_and_black(np.random.default_rng(n), n, win), accept_g)
+    assert p.n_states == n + 1 and p.pair_count.max() == n // 2
+    zeta = 0.9
+    total = solve_optimal(augment(p, PayoffSpec(Mode.TOTAL_REWARD, zeta)))
+    reach = augment(p, PayoffSpec(Mode.REACH_TARGET, zeta))
+    sat = policy_buchi_probability(p, total.policy)[0]
+    got = (buchi_value(p).at_initial(), sat, evaluate_policy(reach, total.policy).at_initial())
+    for x in (*got, (1 - zeta) * total.at_initial()):
+        assert abs(Fraction(x) - exact) <= RUIN_TOL * exact
+    # the reach view's sampler reaches the target at that rate, run for
+    # enough steps that a run still short of it has chance zeta**steps <= 1e-9
+    episodes, steps = 20_000, math.ceil(math.log(1e-9) / math.log(zeta))
+    _, reached = simulate_batch(reach, total.policy, np.random.default_rng(n), episodes, steps)
+    v = float(exact)
+    assert abs(reached.mean() - v) <= 5.0 * math.sqrt(v * (1.0 - v) / episodes)

@@ -23,7 +23,7 @@ from buchirl import (
     parse_hoa,
     solve_optimal,
 )
-from buchirl.product import check_choices, partial_sums
+from buchirl.product import check_choices
 
 from bruteforce import product_reference
 from generators import (
@@ -247,6 +247,12 @@ def test_strategy_check(i2_product):
         check_choices(i2_product, np.array([(1, 0, 0), (0, 0, 1), (2, 0, 0)]))
     with pytest.raises(ValueError, match="^strategy length does not match the product$"):
         check_choices(i2_product, np.zeros(3, dtype=np.int64))
+    # an unsigned pick past int64 is named as given, not as the int64 cast
+    # wraps it
+    for big in (2**63, 2**64 - 1):
+        choices = np.array([(0, 0, 0), (0, big, 0)], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"^strategy picks unavailable pair {big} at state 1$"):
+            check_choices(i2_product, choices)
 
 
 def test_one_call_draws_like_one_call_per_state():
@@ -269,17 +275,16 @@ def test_one_call_draws_like_one_call_per_state():
 
 def test_partial_sums_add_left_to_right():
     # the branch column the learner and the sampler bisect holds, within
-    # each pair, the running sums a left-to-right scan makes, bit for bit:
-    # of the product's probabilities and of a view's scaled ones; pairs of
-    # 1 to 12 branches, so that every rank is summed with pairs of other sizes
+    # each pair, the running sums a left-to-right scan makes, bit for bit;
+    # pairs of 1 to 12 branches, so that every rank is summed with pairs of
+    # other sizes
     rng = np.random.default_rng(12)
-    m = branchy_mdp(rng)
-    for p in (build_product(m, random_det_automaton(rng)) for _ in range(5)):
-        views = [augment(p, PayoffSpec(Mode.TOTAL_REWARD, z)).flat.prob for z in (0.3, 0.99)]
-        bounds = p.branch_start.tolist()
-        for prob in [p.prob, *views]:
-            want = [x for lo, hi in zip(bounds, bounds[1:]) for x in accumulate(prob[lo:hi].tolist())]
-            assert partial_sums(p, prob).tolist() == want
+    for m in (branchy_mdp(rng) for _ in range(3)):
+        for p in (build_product(m, random_det_automaton(rng)) for _ in range(3)):
+            bounds = p.branch_start.tolist()
+            want = [x for lo, hi in zip(bounds, bounds[1:]) for x in accumulate(p.prob[lo:hi].tolist())]
+            assert p.partial_sums.tolist() == want
+            assert p.partial_sums is p.partial_sums and not p.partial_sums.flags.writeable
 
 
 def test_unreachable_mdp_states_do_not_change_values(i2, accept_g):

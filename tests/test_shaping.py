@@ -32,12 +32,12 @@ from generators import (
 
 
 def pair_rows(m, st, k):
-    """Pair k of state st as (succ, prob, weight, reward) rows: the product's
+    """Pair k of state st as (succ, weight, reward) rows: the product's
     successors beside the view's branch columns."""
     p, flat = m.product, m.flat
     pid = p.pair_start[st] + k
     cut = slice(p.branch_start[pid], p.branch_start[pid + 1])
-    return list(zip(*(c[cut].tolist() for c in (p.succ, flat.prob, flat.weight, flat.reward))))
+    return list(zip(*(c[cut].tolist() for c in (p.succ, flat.weight, flat.reward))))
 
 
 def table(m):
@@ -61,19 +61,19 @@ class TestAugmentTables:
 
     All the constants below are exact in binary floating point, so the
     comparisons are equalities, not tolerances.  Rows are
-    (succ, prob, weight, reward), one per product branch; `leak` and `base`
-    have one entry per product pair.
+    (succ, weight, reward), one per product branch; `leak` and `base` have
+    one entry per product pair.
     """
 
     def test_total(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
         assert table(m) == [
             [
-                [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
-                [(2, 0.5, 0.5, 1.0)],
+                [(1, 0.5, 0.0), (2, 0.5, 0.0)],
+                [(2, 0.5, 1.0)],
             ],
-            [[(1, 0.5, 0.5, 1.0)]],
-            [[(2, 1.0, 1.0, 0.0)]],
+            [[(1, 0.5, 1.0)]],
+            [[(2, 1.0, 0.0)]],
         ]
         assert m.flat.leak.tolist() == [0.0, 0.5, 0.5, 0.0]
         assert m.flat.base.tolist() == [0.0, 1.0, 1.0, 0.0]
@@ -83,25 +83,25 @@ class TestAugmentTables:
         # same dynamics as total, but only the leak into t pays
         assert table(m) == [
             [
-                [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
-                [(2, 0.5, 0.5, 0.0)],
+                [(1, 0.5, 0.0), (2, 0.5, 0.0)],
+                [(2, 0.5, 0.0)],
             ],
-            [[(1, 0.5, 0.5, 0.0)]],
-            [[(2, 1.0, 1.0, 0.0)]],
+            [[(1, 0.5, 0.0)]],
+            [[(2, 1.0, 0.0)]],
         ]
         assert m.flat.leak.tolist() == [0.0, 0.5, 0.5, 0.0]
         assert m.flat.base.tolist() == [0.0, 0.5, 0.5, 0.0]
 
     def test_biased(self, i2_product):
         m = augment(i2_product, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
-        # raw dynamics; accepting branches keep prob 1x but back up at zeta
+        # the product's own dynamics; accepting branches back up at zeta
         assert table(m) == [
             [
-                [(1, 0.5, 0.5, 0.0), (2, 0.5, 0.5, 0.0)],
-                [(2, 1.0, 0.5, 1.0)],
+                [(1, 0.5, 0.0), (2, 0.5, 0.0)],
+                [(2, 0.5, 1.0)],
             ],
-            [[(1, 1.0, 0.5, 1.0)]],
-            [[(2, 1.0, 1.0, 0.0)]],
+            [[(1, 0.5, 1.0)]],
+            [[(2, 1.0, 0.0)]],
         ]
         assert m.flat.leak.tolist() == [0.0, 0.0, 0.0, 0.0]
         assert m.flat.base.tolist() == [0.0, 1.0, 1.0, 0.0]
@@ -109,7 +109,7 @@ class TestAugmentTables:
     def test_self_loop_leak(self, self_loop_product):
         # one accepting self-loop keeps 0.9 and leaks 1 - 0.9 into t, which pays 1
         m = augment(self_loop_product, PayoffSpec(Mode.TOTAL_REWARD, 0.9))
-        assert table(m) == [[[(0, 0.9, 0.9, 1.0)]]]
+        assert table(m) == [[[(0, 0.9, 1.0)]]]
         assert m.flat.leak.tolist() == [1.0 - 0.9]
         assert m.flat.base.tolist() == [0.9 + (1.0 - 0.9)]
 
@@ -122,17 +122,22 @@ def test_augment_preserves_pair_structure():
         _, _, p = random_instance(rng)
         for mode in Mode:
             flat = augment(p, PayoffSpec(mode, 0.7)).flat
-            assert flat._fields == ("prob", "weight", "reward", "base", "leak")
-            assert [c.shape for c in flat] == [p.succ.shape] * 3 + [(p.n_pairs,)] * 2
+            assert flat._fields == ("weight", "reward", "base", "leak")
+            assert [c.shape for c in flat] == [p.succ.shape] * 2 + [(p.n_pairs,)] * 2
 
 
 def test_augment_stays_stochastic():
-    # per pair, the branch masses and the leak add up to the product's mass
+    # in the leaked views, per pair, the branch weights and the leak add up
+    # to the product's mass; the biased view's weight over the product's
+    # prob is its discount, zeta after an accepting branch and 1 elsewhere
     rng = np.random.default_rng(12)
     for _ in range(15):
         _, _, p = random_instance(rng)
         for mode in Mode:
             m = augment(p, PayoffSpec(mode, 0.3))
+            if mode is Mode.BIASED_DISCOUNT:
+                assert np.array_equal(m.flat.weight, p.prob * np.where(p.accepting, 0.3, 1.0))
+                continue
             for st in range(p.n_states):
                 for k in range(len(p.pairs[st])):
                     leak = m.flat.leak[p.pair_start[st] + k]
@@ -190,20 +195,33 @@ def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
     m = augment(p, PayoffSpec(Mode.BIASED_DISCOUNT, 0.5))
 
     class AlmostOne:
+        """Every uniform just below 1, or only the branch picks when `coin`
+        is set, with that value for every coin."""
+
+        def __init__(self, coin=None):
+            self.coin = coin
+
         def random(self, size):
-            return np.full(size, np.nextafter(1.0, 0.0))
+            u = np.full(size, np.nextafter(1.0, 0.0))
+            if self.coin is not None:
+                u[1] = self.coin
+            return u
 
     f = Strategy((0,) * p.n_states)
     pay, reached = simulate_batch(m, f, AlmostOne(), 3, 5)
     assert pay.tolist() == [1.0] * 3 and not reached.any()
-    # in the total view that pair leaks, and a draw above its last partial
-    # sum steps into t, which pays 1
+    # in the total view that last branch is still taken, and its coin then
+    # decides: below 1 - zeta it diverts into t, which pays 1, and otherwise
+    # it pays its reward and moves on to the dead loop at s9
     m = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
     pay, reached = simulate_batch(m, f, AlmostOne(), 3, 5)
+    assert pay.tolist() == [1.0] * 3 and not reached.any()
+    pay, reached = simulate_batch(m, f, AlmostOne(0.0), 3, 5)
     assert pay.tolist() == [1.0] * 3 and reached.all()
-    # a pair that does not leak keeps the draw on its own last branch, into
-    # the accepting loop at t9, and never hands it to the next pair, s0's
-    # second, whose one branch goes to the dead loop at `spill`
+    # a pair without accepting branches keeps the draw on its own last
+    # branch, into the accepting loop at t9, and never hands it to the next
+    # pair, s0's second, whose one branch goes to the dead loop at `spill`;
+    # the loop then pays 1 on each of the four steps left
     names = ("s0", *(f"t{i}" for i in range(10)), "spill")
     edges = [(0, 0, 1 + i, 0.1, 1) for i in range(10)] + [(0, 1, 11, 1.0, 1)]
     edges += [(1 + i, 0, 1 + i, 1.0, 0 if i == 9 else 1) for i in range(10)] + [(11, 0, 11, 1.0, 1)]
@@ -211,7 +229,7 @@ def test_simulate_batch_rounding_slack_goes_to_last_branch(accept_g):
     assert p.branch_count[:2].tolist() == [10, 1] and p.succ[10] == p.states.index((11, 0))
     m = augment(p, PayoffSpec(Mode.TOTAL_REWARD, 0.5))
     pay, reached = simulate_batch(m, Strategy((0,) * p.n_states), AlmostOne(), 3, 5)
-    assert pay.tolist() == [1.0] * 3 and reached.all()
+    assert pay.tolist() == [4.0] * 3 and not reached.any()
 
 
 def test_simulate_batch_against_reach_probability(i2_product):
@@ -235,13 +253,21 @@ def test_simulate_batch_rejects_negative_counts(i2_product):
 
 
 def assert_near_t_step_value(sample, exact):
-    """The sample mean is within 5 standard errors of `exact`, plus one
-    episode's largest share of the mean, so the bound stays positive when
-    every episode has the same nonzero payoff (every episode can reach the
-    target while the exact chance stays below 1)."""
-    size = sample.size
-    tol = 5.0 * sample.std() / math.sqrt(size) + np.abs(sample).max() / size
-    assert abs(sample.mean() - exact) <= tol, (sample.mean(), exact, tol)
+    """The sample mean is within 5 standard errors of `exact`, plus 1e-12
+    relative for rounding: a strategy that pays the same every time gives a
+    sample with no spread, whose mean and exact sweeps still round.
+
+    A sample of all zeros or all ones, such as the reached flags when every
+    episode reaches the target while the exact chance stays below 1, passes
+    instead when its chance, exact**N for all ones and (1 - exact)**N for
+    all zeros, is at least 1e-6."""
+    size, mean = sample.size, sample.mean()
+    if sample.std() == 0.0 and mean in (0.0, 1.0):
+        chance = exact if mean == 1.0 else 1.0 - exact
+        assert chance >= 0.0 and chance**size >= 1e-6, (mean, exact, size)
+        return
+    tol = 5.0 * sample.std() / math.sqrt(size) + 1e-12 * max(1.0, abs(exact))
+    assert abs(mean - exact) <= tol, (mean, exact, tol)
 
 
 def test_simulate_batch_matches_t_step_values(corpus_products):
@@ -299,9 +325,10 @@ def sample_views(accept_g, edges, n_states, seed, episodes, max_steps):
 
 
 def assert_draws_match_moves(sizes, moves):
-    """Step t draws one uniform per episode that moves on it, those with
-    moves > t, and no step draws once none moves."""
-    assert sizes == [int(np.sum(moves > t)) for t in range(int(moves.max(initial=0)))]
+    """Step t of a leaked view draws a branch pick and a coin per episode
+    that moves on it, those with moves > t, and no step draws once none
+    moves."""
+    assert sizes == [(2, int(np.sum(moves > t))) for t in range(int(moves.max(initial=0)))]
 
 
 # Trap shapes the learner's trap rule, one pair whose one branch is a
@@ -365,47 +392,54 @@ def test_simulate_batch_biased_never_reaches(never_product):
 def simulate_reference(m, f, rng, episodes, max_steps):
     """`simulate_batch`'s draw contract, one episode at a time.
 
-    Each step draws `rng.random(k)` for the k moving episodes, in episode
-    order.  An episode picks `bisect_right` of its draw over the running
-    sums of its pair's view probabilities followed by the pair's leak, if
-    it has one, searching all but the last entry, which takes the rest; the
-    leak's entry is the step into t.  An episode moves while it is in a
-    state that can still earn, found by a plain fixpoint.
+    Each step draws, for the k moving episodes in episode order,
+    `rng.random((2, k))` in a leaked view and `rng.random(k)` in the biased
+    one.  An episode picks `bisect_right` of its draw, row 0 in a leaked
+    view, over the running sums of its pair's product probabilities,
+    searching all but the last entry, which takes the rest.  In a leaked
+    view an accepting branch whose coin, row 1, is below 1 - zeta steps into
+    t and pays 1.  An episode moves while it is in a state that can still
+    earn, found by a plain fixpoint from the pairs that pay on some branch
+    or leak.
     """
     p, flat = m.product, m.flat
-    rows = []  # per state: running sums, successors and rewards of its chosen pair, leak last
+    leaked = m.mode is not Mode.BIASED_DISCOUNT
+    rows = []  # per state: running sums, successors, accepting marks and rewards of its chosen pair
     for st, k in enumerate(f.choice):
         pid = p.pair_start[st] + k
-        lo, hi = p.branch_start[pid], p.branch_start[pid + 1]
-        prob, succ, rew = flat.prob[lo:hi].tolist(), p.succ[lo:hi].tolist(), flat.reward[lo:hi].tolist()
-        if flat.leak[pid] > 0.0:
-            prob, succ, rew = prob + [flat.leak[pid].item()], succ + [None], rew + [1.0]
-        rows.append((list(accumulate(prob)), succ, rew))
-    earn = [max(rew) > 0.0 for _, _, rew in rows]
+        cut = slice(p.branch_start[pid], p.branch_start[pid + 1])
+        prob, succ, acc, rew = (c[cut].tolist() for c in (p.prob, p.succ, p.accepting, flat.reward))
+        rows.append((list(accumulate(prob)), succ, acc, rew, leaked and any(acc)))
+    earn = [leak or max(rew) > 0.0 for _, _, _, rew, leak in rows]
     grew = True
     while grew:
         grew = False
-        for st, (_, succ, _) in enumerate(rows):
-            if not earn[st] and any(t is None or earn[t] for t in succ):
+        for st, (_, succ, _, _, _) in enumerate(rows):
+            if not earn[st] and any(earn[t] for t in succ):
                 earn[st] = grew = True
-    biased = m.mode is Mode.BIASED_DISCOUNT
     pay, disc, reached = [0.0] * episodes, [1.0] * episodes, [False] * episodes
     moving = [(i, p.initial) for i in range(episodes)] if earn[p.initial] else []
     for _ in range(max_steps):
         if not moving:
             break
+        if leaked:
+            picks, coins = rng.random((2, len(moving))).tolist()
+        else:
+            picks, coins = rng.random(len(moving)).tolist(), [None] * len(moving)
         still = []
-        for (i, st), u in zip(moving, rng.random(len(moving)).tolist()):
-            cum, succ, rew = rows[st]
+        for (i, st), u, coin in zip(moving, picks, coins):
+            cum, succ, acc, rew, _ = rows[st]
             j = bisect_right(cum, u, 0, len(cum) - 1)
-            if biased:
+            if leaked and acc[j] and coin < 1.0 - m.zeta:
+                pay[i] += 1.0
+                reached[i] = True
+                continue
+            if leaked:
+                pay[i] += rew[j]
+            else:
                 pay[i] += disc[i] * rew[j]
                 disc[i] *= m.zeta if rew[j] > 0.0 else 1.0
-            else:
-                pay[i] += rew[j]
-            if succ[j] is None:
-                reached[i] = True
-            elif earn[succ[j]]:
+            if earn[succ[j]]:
                 still.append((i, succ[j]))
         moving = still
     return np.array(pay), np.array(reached)
@@ -413,7 +447,8 @@ def simulate_reference(m, f, rng, episodes, max_steps):
 
 def test_simulate_batch_matches_step_by_step_reference():
     # payoffs, flags and the generator's state bit for bit, in every view,
-    # on products whose pairs have 1 to 12 branches and leak or not
+    # on products whose pairs have 1 to 12 branches and leak or not, and
+    # whose accepting branches divert and survive
     rng = np.random.default_rng(27)
     products = [random_instance(rng)[2] for _ in range(8)]
     products.append(large_instance(rng)[2])
