@@ -88,37 +88,35 @@ class Nba:
 
 def is_deterministic(a: Nba) -> bool:
     """At most one move per (state, symbol)."""
-    return all(
-        len(a.moves(q, s)) <= 1
-        for q in range(a.n_states)
-        for s in range(len(a.symbols))
-    )
+    return all(len(moves) <= 1 for moves in a._delta.values())
+
+
+def _missing_moves(a: Nba) -> list[tuple[int, int]]:
+    """Ascending (state, symbol) pairs without a move, over the states a run can reach."""
+    symbols, seen, stack = range(len(a.symbols)), {a.initial}, [a.initial]
+    while stack:
+        q = stack.pop()
+        new = {r for s in symbols for r, _ in a.moves(q, s)} - seen
+        seen |= new
+        stack += new
+    return [(q, s) for q in sorted(seen) for s in symbols if not a.moves(q, s)]
 
 
 def is_complete(a: Nba) -> bool:
-    """At least one move per (state, symbol)."""
-    return all(
-        a.moves(q, s) for q in range(a.n_states) for s in range(len(a.symbols))
-    )
+    """At least one move per symbol in each state a run reaches, the only moves ever read."""
+    return not _missing_moves(a)
 
 
 def complete_with_trap(a: Nba) -> Nba:
-    """Route every missing (state, symbol) move to a fresh rejecting trap.
-
-    Returns `a` unchanged when it is already complete.  The trap does not
-    change the accepted language.
-    """
-    if is_complete(a):
+    """Route each missing move of a reachable state, where a run may read it, to
+    a fresh rejecting trap, which keeps the language; `a` itself when complete."""
+    missing = _missing_moves(a)
+    if not missing:
         return a
     trap = a.n_states
-    trans = list(a.transitions)
-    for q in range(a.n_states):
-        for s in range(len(a.symbols)):
-            if not a.moves(q, s):
-                trans.append((q, s, trap))
-    for s in range(len(a.symbols)):
-        trans.append((trap, s, trap))
-    return Nba(a.symbols, a.n_states + 1, a.initial, tuple(trans), a.accepting, a.gfm)
+    trans = a.transitions + tuple((q, s, trap) for q, s in missing)
+    trans += tuple((trap, s, trap) for s in range(len(a.symbols)))
+    return Nba(a.symbols, a.n_states + 1, a.initial, trans, a.accepting, a.gfm)
 
 
 _HEADERS = {"HOA", "States", "Start", "AP", "acc-name", "Acceptance", "GFM"}
@@ -126,11 +124,11 @@ _EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*(?:\{([^{}]*)\})?")
 
 
 def _number(digits: str, lineno: int) -> int:
-    """`int` of a run of digits; one past Python's digit limit is a syntax error."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise HoaSyntaxError(f"number of {len(digits)} digits is too long to read", lineno) from None
+    """`int` of a run of digits; more than 18 digits, which the product's int64
+    columns may not hold, are a syntax error."""
+    if len(digits) > 18:
+        raise HoaSyntaxError(f"number of {len(digits)} digits is too long to read", lineno)
+    return int(digits)
 
 
 def parse_hoa(text: str) -> Nba:

@@ -8,9 +8,9 @@ of every MDP branch; a pair that covers only part of the branching would lose
 probability mass and is dropped.  A branch is accepting exactly when the
 automaton transition it takes is accepting.
 
-Construction explores only states reachable from (initial, initial).  A
-reachable state where every pair was dropped is a modelling dead end and
-raises, rather than silently producing a sub-stochastic model.
+Construction explores only states reachable from (initial, initial).  It
+raises where it reads a missing automaton move, and at a reachable state whose
+every pair was dropped, rather than silently produce a sub-stochastic model.
 
 `ProductMdp` holds read-only columns: the pairs of state s are
 pair_start[s] .. pair_start[s+1]-1, the branches of pair k are
@@ -25,12 +25,12 @@ for `tests/` and `perfbench/`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .automata import Nba, is_complete, is_deterministic
+from .automata import Nba, is_deterministic
 from .mdp import Mdp
 
 
@@ -186,7 +186,8 @@ class ProductMdp:
 def build_product(m: Mdp, a: Nba) -> ProductMdp:
     """Reachable product of `m` and `a`; see the module docstring for the rules.
 
-    Preconditions: `m` passes validation and `a` is complete.  The asserted
+    Preconditions: `m` passes validation, and `a` has each move the search
+    reads (IncompleteAutomatonError where it misses one).  The asserted
     good-for-MDPs flag is not checked; when the automaton is neither
     deterministic nor flagged, the result carries ``gfm_caveat=True`` and
     downstream optima are only guaranteed to be lower bounds on the Buchi
@@ -198,14 +199,9 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
         raise AlphabetMismatchError(
             f"alphabets differ (MDP only: {only_m}, automaton only: {only_a})"
         )
-    if not is_complete(a):
-        raise IncompleteAutomatonError(
-            "automaton is missing moves; complete it first "
-            "(complete_with_trap adds a rejecting trap)"
-        )
     sym_map = tuple(a.symbols.index(name) for name in m.symbols)
-    # delta[q][x] = {q': accepting} for reading MDP symbol x in automaton state q
-    delta = [[dict(a.moves(q, x)) for x in sym_map] for q in range(a.n_states)]
+    # moves_of(q)[x] = {q': accepting} for reading MDP symbol x in automaton state q
+    moves_of = cache(lambda q: [dict(a.moves(q, x)) for x in sym_map])
 
     states: list[tuple[int, int]] = [(m.initial, a.initial)]
     index: dict[tuple[int, int], int] = {states[0]: 0}
@@ -226,6 +222,7 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
     head = 0
     while head < len(states):
         s, q = states[head]
+        read = moves_of(q)
         for k in range(state_start[s], state_start[s + 1]):
             lo, hi = edge_start[k], edge_start[k + 1]
             symbols = e_symbol[lo:hi]
@@ -234,7 +231,12 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
                     f"unlabelled edge at ({m.states[s]},{m.actions[group_action[k]]}); "
                     "validate the MDP first"
                 )
-            moves = [delta[q][x] for x in symbols]
+            moves = [read[x] for x in symbols]
+            if not all(moves):
+                raise IncompleteAutomatonError(
+                    "automaton is missing moves; complete it first "
+                    "(complete_with_trap adds a rejecting trap)"
+                )
             # a pair survives when every branch has a move to its q2; the
             # successors are numbered only once the pair is known to survive
             for q2 in sorted(set(moves[0]).intersection(*moves[1:])):

@@ -18,7 +18,7 @@ import math
 import networkx as nx
 import numpy as np
 
-from buchirl.automata import is_complete, is_deterministic
+from buchirl.automata import is_deterministic
 from buchirl.oracle import BuchiResult, EndComponent, PolicyIterationError
 from buchirl.product import (
     AlphabetMismatchError,
@@ -75,18 +75,14 @@ def product_reference(m, a):
     (state, action)'s edges off `Mdp.groups`: each pair's branches are
     collected as `Branch` tuples and kept when every MDP branch has a move
     to the pair's automaton successor; a successor state is numbered only
-    when its pair is kept.  Raises as `build_product` does.
+    when its pair is kept.  Raises as `build_product` does: a missing
+    automaton move, like an unlabelled edge, only when the search reads it.
     """
     if set(m.symbols) != set(a.symbols):
         only_m = sorted(set(m.symbols) - set(a.symbols))
         only_a = sorted(set(a.symbols) - set(m.symbols))
         raise AlphabetMismatchError(
             f"alphabets differ (MDP only: {only_m}, automaton only: {only_a})"
-        )
-    if not is_complete(a):
-        raise IncompleteAutomatonError(
-            "automaton is missing moves; complete it first "
-            "(complete_with_trap adds a rejecting trap)"
         )
     sym_map = tuple(a.symbols.index(name) for name in m.symbols)
 
@@ -116,6 +112,11 @@ def product_reference(m, a):
                 raise ProductError(
                     f"unlabelled edge at ({m.states[s]},{m.actions[act]}); "
                     "validate the MDP first"
+                )
+            if not all(a.moves(q, sym_map[x]) for _, _, x in edges):
+                raise IncompleteAutomatonError(
+                    "automaton is missing moves; complete it first "
+                    "(complete_with_trap adds a rejecting trap)"
                 )
             for q2 in range(a.n_states):
                 marks: list[bool] = []

@@ -47,7 +47,7 @@ def never_product(accept_g):
 def corpus_pairs():
     """All 12 corpus (MDP, automaton) pairs, in file order; incomplete_g
     comes completed with a rejecting trap, without which it builds no
-    product."""
+    product with an MDP that emits n."""
     out = []
     for mdp in sorted((CORPUS / "mdp").glob("*.json")):
         for hoa in sorted((CORPUS / "hoa").glob("*.hoa")):

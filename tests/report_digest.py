@@ -17,10 +17,12 @@ workload at seed 1 and the large_product MDP at seeds 1-3, both written by
 `perfbench/instances.generate`.  `validate` runs on each corpus MDP alone
 and on every input pair, and once more on `DIAGNOSTICS_MDP`, which hits
 every diagnostic code.  `MANY_MECS_MDP` with `accept_g.hoa` runs
-`validate`, `oracle`, `sweep` and a `verify`.  Every input is written to a scratch
-directory that is the working directory while the commands run, so the
-paths inside the reports are relative and the digests are the same on every
-machine with the same numpy.
+`validate`, `oracle`, `sweep` and a `verify`.  `validate` and `oracle`
+also run on self_loop x incomplete_g without `--trap-complete`, and with it
+on I2 and a copy of incomplete_g that declares 100,000 states.  Every input
+is written to a scratch directory that is the working directory while the
+commands run, so the paths inside the reports are relative and the digests
+are the same on every machine with the same numpy.
 """
 
 from __future__ import annotations
@@ -157,6 +159,14 @@ def write_inputs() -> list[tuple[list[str], list[list[str]]]]:
         for hoa in sorted(Path("corpus/hoa").glob("*.hoa")):
             extra = ["--trap-complete"] if hoa.stem == "incomplete_g" else []
             runs.append((["--mdp", str(mdp), "--hoa", str(hoa), *extra], CORPUS_COMMANDS))
+    # incomplete_g where no run of the product reads its gap, and a HOA that
+    # declares 10^5 states and uses one
+    incomplete = ["--hoa", "corpus/hoa/incomplete_g.hoa"]
+    runs.append((["--mdp", "corpus/mdp/self_loop.json", *incomplete], [["validate"], ["oracle"]]))
+    text = Path("corpus/hoa/incomplete_g.hoa").read_text().replace("States: 1", "States: 100000")
+    Path("declared.hoa").write_text(text)
+    declared = ["--mdp", "corpus/mdp/i2.json", "--hoa", "declared.hoa", "--trap-complete"]
+    runs.append((declared, [["validate"], ["oracle"]]))
     runs.append((["--mdp", "corpus/mdp/i2.json", "--hoa", "corpus/hoa/accept_g.hoa"], I2_COMMANDS))
     inputs = [("desk_sweep", 1, DESK_COMMANDS)]
     inputs += [("large_product", seed, large_commands(seed)) for seed in (1, 2, 3)]

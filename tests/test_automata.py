@@ -242,6 +242,24 @@ def test_complete_with_trap(corpus):
     assert complete_with_trap(c) is c
 
 
+def test_completion_reads_only_reachable_states(corpus):
+    # state 1 misses n, but no run from state 0 reaches it
+    a = Nba(("g", "n"), 2, 0, ((0, 0, 0), (0, 1, 0), (1, 0, 1)), frozenset({0}))
+    assert is_complete(a) and complete_with_trap(a) is a
+    # the run 0 -n-> 1 -g-> 2 reaches state 2's gap, and only its move is added
+    chain = ((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 1), (2, 0, 2))
+    b = Nba(("g", "n"), 3, 0, chain, frozenset({4}))
+    assert not is_complete(b)
+    c = complete_with_trap(b)
+    assert c.transitions[5:] == ((2, 1, 3), (3, 0, 3), (3, 1, 3)) and is_complete(c)
+    # a declaration far past what a run uses costs nothing: one gap, one trap
+    text = (corpus / "hoa" / "incomplete_g.hoa").read_text()
+    d = complete_with_trap(parse_hoa(text.replace("States: 1", "States: 199999999999")))
+    trap = 199_999_999_999
+    assert d.n_states == trap + 1
+    assert d.transitions[1:] == ((0, 1, trap), (trap, 0, trap), (trap, 1, trap))
+
+
 def test_trap_preserves_language(corpus):
     a = parse_hoa((corpus / "hoa" / "incomplete_g.hoa").read_text())
     b = complete_with_trap(a)

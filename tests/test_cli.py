@@ -1,6 +1,8 @@
 """Command line behaviour: reports, exports, exit codes, byte identity."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -18,7 +20,10 @@ I2 = str(CORPUS / "mdp" / "i2.json")
 I2_TEXT = (CORPUS / "mdp" / "i2.json").read_text()
 SELF_LOOP = str(CORPUS / "mdp" / "self_loop.json")
 ACCEPT_G = str(CORPUS / "hoa" / "accept_g.hoa")
+ACCEPT_G_TEXT = (CORPUS / "hoa" / "accept_g.hoa").read_text()
 INCOMPLETE_G = str(CORPUS / "hoa" / "incomplete_g.hoa")
+NONDET_G = str(CORPUS / "hoa" / "nondet_g.hoa")
+CHILD_AS_LIMIT = 512 << 20  # bytes of address space for a child run under a memory cap
 
 MISMATCHED_HOA = """HOA: v1
 States: 1
@@ -188,6 +193,102 @@ def test_overlong_automaton_number_is_a_parse_error(tmp_path, capsys, old, new):
         assert line.startswith("error: line ") and "5001 digits is too long" in line
 
 
+@pytest.mark.parametrize(
+    "which, old, new, message",
+    [
+        ("hoa", "--BODY--", "--END--", "line 8: --END-- before --BODY--"),
+        ("hoa", "GFM: true", "GFM true", "line 7, col 1: expected a 'name: value' header"),
+        ("hoa", "States: 1", "States: one", "line 2: States expects a nonnegative integer"),
+        # 2^63: the product's int64 columns could not hold such a state
+        ("hoa", "States: 1", "States: 9223372036854775808", "line 2: number of 19 digits is too long"),
+        ("hoa", "Start: 0", "Start: -1", "line 3: Start expects a nonnegative integer"),
+        ("hoa", 'AP: 2 "g" "n"', "AP: 2 g n", "line 4: AP expects a count then quoted names"),
+        ("hoa", "State: 0", "State: zero", "line 9: State line must be 'State: <index>'"),
+        ("hoa", "[1] 0", "[1] zero", "line 11: malformed edge"),
+        ("hoa", "--END--\n", "", "line 11: missing --END--"),
+        ("mdp", '"states": ["s0", "sA", "sR"]', '"states": ["s0", 1, 2]', "states must be a list of strings"),
+        ("mdp", '"states": ["s0", "sA", "sR"]', '"states": []', "states must be nonempty"),
+    ],
+    ids=[
+        "end-before-body", "header", "states-count", "states-19-digits", "start", "ap", "state-line", "edge",
+        "no-end",
+        "state-names", "no-states",
+    ],
+)
+def test_input_errors_exit_3_with_one_line(tmp_path, capsys, which, old, new, message):
+    # a HOA message names its line
+    text = ACCEPT_G_TEXT if which == "hoa" else I2_TEXT
+    assert old in text
+    path = tmp_path / f"bad.{which}"
+    path.write_text(text.replace(old, new, 1))
+    inputs = {"mdp": I2, "hoa": ACCEPT_G, which: str(path)}
+    assert main(["oracle", "--mdp", inputs["mdp"], "--hoa", inputs["hoa"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+def run_capped(args, timeout):
+    """`python args` in a child process whose address space is capped at
+    `CHILD_AS_LIMIT`, so that a runaway allocation fails the test rather
+    than the machine; `buchirl` imports from this checkout."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
+
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=cap,
+    )
+
+
+# runs the CLI on its arguments, then prints its own peak RSS (KB) on stderr
+PEAK_RSS_CHILD = """
+import resource, sys
+from buchirl.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_memory_follows_the_reachable_automaton(tmp_path):
+    # incomplete_g declaring 10^6 states, of which a run reaches one
+    declared = tmp_path / "declared.hoa"
+    text = (CORPUS / "hoa" / "incomplete_g.hoa").read_text()
+    declared.write_text(text.replace("States: 1", "States: 1000000"))
+    peak, reports = {}, {}
+    for command in ("oracle", "validate"):
+        for hoa in (INCOMPLETE_G, str(declared)):
+            argv = [command, "--mdp", I2, "--hoa", hoa, "--trap-complete"]
+            proc = run_capped(["-c", PEAK_RSS_CHILD, *argv], timeout=30)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            peak[command, hoa] = int(proc.stderr.split()[-1])
+            reports[command, hoa] = json.loads(proc.stdout)["result"]
+        assert peak[command, str(declared)] <= 1.1 * peak[command, INCOMPLETE_G]
+    # the same product, but for the trap's name
+    small, large = (reports["oracle", hoa] for hoa in (INCOMPLETE_G, str(declared)))
+    assert json.dumps(large).replace("q1000000", "q1") == json.dumps(small)
+    # completion adds the initial state's missing move and the trap's loops
+    auto = reports["validate", str(declared)]["automaton"]
+    assert auto["states"] == 1_000_001 and auto["transitions"] == 4 and auto["complete"]
+
+
+FUZZ_SEEDS = (1, 2, 3)
+
+
+def test_fuzzed_inputs_keep_the_error_contract():
+    # see tests/fuzz_cli.py; all cases run in one capped child
+    proc = run_capped([str(ROOT / "tests" / "fuzz_cli.py"), *map(str, FUZZ_SEEDS)], timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
 def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -305,6 +406,19 @@ def test_incomplete_automaton_needs_trap(capsys):
     code, rep = run(base + ["--trap-complete"], capsys)
     assert code == 0
     assert len(rep["result"]["values"]) == 4  # trap state joined the product
+
+
+def test_incomplete_automaton_builds_where_no_gap_is_read(capsys):
+    # the self loop emits g alone, so its product never reads the missing n move
+    code, rep = run(["oracle", "--mdp", SELF_LOOP, "--hoa", INCOMPLETE_G], capsys)
+    assert code == 0 and rep["result"]["psat_at_initial"] == 1.0
+    # I2 emits n from its initial state: the move is read, found missing, and refused
+    assert main(["oracle", "--mdp", I2, "--hoa", INCOMPLETE_G]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: automaton is missing moves; complete it first "
+        "(complete_with_trap adds a rejecting trap)"
+    )
 
 
 def test_mismatched_alphabet_fails_solve(tmp_path, capsys):
@@ -428,6 +542,17 @@ def test_oracle_report(capsys):
     assert res["accepting_mecs"] == [0]
     assert res["policy"]["s0|q0"] == "a@q0"
     assert res["lower_bound_only"] is False
+
+
+def test_assert_gfm_makes_the_value_exact(capsys):
+    # nondet_g is neither deterministic nor flagged GFM, so its optimum is
+    # only a lower bound until the flag vouches for it
+    base = ["oracle", "--mdp", I2, "--hoa", NONDET_G]
+    for flags, lower_bound_only in (([], True), (["--assert-gfm"], False)):
+        code, rep = run(base + flags, capsys)
+        assert code == 0 and rep["config"]["assert_gfm"] == bool(flags)
+        assert rep["result"]["lower_bound_only"] is lower_bound_only
+        assert rep["result"]["psat_at_initial"] == 0.5
 
 
 def test_learn_cli(tmp_path, capsys):
@@ -646,3 +771,17 @@ def test_console_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["errors"] == 0
+
+
+@pytest.mark.parametrize(
+    "args, code", [([], 2), (["validate", "--mdp", I2, "--hoa", ACCEPT_G], 0)], ids=["no-args", "validate"]
+)
+def test_module_entry_point_exit_codes(args, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "buchirl", *args], capture_output=True, text=True, cwd=ROOT / "src"
+    )
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout)["result"]["alphabet_match"] is True
+    else:
+        assert "error:" in proc.stderr

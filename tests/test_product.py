@@ -336,6 +336,12 @@ def test_product_columns_match_reference(corpus):
         for hoa in sorted((corpus / "hoa").glob("*.hoa")):
             a = parse_hoa(hoa.read_text())
             cases.append((load_mdp(mdp), complete_with_trap(a) if hoa.stem == "incomplete_g" else a))
+    # automata that miss moves only where no run of the product reads: the
+    # self loop emits g alone, and no run of the automaton reaches state 1
+    incomplete_g = parse_hoa((corpus / "hoa" / "incomplete_g.hoa").read_text())
+    unreachable_gap = Nba(GN, 2, 0, ((0, 0, 0), (0, 1, 0), (1, 0, 1)), frozenset({0}))
+    cases.append((load_mdp(corpus / "mdp" / "self_loop.json"), incomplete_g))
+    cases.append((load_mdp(corpus / "mdp" / "i2.json"), unreachable_gap))
     rng = np.random.default_rng(14)
     # 16-state automata make successor sets whose iteration order is not
     # ascending, so these cases pin that pairs come in ascending q'
@@ -353,7 +359,13 @@ def test_product_columns_match_reference(corpus):
                 continue
             cases.append((m, a))
             built += 1
-    assert len(cases) == 12 + 60
+    assert len(cases) == 14 + 60
+    # a move the search reads is missing: both raise the same error
+    with pytest.raises(IncompleteAutomatonError) as want:
+        product_reference(load_mdp(corpus / "mdp" / "i2.json"), incomplete_g)
+    with pytest.raises(IncompleteAutomatonError) as got:
+        build_product(load_mdp(corpus / "mdp" / "i2.json"), incomplete_g)
+    assert str(got.value) == str(want.value)
     for m, a in cases:
         states, pairs, caveat = product_reference(m, a)
         p = build_product(m, a)
