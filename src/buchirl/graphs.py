@@ -1,35 +1,40 @@
-"""The package's one graph search, over nodes 0..n-1 and per-node lists.
+"""The package's one graph search, over nodes 0..n-1 and an edge list given
+as two int64 columns: edge i runs from src[i] to dst[i].
 
 It finds which states can still earn (`shaping.simulate_batch`, and
 `solvers.evaluate_policies` over a whole stack of strategies at once) and,
 for the oracle, the states worth exactly 0 or 1, the walk to an accepting
-anchor, and end and bottom components.  Pure Python over lists: most calls
-see graphs of at most 15 nodes, where array code costs more than it saves.
+anchor, and end and bottom components.  Lists inside, arrays at the
+interface: each search builds per-node Python lists from the columns and
+returns an (n,) int64 array.  Most calls see graphs of at most 15 nodes,
+where array code costs more than it saves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
 
-def adjacency(n: int, src: Iterable[int], dst: Iterable[int]) -> list[list[int]]:
+def _lists(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
     """Per-node lists over nodes 0..n-1: the list of u holds dst[i] for every
-    edge i with src[i] == u, in edge order.  Pass array columns as lists
-    (`.tolist()`); the loop is faster over Python ints."""
+    edge i with src[i] == u, in edge order."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(src, dst):
+    for u, v in zip(src.tolist(), dst.tolist()):
         nbrs[u].append(v)
     return nbrs
 
 
-def backward_levels(seeds: Iterable[int], nbrs: list[list[int]]) -> list[int]:
-    """Breadth-first level of each node from `seeds` along `nbrs`, -1 where
-    no seed is reached.  With `nbrs[v]` the predecessors of v, a level is
-    the fewest edges from the node into a seed, and level >= 0 marks the
-    nodes that reach one."""
-    level = [-1] * len(nbrs)
+def backward_levels(n: int, src: np.ndarray, dst: np.ndarray, seeds) -> np.ndarray:
+    """(n,) int64: the fewest edges from each node into a seed along the
+    edges, -1 where no seed is reached, so level >= 0 marks the nodes that
+    reach one.  `seeds` is a boolean mask or an array of node indices."""
+    pred = _lists(n, dst, src)
+    seeds = np.asarray(seeds)
+    if seeds.dtype == bool:
+        seeds = np.flatnonzero(seeds)
+    level = [-1] * n
     frontier = []
-    for s in seeds:
+    for s in seeds.tolist():
         if level[s] < 0:
             level[s] = 0
             frontier.append(s)
@@ -38,35 +43,34 @@ def backward_levels(seeds: Iterable[int], nbrs: list[list[int]]) -> list[int]:
         depth += 1
         nxt = []
         for v in frontier:
-            for u in nbrs[v]:
+            for u in pred[v]:
                 if level[u] < 0:
                     level[u] = depth
                     nxt.append(u)
         frontier = nxt
-    return level
+    return np.array(level, dtype=np.int64)
 
 
-def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to cope with deep graphs.
+def strongly_connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(n,) int64: each node's strongly connected component, numbered in
+    the order Tarjan's algorithm emits them, which is reverse topological:
+    every edge points to a component of equal or smaller index.
 
-    `succ[u]` lists the successors of node u.  Components are emitted in
-    reverse topological order: every edge leaving a component points into a
-    component that appears earlier in the result.
+    Iterative, to cope with deep graphs.  A visited node is on Tarjan's
+    stack exactly while its component is unnumbered.
     """
-    n = len(succ)
+    succ = _lists(n, src, dst)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    counter = n_comps = 0
     for root in range(n):
         if index[root] != -1:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             u, it = work[-1]
@@ -76,11 +80,10 @@ def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
-                    on_stack[v] = True
                     work.append((v, iter(succ[v])))
                     pushed = True
                     break
-                if on_stack[v] and index[v] < low[u]:
+                if comp[v] < 0 and index[v] < low[u]:
                     low[u] = index[v]
             if pushed:
                 continue
@@ -88,12 +91,10 @@ def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
             if work and low[u] < low[work[-1][0]]:
                 low[work[-1][0]] = low[u]
             if low[u] == index[u]:
-                comp = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
+                    comp[w] = n_comps
                     if w == u:
                         break
-                comps.append(comp)
-    return comps
+                n_comps += 1
+    return np.array(comp, dtype=np.int64)

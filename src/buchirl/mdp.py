@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import adjacency, backward_levels
+from .graphs import backward_levels
 
 
 class MdpFormatError(ValueError):
@@ -136,11 +136,10 @@ def validate(m: Mdp) -> list[Diagnostic]:
             if abs(total - 1.0) > 1e-9:
                 where = f"({states[s]},{actions[group_action[k]]})"
                 out.append(Diagnostic("error", "prob-sum", f"probabilities for {where} sum to {total!r}"))
-    # with successor lists, the levels run forward: -1 marks what the initial state cannot reach
-    level = backward_levels([m.initial], adjacency(len(states), state, succ))
-    for s, lv in enumerate(level):
-        if lv < 0:
-            out.append(Diagnostic("warning", "unreachable", f"state {states[s]} is unreachable"))
+    # over the reversed edges the levels run forward: -1 marks what the initial state cannot reach
+    level = backward_levels(len(states), m.succ, m.state, [m.initial])
+    for s in np.flatnonzero(level < 0).tolist():
+        out.append(Diagnostic("warning", "unreachable", f"state {states[s]} is unreachable"))
     return out
 
 

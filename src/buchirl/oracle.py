@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import adjacency, backward_levels, strongly_connected_components
+from .graphs import backward_levels, strongly_connected_components
 from .product import ProductMdp, Strategy
 
 
@@ -52,15 +52,6 @@ class BuchiResult:
         return float(self.values[0])
 
 
-def _components(succ: list[list[int]]) -> np.ndarray:
-    """(n,) int64: the index of each node's strongly connected component."""
-    comp_of = [0] * len(succ)
-    for ci, comp in enumerate(strongly_connected_components(succ)):
-        for u in comp:
-            comp_of[u] = ci
-    return np.array(comp_of)
-
-
 def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
     """Maximal end components, sorted by smallest member state.
 
@@ -74,7 +65,7 @@ def mec_decomposition(p: ProductMdp) -> tuple[EndComponent, ...]:
         # a state without kept pairs has no edges, so it is a component of
         # its own, and every branch into it leaves its source's component
         edge = kept[branch_pair]
-        comp_of = _components(adjacency(n, source[edge].tolist(), p.succ[edge].tolist()))
+        comp_of = strongly_connected_components(n, source[edge], p.succ[edge])
         leaves = comp_of[p.succ] != comp_of[source]
         keep = kept & ~np.logical_or.reduceat(leaves, bounds[:-1])
         if np.array_equal(keep, kept):
@@ -117,13 +108,13 @@ def _absorption(p: ProductMdp, src: np.ndarray, br: np.ndarray, ones: np.ndarray
     if not hits.size:  # then no free state reaches `ones`
         return ones.astype(float)
     inner = free[src] & free[dst]
-    rev = adjacency(n, dst[inner].tolist(), src[inner].tolist())
-    live = np.array(backward_levels(hits.tolist(), rev)) >= 0
+    isrc, idst = src[inner], dst[inner]
+    live = backward_levels(n, isrc, idst, hits) >= 0
     # live states one branch away from a state worth 0, which is one in
     # `zeros` or a free state off the live set; the closure stays live
     # because every predecessor of a live state is live
     doomed = src[live[src] & ~ones[dst] & ~live[dst]]
-    sure = live & (np.array(backward_levels(doomed.tolist(), rev)) < 0)
+    sure = live & (backward_levels(n, isrc, idst, doomed) < 0)
     v = (ones | sure).astype(float)
     undecided = live & ~sure
     order = np.flatnonzero(undecided)
@@ -199,8 +190,7 @@ def buchi_value(p: ProductMdp) -> BuchiResult:
     anchors = fire[first]
     assert anchors.size == len(acc_ids), "accepting component without accepting branch"
     edge = kept[p.branch_pair]
-    rev = adjacency(p.n_states, p.succ[edge].tolist(), source[edge].tolist())
-    dist = np.array(backward_levels(p.pair_state[anchors].tolist(), rev))
+    dist = backward_levels(p.n_states, source[edge], p.succ[edge], p.pair_state[anchors])
     assert dist[members].min() >= 0, "end component not strongly connected"
     closer = kept & np.logical_or.reduceat(dist[p.succ] == dist[source] - 1, bounds)
     walk = dist > 0  # members away from their anchor state
@@ -221,7 +211,7 @@ def policy_buchi_probability(p: ProductMdp, f: Strategy) -> np.ndarray:
     f.check(p)
     _, src, br = p.select(f.choice)
     dst = p.succ[br]
-    comp_of = _components(adjacency(p.n_states, src.tolist(), dst.tolist()))
+    comp_of = strongly_connected_components(p.n_states, src, dst)
     cs, n = comp_of[src], p.n_states  # at most n components
     bottom = (np.bincount(cs[cs != comp_of[dst]], minlength=n) == 0)[comp_of]
     accepting = np.bincount(cs[p.accepting[br]], minlength=n)[comp_of] > 0

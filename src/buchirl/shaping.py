@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import adjacency, backward_levels
+from .graphs import backward_levels
 from .product import ProductMdp, Strategy
 
 
@@ -166,9 +166,7 @@ def simulate_batch(
     depth = int((hi - lo).max()).bit_length()
     # the states from which an episode can still earn or reach the target,
     # then False for the target itself, where an episode stops moving too
-    rev = adjacency(n, p.succ[idx].tolist(), row.tolist())
-    seeds = np.flatnonzero(flat.base[pid] > 0.0).tolist()
-    earn = np.append(np.array(backward_levels(seeds, rev)) >= 0, False)
+    earn = np.append(backward_levels(n, row, p.succ[idx], flat.base[pid] > 0.0) >= 0, False)
 
     biased = model.mode is Mode.BIASED_DISCOUNT
     zeta = model.zeta

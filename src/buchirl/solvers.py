@@ -19,9 +19,9 @@ coefficient.  Past MAX_ROUNDS rounds, ConvergenceError is raised.
 
 Per-strategy values solve one linear system (I - W) x = b restricted to the
 states that can reach a reward at all along the chosen branches, found by
-`graphs.backward_levels`, the backward search the payoff sampler also uses
-(everything else is exactly 0, and restricting also keeps the system
-nonsingular).  Up to DENSE_LIMIT such states the system is solved densely.
+`graphs.backward_levels` from the mask `base > 0` over the chosen branches'
+columns, the call the payoff sampler also makes (everything else is exactly
+0, and restricting also keeps the system nonsingular).  Up to DENSE_LIMIT such states the system is solved densely.
 Above it, W stays a list of (row, col, w) entries (a few per row) and the
 system is solved by an in-repo BiCGSTAB whose mat-vec is one bincount,
 refined on the true residual, computed in twice the working precision,
@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import adjacency, backward_levels
+from .graphs import backward_levels
 from .shaping import AugmentedModel
 from .product import Strategy, check_choices
 
@@ -197,8 +197,7 @@ def _evaluate_stack(model: AugmentedModel, choices: np.ndarray, out: np.ndarray)
     if s > 1:
         succ = succ + (row - row % n)  # the successor under the same row
     # nodes that can reach a positive immediate reward along chosen branches
-    rev = adjacency(s * n, succ.tolist(), row.tolist())
-    live = np.array(backward_levels((b > 0.0).nonzero()[0].tolist(), rev)) >= 0
+    live = backward_levels(s * n, row, succ, b > 0.0) >= 0
     on = live[succ]  # an edge into a live node leaves a live one
     row, col, w = row[on], succ[on], w[on]
     nodes = live.nonzero()[0]

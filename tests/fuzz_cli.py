@@ -2,8 +2,13 @@
 
 Each case mutates one corpus file, MDP JSON or HOA: truncation, a token
 inserted or deleted, a number turned into NaN, 1e400 or -0.0, a huge
-`States:` count, deep `[` nesting, a byte order mark or shuffled lines.  It
-then runs one of the seven subcommands on the mutant through `cli.main`.  A
+`States:` count, deep `[` nesting, a byte order mark or shuffled lines.
+Other mutations keep the file parseable, so that the case gets past the
+reader: a transition's probability nudged, so that its distribution no
+longer sums to 1, its label changed to another symbol or to null, or the
+transition dropped; an HOA `State:` block dropped, or an HOA edge sent to
+another state.  The case then runs one of the seven subcommands on the
+mutant through `cli.main`.  A
 case fails when the command raises, exits outside {0, 2, 3, 4, 5, 6}, prints
 to stderr on exit 0, or exits non-zero with anything but one `error:` line
 on stderr; `validate`'s exit 4 carries its report instead, with nothing on
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 import re
 import sys
@@ -45,7 +51,10 @@ TOKENS = (
 )
 NUMBERS = ("NaN", "1e400", "-0.0", "-1e400", "Infinity", "-1", "1e-400", "9" * 30)
 STATE_COUNTS = ("1000000", "199999999999", "9" * 18, "9223372036854775808")
-MUTATIONS = ("truncate", "insert", "delete", "number", "states", "nesting", "bom", "shuffle")
+NUDGES = (-0.5, -1e-3, -1e-10, 1e-10, 1e-3, 0.5)
+MUTATIONS = ("truncate", "insert", "delete", "number", "nesting", "bom", "shuffle")
+MDP_MUTATIONS = MUTATIONS + ("prob", "relabel", "drop")
+HOA_MUTATIONS = MUTATIONS + ("states", "drop-state", "destination")
 
 
 def mutate(text: str, kind: str, rng: random.Random) -> str:
@@ -66,6 +75,25 @@ def mutate(text: str, kind: str, rng: random.Random) -> str:
         return text[:at] + "[" * rng.choice((64, 1_000, 100_000)) + text[at:]
     if kind == "bom":
         return "\ufeff" + text
+    if kind in ("prob", "relabel", "drop"):
+        data = json.loads(text)
+        edges = data["transitions"]
+        i = rng.randrange(len(edges))
+        if kind == "prob":
+            edges[i]["prob"] += rng.choice(NUDGES)
+        elif kind == "relabel":
+            edges[i]["label"] = rng.choice([*data["alphabet"], None])
+        else:
+            del edges[i]
+        return json.dumps(data, indent=1)
+    if kind == "drop-state":
+        blocks = re.split(r"(?m)^(?=State:|--END--)", text)
+        del blocks[rng.randrange(1, len(blocks) - 1)]
+        return "".join(blocks)
+    if kind == "destination":
+        n = int(re.search(r"States: *(\d+)", text).group(1))
+        m = rng.choice(list(re.finditer(r"(?m)^\[[^\]]*\] (\d+)", text)))
+        return text[: m.start(1)] + str(rng.randrange(n)) + text[m.end(1):]
     lines = text.splitlines(keepends=True)
     rng.shuffle(lines)
     return "".join(lines)
@@ -80,7 +108,7 @@ def cases(seed: int):
     for _ in range(CASES_PER_SEED):
         texts = [rng.choice(mdps), rng.choice(hoas)]
         target = rng.randrange(2)  # 0 mutates the MDP, 1 the automaton
-        kind = rng.choice(MUTATIONS if target else MUTATIONS[:4] + MUTATIONS[5:])
+        kind = rng.choice(HOA_MUTATIONS if target else MDP_MUTATIONS)
         texts[target] = mutate(texts[target], kind, rng)
         command = rng.choice(COMMANDS)
         flags = ["--trap-complete"] if rng.random() < 0.5 else []

@@ -1,7 +1,9 @@
 """Labelled MDP model, JSON interchange and validation."""
 
 import json
+from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from buchirl import (
     validate_mdp,
 )
 
-from generators import mdp_from_rows
+from generators import mdp_from_rows, random_mdp
 from report_digest import DIAGNOSTICS_MDP
 
 
@@ -136,6 +138,24 @@ def test_validate_unreachable_is_warning():
     assert len(diags) == 1
     assert diags[0].severity == "warning"
     assert diags[0].code == "unreachable"
+
+
+def test_validate_unreachable_matches_networkx():
+    # the reachability search runs forward, over the reversed edges
+    rng = np.random.default_rng(31)
+    flagged = 0
+    for _ in range(200):
+        m = random_mdp(rng, max_states=10)
+        m = replace(m, initial=int(rng.integers(len(m.states))))
+        g = nx.DiGraph()
+        g.add_nodes_from(range(len(m.states)))
+        g.add_edges_from(zip(m.state.tolist(), m.succ.tolist()))
+        reach = nx.descendants(g, m.initial) | {m.initial}
+        want = [f"state {m.states[s]} is unreachable" for s in range(len(m.states)) if s not in reach]
+        got = [d.message for d in validate_mdp(m) if d.code == "unreachable"]
+        assert got == want, (m.initial, list(g.edges))
+        flagged += len(want)
+    assert flagged > 100
 
 
 def test_validate_pins_order_and_messages():
