@@ -18,12 +18,19 @@ underlying generator.  What each step draws is fixed (see `_run`), and
 `tests/reference_learner.py` holds a step-by-step learner that draws under
 the same contract, one `Generator.random()` call per uniform.
 
-An episode that falls into a trap is not simulated further.  A trap is a
-product state with one pair whose one branch is a non-accepting self-loop,
-such as a rejecting sink.  The loop adds the remaining steps to the trap's
-visit count and ends the episode as truncated; tables, curve, truncation
-count and stream position are those of the step-by-step run (`_run` says
-why).
+Only steps that can change the table pay for the full update; the draws
+stay those of the contract.  Once an episode is in a settled state, one
+from which no accepting branch can be reached, the rest of it is walked:
+each step draws, adds its visit and moves on, and an episode in a trap (a
+state whose one move is a non-accepting self-loop, such as a rejecting
+sink) adds all its remaining steps to the trap's visit count at once.  No
+step there earns, and an update whose entries all hold one value c leaves
+c, so the walk is exact on every table `train` starts from; on a preset
+table whose entries over the settled states differ, only traps are walked.
+Once an episode is on an accepting self-loop, each step draws only the
+diversion coin and updates the loop's one entry in a tight loop.  Tables,
+curve, truncation count and stream position are those of the step-by-step
+run (`_run` says why).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from itertools import chain
 
 import numpy as np
 
+from .graphs import backward_levels
 from .product import Strategy
 from .shaping import AugmentedModel, Mode
 
@@ -139,27 +147,57 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
     rescans its row.  This is exact: `max` of floats is exact, and ties go
     to the lowest index, as in `QTable.greedy`.
 
-    Traps are skipped.  A trap is a state with one pair whose one branch is
-    a non-accepting self-loop: an episode that starts in one, or moves into
-    one, adds its remaining steps to the trap's visit count and ends as
-    truncated.  This is exact.  A trap step draws nothing and earns 0, and
-    its update `row[0] += alpha * (0 + row[0] - row[0])` adds 0.0 for finite
-    alpha and row[0]; only trap steps update row[0], so it keeps its initial
-    value, finite in every `QTable.for_model` table.
+    Every step draws as above, but only steps that can change the table pay
+    for the full update.  An episode that starts in, or moves into, one of
+    two kinds of state runs the rest of its steps in a loop of its own:
+
+    - Settled states are walked.  A state is settled when no accepting
+      branch is reachable from it over any branch of any pair, whatever its
+      probability (rounding slack can pick a pair's last branch).  The set
+      is closed and holds no accepting branch, so no step in it earns or
+      diverts; if every entry over it holds one finite value c, each update
+      there is `c + alpha * (0 + c - c) = c`, `best` stays c and `arg` 0.
+      A walked step draws what the contract says, adds its visit and moves
+      on.  Every table `train` starts from meets that precondition; on any
+      other table (entries that differ, are not finite, or are -0.0, which
+      the update turns into 0.0) only the traps are walked.  A trap, a
+      state with one pair whose one branch is a non-accepting self-loop,
+      draws nothing, and its update adds 0.0 to its entry, which keeps any
+      finite value (a -0.0 would become the equal 0.0), so the walk adds
+      all the episode's remaining steps to its visit count at once and
+      ends the episode as truncated.
+    - Accepting self-loops are looped.  A state with one pair whose one
+      branch is an accepting self-loop spends one draw per step, the
+      diversion coin, and updates its one entry by the same arithmetic:
+      r = 1 and no bootstrap on a diversion, else r = the branch's `reward`
+      and the entry itself as the bootstrap.  Entry, visit count and `best`
+      are written back when the episode ends.  This is exact on any table.
+
+    Tables, curve, truncation count and stream position are those of the
+    step-by-step run.
     """
     if model.mode is Mode.BIASED_DISCOUNT:
         raise ValueError("learning runs on the leaked views (reach or total)")
     p = model.product
+    n = p.n_states
     head = p.pair_start[:-1]  # each state's first pair
     only = p.branch_start[head]  # and that pair's first branch
-    trap = (p.pair_count == 1) & (p.branch_count[head] == 1)
-    trap = (trap & (p.succ[only] == np.arange(p.n_states)) & ~p.accepting[only]).tolist()
-    starts = p.pair_start.tolist()
+    single = (p.pair_count == 1) & (p.branch_count[head] == 1) & (p.succ[only] == np.arange(n))
+    trap = (single & ~p.accepting[only]).tolist()
+    looped = (single & p.accepting[only]).tolist()
+    owner = p.pair_state[p.branch_pair]  # each branch's state
+    settled = backward_levels(n, owner, p.succ, owner[p.accepting]) < 0
+    q, visits = table.q, table.visits
+    held = {x.hex() for s in np.flatnonzero(settled).tolist() for x in q[s]}  # bit patterns
+    walked = trap
+    if len(held) == 1 and held != {(-0.0).hex()} and math.isfinite(float.fromhex(*held)):
+        walked = settled.tolist()
+    leave = [w or lp for w, lp in zip(walked, looped)]  # where an episode leaves the full update
+    starts, only = p.pair_start.tolist(), only.tolist()
     first, last = p.branch_start[:-1].tolist(), (p.branch_start[1:] - 1).tolist()  # per pair
     succ, accepting, cum = p.succ.tolist(), p.accepting.tolist(), p.partial_sums.tolist()
     reward = model.flat.reward.tolist()  # what an accepting step that does not divert pays
     divert = 1.0 - model.zeta  # probability that an accepting step diverts
-    q, visits = table.q, table.visits
     draw = UniformStream(np.random.default_rng(cfg.seed)).draws.__next__
     alpha0, decay, max_steps = cfg.alpha0, VISIT_DECAY, cfg.max_steps
     # epsilon falls linearly from epsilon0 to epsilon_final over the first `anneal` episodes
@@ -174,14 +212,10 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
         total = 0.0
         reached = False
         cur = p.initial
-        if trap[cur]:
-            visits[cur][0] += max_steps
-            truncated += 1
-            curve.append((ep, total, eps))
-            continue
+        left = max_steps if leave[cur] else 0  # the steps left when the episode leaves the full update
         row, vrow, base = q[cur], visits[cur], starts[cur]
         npairs = len(row)
-        for step in range(max_steps):
+        for step in range(max_steps - left):
             if npairs == 1:
                 k = 0
             elif draw() < eps:
@@ -224,11 +258,46 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
                 break
             if nxt != cur:
                 cur = nxt
-                if trap[cur]:
-                    visits[cur][0] += max_steps - 1 - step
+                if leave[cur]:
+                    left = max_steps - 1 - step
                     break
                 row, vrow, base = q[cur], visits[cur], starts[cur]
                 npairs = len(row)
+        if left and looped[cur]:
+            row, vrow = q[cur], visits[cur]
+            x, v, r = row[0], vrow[0], reward[only[cur]]
+            for _ in range(left):
+                alpha = alpha0 / (1.0 + v / decay)
+                v += 1
+                if draw() < divert:
+                    reached = True
+                    total += 1.0
+                    x += alpha * (1.0 - x)  # r + m - x with r = 1.0 and m = 0.0
+                    break
+                total += r
+                x += alpha * (r + x - x)
+            row[0] = best[cur] = x
+            vrow[0] = v
+        elif left:
+            for left in range(left, 0, -1):
+                if trap[cur]:
+                    visits[cur][0] += left
+                    break
+                npairs = len(q[cur])
+                if npairs == 1:
+                    k = 0
+                elif draw() < eps:
+                    k = int(draw() * npairs)
+                    if k == npairs:
+                        k = npairs - 1
+                else:
+                    k = arg[cur]
+                pid = starts[cur] + k
+                e = first[pid]
+                if e != last[pid]:
+                    e = bisect_right(cum, draw(), e, last[pid])
+                visits[cur][k] += 1
+                cur = succ[e]
         truncated += not reached
         curve.append((ep, total, eps))
     return curve, truncated

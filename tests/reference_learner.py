@@ -1,8 +1,9 @@
 """A plain step-by-step Q-learner, the reference for `learn.train`.
 
 It reads the product's branches directly, draws every uniform with its own
-`Generator.random()` call and simulates every step, also the steps an
-episode spends in a zero-reward sink.  Its draw accounting is the contract
+`Generator.random()` call and simulates every step with the full update,
+also the steps an episode spends in a zero-reward sink, where no accepting
+branch can be reached any more, or on an accepting self-loop.  Its draw accounting is the contract
 that `learn._run` documents: a state with one pair and a pair with one
 branch spend no draw; otherwise one draw decides greedy vs explore (and a
 second picks the explored pair), one picks the branch, and an accepting
@@ -100,13 +101,35 @@ class ReferenceLearner:
         return curve, truncated
 
 
-def trap_states(p):
-    """Product states whose only move is a non-accepting self-loop."""
+def self_loops(p, accepting):
+    """Product states whose only move is a self-loop, accepting or not."""
     return [
         s
         for s, plist in enumerate(p.pairs)
         if len(plist) == 1
         and len(plist[0].branches) == 1
         and plist[0].branches[0].succ == s
-        and not plist[0].branches[0].accepting
+        and plist[0].branches[0].accepting == accepting
     ]
+
+
+def trap_states(p):
+    """Product states whose only move is a non-accepting self-loop."""
+    return self_loops(p, False)
+
+
+def settled_states(p):
+    """Product states from which no accepting branch is reachable over any
+    branch of any pair, whatever its probability: the states left out of a
+    plain closure that starts at the states owning an accepting branch and
+    adds every state with a branch into the closure until none is added."""
+    moves = [[b for pair in plist for b in pair.branches] for plist in p.pairs]
+    earn = {s for s, bs in enumerate(moves) if any(b.accepting for b in bs)}
+    grown = True
+    while grown:
+        grown = False
+        for s, bs in enumerate(moves):
+            if s not in earn and any(b.succ in earn for b in bs):
+                earn.add(s)
+                grown = True
+    return [s for s in range(len(moves)) if s not in earn]

@@ -13,8 +13,9 @@ The optional argument is the checkout whose `src/` the commands import
 (default: the one holding this file).  The inputs always come from this
 checkout: the corpus pairs (I2 x accept_g also under the learn_i2 benchmark
 workload's learn and tail-check commands), and the pool of the desk_sweep benchmark
-workload at seed 1 and the large_product MDP at seeds 1-3, both written by
-`perfbench/instances.generate`.  `validate` runs on each corpus MDP alone
+workload at seed 1 (where `learn` runs in the total view from a zero table
+and in the reach view from an optimistic one) and the large_product MDP at
+seeds 1-3, both written by `perfbench/instances.generate`.  `validate` runs on each corpus MDP alone
 and on every input pair, and once more on `DIAGNOSTICS_MDP`, which hits
 every diagnostic code.  `MANY_MECS_MDP` with `accept_g.hoa` runs
 `validate`, `oracle`, `sweep` and a `verify`.  `validate` and `oracle`
@@ -119,6 +120,7 @@ DESK_COMMANDS = [
     ["product", "--export", "export.json", "--zeta", "0.9"],
 ] + [["solve", "--mode", mode, "--zeta", "0.99"] for mode in ("reach", "total", "biased")] + [
     ["learn", "--zeta", "0.9", "--episodes", "200", "--max-steps", "100"],
+    ["learn", "--mode", "reach", "--optimistic", "--zeta", "0.9", "--episodes", "200", "--max-steps", "100"],
 ]
 
 

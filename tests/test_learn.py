@@ -19,7 +19,7 @@ from buchirl import (
     train,
 )
 from generators import mdp_from_rows, random_instance
-from reference_learner import ReferenceLearner, epsilon, trap_states
+from reference_learner import ReferenceLearner, epsilon, self_loops, settled_states, trap_states
 
 
 def view(product, mode, zeta):
@@ -264,8 +264,9 @@ def test_rounding_slack_goes_to_the_pairs_last_branch(accept_g, monkeypatch):
     assert visited == {"s0", "t9"}
 
 
-def train_with_stream(model, cfg, monkeypatch):
-    """`train`, plus the draw stream it used."""
+def train_with_stream(model, cfg, monkeypatch, table=None):
+    """`train`, plus the draw stream it used; with a preset `table`, `_run`
+    on it, returned as a TrainResult."""
     streams = []
 
     class Recorded(UniformStream):
@@ -274,15 +275,23 @@ def train_with_stream(model, cfg, monkeypatch):
             streams.append(self)
 
     monkeypatch.setattr(buchirl.learn, "UniformStream", Recorded)
-    res = train(model, cfg)
+    if table is None:
+        res = train(model, cfg)
+    else:
+        curve, truncated = buchirl.learn._run(model, table, cfg)
+        res = buchirl.TrainResult(table, table.greedy(), curve, truncated)
     monkeypatch.undo()
     (stream,) = streams
     return res, stream
 
 
-def assert_matches_reference(model, cfg, monkeypatch):
-    res, stream = train_with_stream(model, cfg, monkeypatch)
+def assert_matches_reference(model, cfg, monkeypatch, table=None):
+    """Checks `train` (or `_run` on a preset `table`) against the reference
+    learner started from the same table."""
     ref = ReferenceLearner(model, cfg, np.random.default_rng(cfg.seed))
+    if table is not None:
+        ref.q = [row[:] for row in table.q]
+    res, stream = train_with_stream(model, cfg, monkeypatch, table)
     curve, truncated = ref.train()
     assert res.table.q == ref.q
     assert res.table.visits == ref.visits
@@ -338,6 +347,129 @@ def test_train_matches_reference_on_random_traps(monkeypatch):
                 entered += any(ref.visits[s][0] for s in trap_states(p))
     print(f"{entered} of 80 training runs entered a trap")
     assert entered >= 40
+
+
+def settled_pool(seed, count):
+    """Seeded random products with at least two states from which no
+    accepting branch can be reached, and an initial state that can still
+    earn, so episodes move into that region; every third automaton is
+    nondeterministic, for settled states with more pairs."""
+    rng = np.random.default_rng(seed)
+    products = []
+    while len(products) < count:
+        _, _, p = random_instance(rng, nondet=len(products) % 3 == 0)
+        settled = settled_states(p)
+        if len(settled) >= 2 and p.initial not in settled:
+            products.append(p)
+    return products
+
+
+def initial_value(model, optimistic):
+    if not optimistic:
+        return 0.0
+    return 1.0 if model.mode is Mode.REACH_TARGET else 1.0 / (1.0 - model.zeta)
+
+
+def test_train_matches_reference_on_random_settled_regions(monkeypatch):
+    # an episode that enters the states that can no longer earn is walked
+    # from there: its draws and visits, and no update, which is exact since
+    # every entry over them keeps the table's initial value
+    entered = explored = 0
+    for i, p in enumerate(settled_pool(20240504, 20)):
+        settled = settled_states(p)
+        max_steps = 1 + 3 * i  # 1 to 58
+        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
+            m = view(p, mode, 0.8)
+            for optimistic in (False, True):
+                cfg = LearnConfig(
+                    episodes=40, max_steps=max_steps, seed=i, optimistic=optimistic
+                )
+                ref = assert_matches_reference(m, cfg, monkeypatch)
+                init = initial_value(m, optimistic)
+                assert all(q == init for s in settled for q in ref.q[s])
+                entered += any(any(ref.visits[s]) for s in settled)
+                explored += sum(sum(ref.visits[s]) for s in settled if len(ref.q[s]) > 1)
+    print(f"{entered} of 80 training runs entered a settled region, "
+          f"{explored} steps there in states with several pairs")
+    assert entered >= 40
+    assert explored >= 1000
+
+
+def test_train_matches_reference_on_random_accepting_loops(self_loop_product, monkeypatch):
+    # an episode on a state whose one move is an accepting self-loop draws
+    # only the diversion coin, step after step; here it starts there (I2
+    # enters one from s0 in test_train_matches_reference_on_i2)
+    rng = np.random.default_rng(20240505)
+    products = [self_loop_product]
+    while len(products) < 12:
+        _, _, p = random_instance(rng)
+        if 0 in self_loops(p, accepting=True):
+            products.append(p)
+    diverted = 0
+    for i, p in enumerate(products):
+        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
+            m = view(p, mode, 0.8)
+            for optimistic in (False, True):
+                cfg = LearnConfig(
+                    episodes=40, max_steps=1 + 5 * i, seed=i, optimistic=optimistic
+                )
+                ref = assert_matches_reference(m, cfg, monkeypatch)
+                diverted += ref.visits[0][0] < cfg.episodes * cfg.max_steps
+    print(f"{diverted} of 48 training runs had an episode end on a diversion")
+    assert diverted >= 24
+
+
+@pytest.mark.parametrize("settled_value", [None, 3.5])
+def test_run_matches_reference_on_preset_tables(settled_value, monkeypatch):
+    # the settled region is walked only when every entry over it holds one
+    # finite value; random entries there are learned step by step, and
+    # 3.5 everywhere there stays put whatever the other entries hold
+    moved = 0
+    for i, p in enumerate(settled_pool(20240506, 12)):
+        settled = settled_states(p)
+        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
+            m = view(p, mode, 0.8)
+            rng = np.random.default_rng(i)
+            table = QTable.for_model(m)
+            table.q = [rng.uniform(0.0, 2.0, len(row)).tolist() for row in table.q]
+            if settled_value is not None:
+                for s in settled:
+                    table.q[s] = [settled_value] * len(table.q[s])
+            before = [table.q[s][:] for s in settled]
+            cfg = LearnConfig(episodes=40, max_steps=1 + 4 * i, seed=i)
+            assert_matches_reference(m, cfg, monkeypatch, table)
+            moved += before != [table.q[s] for s in settled]
+    if settled_value is None:
+        print(f"{moved} of 24 runs changed an entry over a settled state")
+        assert moved >= 12
+    else:
+        assert moved == 0
+
+
+def test_settled_states_match_reference(monkeypatch):
+    # the one search `_run` makes for the states that can no longer earn,
+    # against a plain closure over the product's branches
+    levels = []
+
+    def recorded(*args):
+        levels.append(real(*args))
+        return levels[-1]
+
+    real = buchirl.learn.backward_levels
+    monkeypatch.setattr(buchirl.learn, "backward_levels", recorded)
+    rng = np.random.default_rng(20240507)
+    sizes = []
+    for i in range(100):
+        _, _, p = random_instance(rng, nondet=i % 3 == 0)
+        for mode in (Mode.TOTAL_REWARD, Mode.REACH_TARGET):
+            m = view(p, mode, 0.8)
+            buchirl.learn._run(m, QTable.for_model(m), LearnConfig(episodes=0))
+            (level,) = levels
+            levels.clear()
+            assert np.flatnonzero(level < 0).tolist() == settled_states(p)
+        sizes.append(len(settled_states(p)) / p.n_states)
+    # the pool has products where no state, some states and all states are settled
+    assert min(sizes) == 0.0 and max(sizes) == 1.0 and any(0.0 < x < 1.0 for x in sizes)
 
 
 def test_trap_steps_are_booked_not_simulated(never_product):
