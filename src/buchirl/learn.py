@@ -163,9 +163,10 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
       the update turns into 0.0) only the traps are walked.  A trap, a
       state with one pair whose one branch is a non-accepting self-loop,
       draws nothing, and its update adds 0.0 to its entry, which keeps any
-      finite value (a -0.0 would become the equal 0.0), so the walk adds
-      all the episode's remaining steps to its visit count at once and
-      ends the episode as truncated.
+      finite value but turns a -0.0 into 0.0, so the walk adds all the
+      episode's remaining steps to its visit count at once, writes the
+      entry and its cached best as entry + 0.0 and ends the episode as
+      truncated.
     - Accepting self-loops are looped.  A state with one pair whose one
       branch is an accepting self-loop spends one draw per step, the
       diversion coin, and updates its one entry by the same arithmetic:
@@ -282,6 +283,7 @@ def _run(model: AugmentedModel, table: QTable, cfg: LearnConfig) -> tuple[list[t
             for left in range(left, 0, -1):
                 if trap[cur]:
                     visits[cur][0] += left
+                    q[cur][0] = best[cur] = q[cur][0] + 0.0  # what the first update leaves
                     break
                 npairs = len(q[cur])
                 if npairs == 1:

@@ -7,7 +7,15 @@ labelling is a function of (state, action, successor).
 
 `Mdp` holds the edges as five read-only columns in input order (`state`,
 `action`, `succ`, `prob`, `symbol`), and its cached `Mdp.groups` groups them
-by (state, action), actions ascending, for `build_product` and `validate`.
+by (state, action), actions ascending, for `build_product` and `validate`;
+`Mdp.symbol_sets` names the set of symbols on each group's edges.
+
+`mdp_from_json` reads each transition field in one pass and checks a whole
+column at once: a name by its look-up in its pool, a probability by its type
+and `math.isfinite`.  Only when a check fails does it go through the
+transitions one at a time, to report the first bad one.  `validate` takes
+its per-edge errors from masks over the columns and the mass of every group
+from one pass, and formats a message only for what it flags.
 
 The JSON shape is strict: top level ``{states, actions, alphabet, initial,
 transitions}``, each transition ``{from, action, to, prob, label}``, nothing
@@ -22,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +106,22 @@ class Mdp:
             col.flags.writeable = False
         return groups
 
+    @cached_property
+    def symbol_sets(self) -> np.ndarray:
+        """(n_groups,) int64: per group of `groups`, an id that two groups
+        share exactly when their edges carry one set of symbols.  A group
+        whose edges all carry one symbol x (-1 for a null label) has id x;
+        each other set gets an id from len(symbols) up."""
+        _, _, edge_start, edge = self.groups
+        symbol, lo = self.symbol[edge], edge_start[:-1]
+        ids = symbol[lo]
+        sets: dict[frozenset[int], int] = {}
+        for k in np.flatnonzero(np.minimum.reduceat(symbol, lo) < np.maximum.reduceat(symbol, lo)).tolist():
+            held = frozenset(symbol[edge_start[k]:edge_start[k + 1]].tolist())
+            ids[k] = len(self.symbols) + sets.setdefault(held, len(sets))
+        ids.flags.writeable = False
+        return ids
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -113,29 +138,50 @@ def validate(m: Mdp) -> list[Diagnostic]:
     action.  Warning: states unreachable from the initial state.  Per-edge
     errors come first, in edge order; then each state's, in state order and
     actions ascending; then the warnings.
+
+    The checks run over whole columns and format a message only for what
+    they flag.  A group's mass is summed in one pass over all groups, and
+    `math.fsum` decides every group that pass cannot prove within 1e-9 of 1.
     """
     states, actions = m.states, m.actions
-    state, succ, prob = m.state.tolist(), m.succ.tolist(), m.prob.tolist()
     out: list[Diagnostic] = []
-    seen: set[tuple[int, int, int]] = set()
-    for s, a, t, p, x in zip(state, m.action.tolist(), succ, prob, m.symbol.tolist()):
-        where = f"({states[s]},{actions[a]},{states[t]})"
-        if not 0.0 < p <= 1.0:
-            out.append(Diagnostic("error", "prob-range", f"edge {where} has probability {p!r} outside (0,1]"))
-        if (s, a, t) in seen:
+    out_of_range = ~((m.prob > 0.0) & (m.prob <= 1.0))
+    # a stable sort puts a repeated (state, action, succ) right after its
+    # earlier copies; the key is below n_states**2 * n_actions
+    triple = (m.state * len(actions) + m.action) * len(states) + m.succ
+    order = np.argsort(triple, kind="stable")
+    repeated = np.zeros(order.size, dtype=bool)
+    triple = triple[order]
+    repeated[order[1:]] = triple[1:] == triple[:-1]
+    unlabelled = m.symbol < 0
+    for i in np.flatnonzero(out_of_range | repeated | unlabelled).tolist():
+        where = f"({states[m.state[i]]},{actions[m.action[i]]},{states[m.succ[i]]})"
+        if out_of_range[i]:
+            out.append(Diagnostic("error", "prob-range", f"edge {where} has probability {m.prob[i].item()!r} outside (0,1]"))
+        if repeated[i]:
             out.append(Diagnostic("error", "duplicate-edge", f"edge {where} appears twice"))
-        seen.add((s, a, t))
-        if x < 0:
+        if unlabelled[i]:
             out.append(Diagnostic("error", "unlabelled-edge", f"edge {where} has a null label"))
-    state_start, group_action, edge_start, edge = (c.tolist() for c in m.groups)
-    for s, (lo, hi) in enumerate(zip(state_start, state_start[1:])):
-        if lo == hi:
+    state_start, group_action, edge_start, edge = m.groups
+    prob, lo = m.prob[edge], edge_start[:-1]  # prob in group order
+    # one pass sums every group; for a group of n edges its error is below
+    # n * 2**-53 * sum|p|, so twice that also covers fsum's own rounding, and
+    # fsum decides every group the pass cannot place within 1e-9 of 1
+    total = np.add.reduceat(prob, lo)
+    margin = (edge_start[1:] - lo) * 2.0**-52 * np.add.reduceat(np.abs(prob), lo)
+    doubtful = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-9 - margin))  # NaN included
+    per_state = [(s, -1, 0.0) for s in np.flatnonzero(state_start[1:] == state_start[:-1]).tolist()]  # no actions
+    owner = np.searchsorted(state_start, doubtful, side="right") - 1
+    for s, k in zip(owner.tolist(), doubtful.tolist()):
+        total_k = math.fsum(prob[edge_start[k]:edge_start[k + 1]].tolist())
+        if abs(total_k - 1.0) > 1e-9:
+            per_state.append((s, k, total_k))
+    for s, k, total_k in sorted(per_state):
+        if k < 0:
             out.append(Diagnostic("error", "no-actions", f"state {states[s]} has no actions"))
-        for k in range(lo, hi):
-            total = math.fsum(prob[i] for i in edge[edge_start[k]:edge_start[k + 1]])
-            if abs(total - 1.0) > 1e-9:
-                where = f"({states[s]},{actions[group_action[k]]})"
-                out.append(Diagnostic("error", "prob-sum", f"probabilities for {where} sum to {total!r}"))
+        else:
+            where = f"({states[s]},{actions[group_action[k]]})"
+            out.append(Diagnostic("error", "prob-sum", f"probabilities for {where} sum to {total_k!r}"))
     # over the reversed edges the levels run forward: -1 marks what the initial state cannot reach
     level = backward_levels(len(states), m.succ, m.state, [m.initial])
     for s in np.flatnonzero(level < 0).tolist():
@@ -178,37 +224,64 @@ def mdp_from_json(data: object) -> Mdp:
     raw = data["transitions"]
     if not isinstance(raw, list):
         raise MdpFormatError("transitions must be a list")
-    rows: list[tuple[int, int, int, float, int]] = []
+    columns = _edge_columns(raw, sidx, aidx, lidx)
+    if columns is None:
+        raise _first_bad_transition(raw, sidx, aidx, lidx)
+    return Mdp(tuple(states), tuple(actions), tuple(symbols), sidx[data["initial"]], *columns)
+
+
+def _edge_columns(raw: list, sidx: dict, aidx: dict, lidx: dict) -> list[np.ndarray] | None:
+    """The columns (state, action, succ, prob, symbol) of the transitions, or
+    None if any transition fails a check.  Each field is read in one pass
+    and checked over the whole column: a name by its look-up in its pool,
+    where a miss (a None index, or a name that cannot be a key) raises, and
+    a probability by its type and `math.isfinite`."""
+    if not all(map(isinstance, raw, repeat(dict))) or not set(map(len, raw)) <= {len(_EDGE_KEYS)}:
+        return None
+    n = len(raw)
+    try:  # a missing field, a name that is no key of its pool, a prob that is no number
+        state, action, succ, symbol = (
+            np.fromiter(map(pool.get, [t[key] for t in raw]), dtype=np.int64, count=n)
+            for key, pool in (("from", sidx), ("action", aidx), ("to", sidx), ("label", {**lidx, None: -1}))
+        )
+        prob = [t["prob"] for t in raw]
+        if bool in set(map(type, prob)) or not all(map(math.isfinite, prob)):
+            return None
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return [state, action, succ, np.fromiter(map(float, prob), dtype=np.float64, count=n), symbol]
+
+
+def _first_bad_transition(raw: list, sidx: dict, aidx: dict, lidx: dict) -> MdpFormatError:
+    """The error of the first transition that fails a check, checked one at
+    a time in the order the messages are listed."""
     for k, t in enumerate(raw):
         if not isinstance(t, dict):
-            raise MdpFormatError(f"transitions[{k}] must be an object")
+            return MdpFormatError(f"transitions[{k}] must be an object")
         unknown = set(t) - _EDGE_KEYS
         if unknown:
-            raise MdpFormatError(f"transitions[{k}] has unknown fields: {sorted(unknown)}")
+            return MdpFormatError(f"transitions[{k}] has unknown fields: {sorted(unknown)}")
         missing = _EDGE_KEYS - set(t)
         if missing:
-            raise MdpFormatError(f"transitions[{k}] is missing fields: {sorted(missing)}")
+            return MdpFormatError(f"transitions[{k}] is missing fields: {sorted(missing)}")
         for key, pool, what in (
             ("from", sidx, "state"),
             ("to", sidx, "state"),
             ("action", aidx, "action"),
         ):
             if not isinstance(t[key], str) or t[key] not in pool:
-                raise MdpFormatError(f"transitions[{k}]: unknown {what} {t[key]!r}")
+                return MdpFormatError(f"transitions[{k}]: unknown {what} {t[key]!r}")
         prob = t["prob"]
         try:
             finite = not isinstance(prob, bool) and math.isfinite(prob)
         except (TypeError, OverflowError):  # not a number, or an integer past the float range
             finite = False
         if not finite:
-            raise MdpFormatError(f"transitions[{k}]: prob must be a finite number")
+            return MdpFormatError(f"transitions[{k}]: prob must be a finite number")
         lab = t["label"]
         if lab is not None and (not isinstance(lab, str) or lab not in lidx):
-            raise MdpFormatError(f"transitions[{k}]: unknown label {lab!r}")
-        x = -1 if lab is None else lidx[lab]
-        rows.append((sidx[t["from"]], aidx[t["action"]], sidx[t["to"]], float(prob), x))
-    columns = list(zip(*rows)) or [()] * 5
-    return Mdp(tuple(states), tuple(actions), tuple(symbols), sidx[data["initial"]], *columns)
+            return MdpFormatError(f"transitions[{k}]: unknown label {lab!r}")
+    raise AssertionError("every transition passes its checks")
 
 
 def mdp_to_json(m: Mdp) -> dict:

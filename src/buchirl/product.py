@@ -12,6 +12,16 @@ Construction explores only states reachable from (initial, initial).  It
 raises where it reads a missing automaton move, and at a reachable state whose
 every pair was dropped, rather than silently produce a sub-stochastic model.
 
+`build_product` is one first-in first-out search that numbers states in the
+order it meets them.  A state is keyed by one int, the interned index of its
+automaton state times the number of MDP states plus its MDP state.  The q'
+that a group keeps are computed once per automaton state and set of symbols
+on the group's edges (`Mdp.symbol_sets` names the sets) and cached, and a
+kept pair appends only its group, its kind (which q' of which cache entry)
+and the numbers of its branches' successors.  After the search the other
+columns are gathered with array operations from the edge order of
+`Mdp.groups`, and each accepting mark is looked up once per kind and symbol.
+
 `ProductMdp` holds read-only columns: the pairs of state s are
 pair_start[s] .. pair_start[s+1]-1, the branches of pair k are
 branch_start[k] .. branch_start[k+1]-1, and `pair_state` and `branch_pair`
@@ -25,7 +35,8 @@ for `tests/` and `perfbench/`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -200,66 +211,94 @@ def build_product(m: Mdp, a: Nba) -> ProductMdp:
             f"alphabets differ (MDP only: {only_m}, automaton only: {only_a})"
         )
     sym_map = tuple(a.symbols.index(name) for name in m.symbols)
-    # moves_of(q)[x] = {q': accepting} for reading MDP symbol x in automaton state q
-    moves_of = cache(lambda q: [dict(a.moves(q, x)) for x in sym_map])
+    n_mdp, n_sym = len(m.states), len(m.symbols)
+    state_start, group_action, edge_start, edge = m.groups
+    groups_at, edges_at = state_start.tolist(), edge_start.tolist()  # the search reads lists
+    symbol_set = m.symbol_sets.tolist()
+    e_succ = m.succ[edge].tolist()  # the edges in group order
 
-    states: list[tuple[int, int]] = [(m.initial, a.initial)]
-    index: dict[tuple[int, int], int] = {states[0]: 0}
-    pair_start, branch_start = [0], [0]
-    action, memory, succ, prob, symbol, accepting = [], [], [], [], [], []  # see ProductMdp
+    # A state's key is its automaton state's interned index times n_mdp plus
+    # its MDP state.  A kind is one kept q' of one (q, symbol set); its marks
+    # are looked up once, for each symbol of the set, into `mark_key` (kind
+    # * n_sym + symbol, ascending as kinds and symbols are) and `mark`.
+    automaton_states, interned = [a.initial], {a.initial: 0}  # by interned index
+    kept_at = [{}]  # per interned automaton state: symbol set -> [(kind, key base of its states)]
+    kind_memory, mark_key, mark = [], [], []
 
-    def state_id(sq: tuple[int, int]) -> int:
-        i = index.get(sq)
-        if i is None:
-            i = len(states)
-            index[sq] = i
-            states.append(sq)
-        return i
+    def kept_kinds(q: int, s: int, k: int) -> list[tuple[int, int]]:
+        """The kinds of each q' that every symbol of group k moves to from q,
+        q' ascending; raises where the group cannot be read."""
+        symbols = sorted(set(m.symbol[edge[edges_at[k]:edges_at[k + 1]]].tolist()))
+        if symbols[0] < 0:
+            raise ProductError(
+                f"unlabelled edge at ({m.states[s]},{m.actions[group_action[k]]}); "
+                "validate the MDP first"
+            )
+        moves = [dict(a.moves(q, sym_map[x])) for x in symbols]  # {q': accepting} per symbol
+        if not all(moves):
+            raise IncompleteAutomatonError(
+                "automaton is missing moves; complete it first "
+                "(complete_with_trap adds a rejecting trap)"
+            )
+        kinds = []
+        for q2 in sorted(set(moves[0]).intersection(*moves[1:])):
+            if q2 not in interned:
+                interned[q2] = len(automaton_states)
+                automaton_states.append(q2)
+                kept_at.append({})
+            kind = len(kind_memory)
+            kinds.append((kind, interned[q2] * n_mdp))
+            kind_memory.append(q2)
+            mark_key.extend(kind * n_sym + x for x in symbols)
+            mark.extend(move[q2] for move in moves)
+        return kinds
 
-    state_start, group_action, edge_start, edge = (c.tolist() for c in m.groups)
-    # the edge columns in group order, so each group is one slice
-    e_succ, e_prob, e_symbol = (c[edge].tolist() for c in (m.succ, m.prob, m.symbol))
+    # the search numbers the keys in the order it meets them
+    keys, index = [m.initial], {m.initial: 0}
+    number = index.setdefault
+    pair_start, group, kind, succ = [0], [], [], []  # per pair: its MDP group and its kind
     head = 0
-    while head < len(states):
-        s, q = states[head]
-        read = moves_of(q)
-        for k in range(state_start[s], state_start[s + 1]):
-            lo, hi = edge_start[k], edge_start[k + 1]
-            symbols = e_symbol[lo:hi]
-            if min(symbols) < 0:
-                raise ProductError(
-                    f"unlabelled edge at ({m.states[s]},{m.actions[group_action[k]]}); "
-                    "validate the MDP first"
-                )
-            moves = [read[x] for x in symbols]
-            if not all(moves):
-                raise IncompleteAutomatonError(
-                    "automaton is missing moves; complete it first "
-                    "(complete_with_trap adds a rejecting trap)"
-                )
-            # a pair survives when every branch has a move to its q2; the
+    while head < len(index):
+        if head == len(keys):  # the keys numbered since the last fetch, in number order
+            keys += reversed(list(islice(reversed(index), len(index) - head)))
+        qi, s = divmod(keys[head], n_mdp)
+        known = kept_at[qi]
+        for k in range(groups_at[s], groups_at[s + 1]):
+            kept = known.get(symbol_set[k])
+            if kept is None:
+                kept = known[symbol_set[k]] = kept_kinds(automaton_states[qi], s, k)
+            # a pair survives when every branch has a move to its q'; the
             # successors are numbered only once the pair is known to survive
-            for q2 in sorted(set(moves[0]).intersection(*moves[1:])):
-                action.append(group_action[k])
-                memory.append(q2)
-                succ.extend([state_id((t, q2)) for t in e_succ[lo:hi]])
-                prob.extend(e_prob[lo:hi])
-                symbol.extend(symbols)
-                accepting.extend([move[q2] for move in moves])
-                branch_start.append(len(succ))
-        if len(action) == pair_start[-1]:
+            if kept:
+                targets = e_succ[edges_at[k]:edges_at[k + 1]]
+                for j, base in kept:
+                    group.append(k)
+                    kind.append(j)
+                    succ += [number(base + t, len(index)) for t in targets]
+        if len(group) == pair_start[-1]:
             raise DeadEndError(
-                f"product state ({m.states[s]},q{q}) has no available pair; "
+                f"product state ({m.states[s]},q{automaton_states[qi]}) has no available pair; "
                 "every automaton choice drops probability mass"
             )
-        pair_start.append(len(action))
+        pair_start.append(len(group))
         head += 1
 
+    # every other column is gathered from the edges in group order
+    group, kind = np.array(group, dtype=np.int64), np.array(kind, dtype=np.int64)
+    lo = edge_start[group]
+    count = edge_start[group + 1] - lo
+    branch_start = np.zeros(group.size + 1, dtype=np.int64)
+    np.cumsum(count, out=branch_start[1:])
+    e = edge[np.arange(branch_start[-1]) + np.repeat(lo - branch_start[:-1], count)]
+    symbol = m.symbol[e]
+    at = np.searchsorted(np.array(mark_key, dtype=np.int64), np.repeat(kind, count) * n_sym + symbol)
+    columns = [np.array(pair_start, dtype=np.int64), branch_start, group_action[group]]
+    columns += [np.array(kind_memory, dtype=np.int64)[kind], np.array(succ, dtype=np.int64), m.prob[e], symbol]
+    columns.append(np.array(mark, dtype=bool)[at])
+    q_of, s_of = divmod(np.array(keys, dtype=np.int64), n_mdp)
+    states = tuple(zip(s_of.tolist(), np.array(automaton_states, dtype=np.int64)[q_of].tolist()))
     caveat = not (a.gfm is True or is_deterministic(a))
-    columns = [np.array(c, dtype=np.int64) for c in (pair_start, branch_start, action, memory, succ)]
-    columns.append(np.array(prob, dtype=np.float64))
-    columns += [np.array(symbol, dtype=np.int64), np.array(accepting, dtype=bool)]
-    return ProductMdp(m, a, tuple(states), *map(_read_only, columns), caveat)
+    return ProductMdp(m, a, states, *map(_read_only, columns), caveat)
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:

@@ -20,10 +20,13 @@ and on every input pair, and once more on `DIAGNOSTICS_MDP`, which hits
 every diagnostic code.  `MANY_MECS_MDP` with `accept_g.hoa` runs
 `validate`, `oracle`, `sweep` and a `verify`.  `validate` and `oracle`
 also run on self_loop x incomplete_g without `--trap-complete`, and with it
-on I2 and a copy of incomplete_g that declares 100,000 states.  Every input
-is written to a scratch directory that is the working directory while the
-commands run, so the paths inside the reports are relative and the digests
-are the same on every machine with the same numpy.
+on I2 and a copy of incomplete_g that declares 100,000 states.  `validate`
+and `product` run on gambler's ruin at N = 1,000 and red-and-black at
+N = 256 (`tests/generators.py`), each with `accept_g.hoa`: `product` lists
+every state name, so a numbering that moves on a deep or a wide product
+shows.  Every input is written to a scratch directory that is the working
+directory while the commands run, so the paths inside the reports are
+relative and the digests are the same on every machine with the same numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -170,6 +175,16 @@ def write_inputs() -> list[tuple[list[str], list[list[str]]]]:
     declared = ["--mdp", "corpus/mdp/i2.json", "--hoa", "declared.hoa", "--trap-complete"]
     runs.append((declared, [["validate"], ["oracle"]]))
     runs.append((["--mdp", "corpus/mdp/i2.json", "--hoa", "corpus/hoa/accept_g.hoa"], I2_COMMANDS))
+    # a deep chain and a wide product: `product` names every state in search order
+    from buchirl import mdp_to_json
+    from generators import gamblers_ruin, red_and_black
+
+    for stem, m in (
+        ("ruin1000", gamblers_ruin(np.random.default_rng(1000), 1000, 0.5)),
+        ("red_black256", red_and_black(np.random.default_rng(256), 256, 0.4)),
+    ):
+        Path(f"{stem}.json").write_text(json.dumps(mdp_to_json(m)))
+        runs.append((["--mdp", f"{stem}.json", "--hoa", "corpus/hoa/accept_g.hoa"], [["validate"], ["product"]]))
     inputs = [("desk_sweep", 1, DESK_COMMANDS)]
     inputs += [("large_product", seed, large_commands(seed)) for seed in (1, 2, 3)]
     for workload, seed, commands in inputs:

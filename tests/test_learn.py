@@ -483,6 +483,17 @@ def test_trap_steps_are_booked_not_simulated(never_product):
     assert all(t == 0.0 for _, t, _ in res.curve)
 
 
+@pytest.mark.parametrize("mode", [Mode.TOTAL_REWARD, Mode.REACH_TARGET])
+def test_trap_booking_leaves_the_sign_of_an_update(never_product, mode, monkeypatch):
+    # a trap's update adds 0.0 to its entry, which turns a preset -0.0 into
+    # 0.0; the entry the booked steps leave must carry that sign, which `==`
+    # alone cannot tell
+    m = view(never_product, mode, 0.9)
+    table = QTable.for_model(m, -0.0)
+    ref = assert_matches_reference(m, LearnConfig(episodes=1, max_steps=2, seed=0), monkeypatch, table)
+    assert [math.copysign(1.0, x) for x in table.q[0] + ref.q[0]] == [1.0, 1.0]
+
+
 
 def test_train_matches_reference_on_wide_rows(monkeypatch):
     # nondeterministic automata give states with three or more pairs, where

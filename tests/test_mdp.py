@@ -1,6 +1,8 @@
 """Labelled MDP model, JSON interchange and validation."""
 
+import itertools
 import json
+import re
 from dataclasses import replace
 
 import networkx as nx
@@ -17,7 +19,7 @@ from buchirl import (
     validate_mdp,
 )
 
-from generators import mdp_from_rows, random_mdp
+from generators import edge_rows, mdp_from_rows, random_mdp
 from report_digest import DIAGNOSTICS_MDP
 
 
@@ -80,6 +82,26 @@ def test_groups_sort_actions_and_keep_input_order():
     assert [c.tolist() for c in groups] == [[0, 0], [], [0], []]
 
 
+def test_symbol_sets_name_each_groups_set():
+    # over four symbols and null labels, two groups share an id exactly when
+    # their edges carry one set of symbols
+    rng = np.random.default_rng(18)
+    shared = mixed = 0
+    for _ in range(200):
+        rows = [(s, a, t, p, int(rng.integers(-1, 4))) for s, a, t, p, _ in edge_rows(random_mdp(rng))]
+        m = mdp_from_rows(tuple(f"s{i}" for i in range(rows[-1][0] + 1)), ("a0", "a1", "a2"), tuple("wxyz"), 0, rows)
+        _, _, edge_start, edge = m.groups
+        held = [frozenset(m.symbol[edge[lo:hi]].tolist()) for lo, hi in zip(edge_start[:-1], edge_start[1:])]
+        ids = m.symbol_sets.tolist()
+        assert len(ids) == len(held)
+        for i, j in itertools.combinations(range(len(ids)), 2):
+            assert (ids[i] == ids[j]) == (held[i] == held[j])
+            shared += len(held[i]) > 1 and held[i] == held[j]
+        mixed += sum(len(h) > 1 for h in held)
+    assert mixed > 500 and shared > 50
+    assert mdp_from_rows(("s",), ("a",), ("g",), 0, []).symbol_sets.size == 0
+
+
 def test_validate_corpus_clean(i2):
     assert validate_mdp(i2) == []
 
@@ -102,6 +124,29 @@ def test_validate_prob_sum():
     diags = validate_mdp(mdp_from_json(data))
     assert [d.code for d in diags if d.severity == "error"] == ["prob-sum"]
     assert "0.999" in diags[0].message
+
+
+def test_validate_lets_fsum_decide_the_mass():
+    # both groups sum to within a few ulps of 1 +- 1e-9; added left to right,
+    # or by validate's pass over all groups, a's sum reads 1.0000000009999999
+    # and b's 1.000000001, but their exact sums, which fsum rounds
+    # correctly, lie on the other sides of the limit
+    rows = [
+        (0, 0, 0, 0.2, 0),
+        (0, 0, 1, 0.55, 0),
+        (0, 0, 2, 0.2500000009999999, 0),
+        (0, 1, 0, 0.1, 0),
+        (0, 1, 1, 0.2, 0),
+        (0, 1, 2, 0.7000000009999999, 0),
+        (1, 0, 1, 1.0, 0),
+        (2, 0, 2, 1.0, 0),
+    ]
+    assert (0.2 + 0.55) + 0.2500000009999999 == 1.0000000009999999
+    assert (0.1 + 0.2) + 0.7000000009999999 == 1.000000001
+    m = mdp_from_rows(("s0", "s1", "s2"), ("a", "b"), ("g",), 0, rows)
+    assert [(d.code, d.message) for d in validate_mdp(m)] == [
+        ("prob-sum", "probabilities for (s0,a) sum to 1.000000001"),
+    ]
 
 
 def test_validate_duplicate_edge():
@@ -232,6 +277,29 @@ def test_from_json_transition_errors():
     data["transitions"][0] = "edge"
     with pytest.raises(MdpFormatError):
         mdp_from_json(data)
+    # of two bad transitions, the first wins, whatever either's fault
+    for first, second, message in (
+        ("to", "prob", "transitions[1]: unknown state 's9'"),
+        ("prob", "to", "transitions[1]: prob must be a finite number"),
+    ):
+        data = i2_data()
+        bad = {"to": "s9", "prob": True}
+        data["transitions"][1][first] = bad[first]
+        data["transitions"][3][second] = bad[second]
+        with pytest.raises(MdpFormatError, match=f"^{re.escape(message)}$"):
+            mdp_from_json(data)
+    # a name that cannot be a key, and one that is not a string
+    for key, what in (("from", "state"), ("to", "state"), ("action", "action")):
+        for bad in (["s0"], 0):
+            data = i2_data()
+            data["transitions"][2][key] = bad
+            with pytest.raises(MdpFormatError, match=f"^{re.escape(f'transitions[2]: unknown {what} {bad!r}')}$"):
+                mdp_from_json(data)
+    # true, NaN, 1e400 (which JSON reads as inf) and a 400-digit integer
+    for bad in ("true", "NaN", "1e400", "9" * 400):
+        data = json.loads(json.dumps(i2_data()).replace('"prob": 1.0', f'"prob": {bad}', 1))
+        with pytest.raises(MdpFormatError, match=r"^transitions\[2\]: prob must be a finite number$"):
+            mdp_from_json(data)
 
 
 def test_null_label_loads_but_flags():

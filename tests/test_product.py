@@ -2,6 +2,7 @@
 
 from functools import partial
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,15 +30,18 @@ from bruteforce import product_reference
 from generators import (
     branchy_mdp,
     edge_rows,
+    gamblers_ruin,
     large_instance,
     mdp_from_rows,
     random_det_automaton,
     random_instance,
     random_mdp,
     random_nondet_automaton,
+    red_and_black,
 )
 
 GN = ("g", "n")
+WXYZ = ("w", "x", "y", "z")
 
 
 def test_i2_product_shape(i2_product):
@@ -367,12 +371,101 @@ def test_product_columns_match_reference(corpus):
         build_product(load_mdp(corpus / "mdp" / "i2.json"), incomplete_g)
     assert str(got.value) == str(want.value)
     for m, a in cases:
-        states, pairs, caveat = product_reference(m, a)
-        p = build_product(m, a)
-        assert p.states == states and p.gfm_caveat == caveat
-        # repr also tells Python ints and bools from numpy scalars
-        assert p.pairs == pairs and repr(p.pairs) == repr(pairs)
-        for name, want in reference_columns(pairs).items():
-            got = getattr(p, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert not got.flags.writeable, name
+        assert_matches_reference(m, a)
+
+
+def assert_matches_reference(m, a):
+    """`build_product` gives the reference's states, caveat, pairs and columns."""
+    states, pairs, caveat = product_reference(m, a)
+    p = build_product(m, a)
+    assert p.states == states and p.gfm_caveat == caveat
+    # repr also tells Python ints and bools from numpy scalars
+    assert p.pairs == pairs and repr(p.pairs) == repr(pairs)
+    for name, want in reference_columns(pairs).items():
+        got = getattr(p, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    return p
+
+
+def test_deep_and_wide_products_match_reference(accept_g):
+    # a chain whose search runs 1,001 states deep, one state at a time, and
+    # states of up to 128 actions whose successors spread over the chain
+    p = assert_matches_reference(gamblers_ruin(np.random.default_rng(16), 1000, 0.5), accept_g)
+    assert p.n_states == 1001
+    p = assert_matches_reference(red_and_black(np.random.default_rng(17), 256, 0.4), accept_g)
+    assert max(p.pair_count) == 128
+
+
+def test_large_product_matches_reference(corpus, tmp_path, monkeypatch):
+    # the seed-1 large_product input, written as the benchmark writes it
+    monkeypatch.syspath_prepend(str(corpus.parent / "perfbench"))
+    from instances import generate
+
+    (rec,) = generate("large_product", 1, tmp_path, corpus)
+    p = assert_matches_reference(load_mdp(rec["mdp"]), parse_hoa(Path(rec["hoa"]).read_text()))
+    assert p.n_states == 2065
+
+
+def test_mixed_labels_over_a_wider_alphabet_match_reference():
+    # actions whose branches carry two or more of four symbols, read in
+    # automaton states with one or two moves per symbol: the search keeps
+    # one set of successors per automaton state and set of symbols
+    rng = np.random.default_rng(19)
+    built = dead = 0
+    while built < 60:
+        rows = [(s, act, t, pr, int(rng.integers(4))) for s, act, t, pr, _ in edge_rows(random_mdp(rng, 8))]
+        names = tuple(f"s{i}" for i in range(rows[-1][0] + 1))
+        m = mdp_from_rows(names, ("a0", "a1", "a2"), WXYZ, 0, rows)
+        n = int(rng.integers(1, 4))
+        moves = sorted({(q, x, int(rng.integers(n))) for q in range(n) for x in range(4) for _ in range(2)})
+        a = Nba(WXYZ, n, 0, tuple(moves), frozenset(np.flatnonzero(rng.random(len(moves)) < 0.4).tolist()))
+        try:
+            product_reference(m, a)
+        except DeadEndError:
+            assert_raises_like_reference(m, a, DeadEndError)
+            dead += 1
+            continue
+        assert_matches_reference(m, a)
+        built += 1
+    assert dead > 10
+
+
+def assert_raises_like_reference(m, a, error):
+    with pytest.raises(ProductError) as want:
+        product_reference(m, a)
+    with pytest.raises(ProductError) as got:
+        build_product(m, a)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("unlabelled_first", [True, False])
+def test_first_error_met_wins_within_a_state(unlabelled_first):
+    # s0 has an unlabelled edge under one action and a symbol the automaton
+    # cannot read under the other; the group read first decides the error
+    a = Nba(GN, 1, 0, ((0, 0, 0),), frozenset({0}))  # no move on n
+    rows = [(0, 0, 0, 1.0, None), (0, 1, 0, 1.0, 1)]
+    if not unlabelled_first:
+        rows = [(0, 1 - act, t, pr, x) for _, act, t, pr, x in rows]
+    error = ProductError if unlabelled_first else IncompleteAutomatonError
+    assert_raises_like_reference(mdp_from_rows(("s0",), ("a", "b"), GN, 0, rows), a, error)
+
+
+@pytest.mark.parametrize("dead_end_first", [True, False])
+def test_first_error_met_wins_across_states(dead_end_first):
+    # from s0, action a enters sX in q0 and action b enters sY in q1:
+    # (sX, q0) splits g and n over q0 and q1, a dead end, and (sY, q1)
+    # reads n, which q1 has no move for; the state numbered first decides
+    a = Nba(GN, 2, 0, ((0, 0, 0), (0, 1, 1), (1, 0, 1)), frozenset({0}))
+    sx, sy = (1, 2) if dead_end_first else (2, 1)
+    rows = [
+        (0, 0 if dead_end_first else 1, sx, 1.0, 0),
+        (0, 1 if dead_end_first else 0, sy, 1.0, 1),
+        (sx, 0, sx, 0.5, 0),
+        (sx, 0, 3, 0.5, 1),
+        (sy, 0, sy, 1.0, 1),
+        (3, 0, 3, 1.0, 0),
+    ]
+    m = mdp_from_rows(("s0", "s1", "s2", "s3"), ("a", "b"), GN, 0, rows)
+    assert_raises_like_reference(m, a, DeadEndError if dead_end_first else IncompleteAutomatonError)
